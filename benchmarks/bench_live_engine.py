@@ -6,14 +6,13 @@ population while the batch pipeline always pays for everyone.  The sweep
 records commit time against a full re-aggregation for touched-offer fractions
 of 1%, 5% and 25%, for every incremental engine:
 
-* ``live``    — the single-grid dirty-cell engine (PR 1);
-* ``sharded`` — the hash-partitioned engine (independent shard commits);
-* ``async``   — the bounded-queue worker over sharded state; its "commit"
+* ``live``  — the dirty-cell engine;
+* ``async`` — the bounded-queue worker over a live engine; its "commit"
   column is the *barrier latency* the caller still pays after ingesting
   (the worker usually committed already — that is the point).
 
 The headline requirement stays: >=5x over full re-aggregation when 1% of the
-offers are touched, for the live and the sharded engine.
+offers are touched, for the live engine.
 
 The standalone mode additionally runs :func:`scaling_sweep` — the columnar
 warehouse's scale claim: with a fixed touched set, commit latency (engine +
@@ -42,24 +41,21 @@ from repro.live.asynccommit import AsyncCommitEngine
 from repro.live.engine import LiveAggregationEngine
 from repro.live.events import OfferAdded, OfferUpdated
 from repro.live.replay import replay, scenario_event_stream
-from repro.live.sharded import ShardedAggregationEngine
 
 #: Touched-offer fractions the acceptance sweep covers.
 FRACTIONS = (0.01, 0.05, 0.25)
 
 #: The incremental engines benchmarked side by side (batch is the baseline).
-ENGINES = ("live", "sharded", "async")
+ENGINES = ("live", "async")
 
 
 def make_engine(name: str, micro_batch_size: int = 0):
     """One fresh incremental engine by CLI/CI name."""
     if name == "live":
         return LiveAggregationEngine(micro_batch_size=micro_batch_size)
-    if name == "sharded":
-        return ShardedAggregationEngine(micro_batch_size=micro_batch_size)
     if name == "async":
         return AsyncCommitEngine(
-            ShardedAggregationEngine(), drain_batch=micro_batch_size or 64
+            LiveAggregationEngine(), drain_batch=micro_batch_size or 64
         )
     raise ValueError(f"unknown engine {name!r}; choose from {ENGINES}")
 
@@ -655,14 +651,13 @@ def _replay_report(name, scenario, micro_batch_size: int = 64):
     return report
 
 
-@pytest.mark.parametrize("engine_name", ("live", "sharded"))
-def test_incremental_vs_batch_sweep(benchmark, large_offer_scenario, engine_name):
-    """Commit time vs full re-aggregation across touched-offer fractions."""
+def test_incremental_vs_batch_sweep(benchmark, large_offer_scenario):
+    """Live commit time vs full re-aggregation across touched-offer fractions."""
     offers = large_offer_scenario.flex_offers
 
     def sweep():
         full = _batch_seconds(offers)
-        rows = _sweep_engine(engine_name, offers, full)
+        rows = _sweep_engine("live", offers, full)
         for values in rows.values():
             values["full_reaggregation_ms"] = round(full * 1000, 3)
         return rows
@@ -671,12 +666,12 @@ def test_incremental_vs_batch_sweep(benchmark, large_offer_scenario, engine_name
     record(
         benchmark,
         {
-            "engine": engine_name,
+            "engine": "live",
             "offer_count": len(offers),
             **{f"touched_{key}": str(values) for key, values in rows.items()},
             "claim": "incremental commits beat full re-aggregation as touched fraction shrinks",
         },
-        f"LIVE: {engine_name} vs batch re-aggregation",
+        "LIVE: live vs batch re-aggregation",
     )
     # Monotonic: the smaller the touched fraction, the larger the speedup.
     speedups = [rows[f"{fraction:g}"]["speedup_vs_batch"] for fraction in FRACTIONS]

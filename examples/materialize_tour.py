@@ -88,10 +88,10 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 4. Views follow the session across engine swaps and replays.
     # ------------------------------------------------------------------
-    session.use_engine("sharded")
+    session.use_engine("async")
     session.commit()
     assert session.query(dashboard.spec).matches(dashboard.result)
-    print(f"  after use_engine('sharded'): dashboard still current at v{dashboard.version}")
+    print(f"  after use_engine('async'): dashboard still current at v{dashboard.version}")
 
     session.replay(update_fraction=0.2, withdraw_fraction=0.05, engine="live")
     session.commit()

@@ -5,13 +5,14 @@ Run with::
 
     python examples/trace_tour.py
 
-The script replays a scenario through the sharded engine with observability
-on, shows that one commit is one id-linked trace even though its fan-out ran
-on a thread pool, demonstrates the head-based sampler (traces thin out,
-metrics stay exact), and writes the three trace artifacts — a JSONL dump, a
-Chrome ``trace_event`` file for Perfetto/``chrome://tracing`` and a
-folded-stack file for speedscope/``flamegraph.pl`` — into
-``examples/output/``.
+The script streams a scenario through the async engine with observability
+on, one ``ingest.batch`` span per batch of events.  The engine's background
+worker commits those events on its own thread, yet its commits land in the
+trace of the ingest that handed them over, linked by ids.  The tour then
+demonstrates the head-based sampler (traces thin out, metrics stay exact)
+and writes the three trace artifacts — a JSONL dump, a Chrome
+``trace_event`` file for Perfetto/``chrome://tracing`` and a folded-stack
+file for speedscope/``flamegraph.pl`` — into ``examples/output/``.
 """
 
 from __future__ import annotations
@@ -25,19 +26,32 @@ from repro.session import FlexSession
 
 OUTPUT_DIR = Path(__file__).resolve().parent / "output"
 
+#: Events ingested under one ``ingest.batch`` span, and the worker's commit
+#: cadence: it commits after every ``DRAIN`` applied events, so each batch
+#: sees worker-thread commits before the flush barrier returns.
+BATCH, DRAIN = 64, 16
 
-def replay_once(scenario) -> None:
-    session = FlexSession(
-        scenario, engine="sharded", micro_batch_size=64, live_preload=False
-    )
-    # Force the fan-out onto the shard pool even at this demo's small dirty
-    # sets (production keeps the threshold at 64 dirty cells) — the point
-    # here is watching one trace cross threads.
-    session.engine.engine.parallel_min_cells = 1
-    stream = scenario_event_stream(scenario, seed=9)
-    session.replay(stream)
-    session.offers().aggregate().fetch()
-    session.close()
+#: The async engine's worker thread name (see ``repro.live.asynccommit``).
+WORKER = "async-commit-worker"
+
+
+def replay_once(scenario) -> int:
+    """Stream the scenario through the async engine; returns the batch count."""
+    tracer = obs.get_tracer()
+    events = scenario_event_stream(scenario, seed=9).replay_order()
+    with FlexSession(
+        scenario, engine="async", micro_batch_size=DRAIN, live_preload=False
+    ) as session:
+        for start in range(0, len(events), BATCH):
+            # Each enqueue hands the open span's context to the worker, whose
+            # next commit joins this batch's trace.  The flush barrier inside
+            # the span waits until every event of the batch is committed.
+            with tracer.span("ingest.batch"):
+                for event in events[start : start + BATCH]:
+                    session.ingest(event)
+                session.engine.refresh()
+        session.offers().aggregate().fetch()
+    return -(-len(events) // BATCH)
 
 
 def main() -> None:
@@ -45,26 +59,26 @@ def main() -> None:
     scenario = generate_scenario(ScenarioConfig(prosumer_count=120, seed=9))
 
     # ------------------------------------------------------------------
-    # 1. One commit, one trace — across threads.
+    # 1. One ingest, one trace — across threads.
     # ------------------------------------------------------------------
     obs.reset()
     obs.enable()
     replay_once(scenario)
     tracer = obs.get_tracer()
     spans = tracer.finished()
-    roots = [span for span in spans if span.name == "sharded.commit"]
-    last = roots[-1]
-    trace = tracer.finished(trace_id=last.trace_id)
+    first = tracer.finished(name="ingest.batch")[0]
+    trace = tracer.finished(trace_id=first.trace_id)
     threads = {span.thread for span in trace}
-    print(f"{len(spans)} spans finished; last sharded commit = trace {last.trace_id}")
+    assert WORKER in threads, "no worker commit joined the ingest trace"
+    print(f"{len(spans)} spans finished; first ingest batch = trace {first.trace_id}")
     print(
         f"  that one trace holds {len(trace)} spans across "
         f"{len(threads)} threads: {sorted(threads)}"
     )
-    print("  (the fan-out pool attached the commit's TraceContext explicitly —")
-    print("   every per-shard drain carries the commit's trace_id and parent_id)")
+    print("  (the worker attached the ingest span's TraceContext explicitly —")
+    print("   its commit carries the ingest's trace_id and parent_id)")
     print()
-    print(obs.format_trace(spans, last.trace_id))
+    print(obs.format_trace(spans, first.trace_id))
     print()
 
     # ------------------------------------------------------------------
@@ -82,19 +96,17 @@ def main() -> None:
     print()
 
     # ------------------------------------------------------------------
-    # 3. Head-based sampling: 1-in-4 commits traced, metrics still exact.
+    # 3. Head-based sampling: 1-in-4 ingest traces, metrics still exact.
     # ------------------------------------------------------------------
     obs.reset()
     obs.enable()
     obs.set_sampler(obs.Sampler(default_rate=4, rates={"store.checkpoint": 1}))
-    replay_once(scenario)
-    sampled_roots = obs.get_tracer().finished(name="sharded.commit")
-    commits = obs.get_registry().histogram(
-        "repro.live.sharded.commit.seconds", "sharded logical commit latency"
-    )
+    batches = replay_once(scenario)
+    sampled_roots = obs.get_tracer().finished(name="ingest.batch")
+    commits = obs.get_registry().get("repro.live.commit.seconds")
     print(
-        f"sampled 1-in-4: {len(sampled_roots)} commit traces recorded, "
-        f"but the histogram still counted every one of the {commits.count} commits"
+        f"sampled 1-in-4: {len(sampled_roots)} of {batches} ingest traces recorded, "
+        f"but the commit histogram still counted every one of the {commits.count} commits"
     )
     print("  (sampling thins the span log only; checkpoints would keep rate 1)")
     obs.disable()

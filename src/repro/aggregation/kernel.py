@@ -10,8 +10,8 @@ module provides two interchangeable implementations:
 * :func:`profile_bounds_numpy` — a vectorized path that expands every
   offer's profile once into cached index/weight arrays and folds the whole
   group through :func:`numpy.bincount`, whose C accumulation loop releases
-  the GIL — which is what lets the sharded engine's thread-pool commit
-  fan-out buy real wall-clock (ROADMAP live item e).
+  the GIL, so other threads (the async commit worker's producer, concurrent
+  readers) keep running while a commit folds its chunks.
 
 **Bit-identity is part of the contract.**  ``bincount`` adds its weights in
 input order, and the weights are concatenated offer-major exactly as the

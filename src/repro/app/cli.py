@@ -47,11 +47,19 @@ from repro.olap.mdx import execute as execute_mdx
 from repro.scheduling.evaluation import compare, report
 from repro.scheduling.greedy import EarliestStartScheduler, GreedyScheduler
 from repro.scheduling.problem import BalancingProblem, make_target
-from repro.session import FlexSession
+from repro.session import ENGINE_FACTORIES, FlexSession, LiveEngine
 from repro.session.views import registered_views
 from repro.warehouse.persistence import save_schema
 
 _VIEW_NAMES = registered_views()
+#: ``--engine`` choices: every registered engine, and the live-family ones
+#: (those that ingest event streams).
+_ENGINE_NAMES = tuple(ENGINE_FACTORIES)
+_LIVE_ENGINE_NAMES = tuple(
+    name
+    for name, factory in ENGINE_FACTORIES.items()
+    if isinstance(factory, type) and issubclass(factory, LiveEngine)
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -84,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     session.add_argument(
         "--engine",
-        choices=("batch", "live", "sharded", "async"),
+        choices=_ENGINE_NAMES,
         default="batch",
         help="which engine answers",
     )
@@ -108,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     live.add_argument(
         "--engine",
-        choices=("live", "sharded", "async"),
+        choices=_LIVE_ENGINE_NAMES,
         default="live",
         help="which incremental engine replays the stream",
     )
@@ -134,7 +142,7 @@ def _build_parser() -> argparse.ArgumentParser:
     checkpoint.add_argument("--out", default="checkpoint", help="durability directory")
     checkpoint.add_argument(
         "--engine",
-        choices=("live", "sharded", "async"),
+        choices=_LIVE_ENGINE_NAMES,
         default="live",
         help="which incremental engine consumes the stream",
     )
@@ -168,7 +176,7 @@ def _build_parser() -> argparse.ArgumentParser:
     restore.add_argument("--from", dest="source", default="checkpoint", help="durability directory")
     restore.add_argument(
         "--engine",
-        choices=("live", "sharded", "async"),
+        choices=_LIVE_ENGINE_NAMES,
         default=None,
         help="rebuild with this engine (default: the one that wrote the checkpoint)",
     )
@@ -185,7 +193,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     stats.add_argument(
         "--engine",
-        choices=("live", "sharded", "async"),
+        choices=_LIVE_ENGINE_NAMES,
         default="live",
         help="which incremental engine replays the stream",
     )
@@ -246,7 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     views.add_argument(
         "--engine",
-        choices=("live", "sharded", "async"),
+        choices=_LIVE_ENGINE_NAMES,
         default="live",
         help="which incremental engine maintains the views (with --materialized)",
     )
@@ -385,7 +393,7 @@ def _session_smoke(session: FlexSession, args: argparse.Namespace) -> int:
     """The equivalence contract, end to end: same spec, two engines, equal results.
 
     Compares the batch snapshot against the selected live-family engine
-    (``--engine sharded`` checks batch≡sharded; plain ``--engine batch``
+    (``--engine async`` checks batch≡async; plain ``--engine batch``
     defaults the counterpart to the live engine).
     """
     counterpart = args.engine if args.engine != "batch" else "live"
@@ -554,13 +562,7 @@ def _command_restore(args: argparse.Namespace) -> int:
 #: nothing.  Kernel dispatch is one logical stage served by two histograms
 #: (numpy/scalar) — at least one of the pair must have data.
 _REQUIRED_STAGE_GROUPS: tuple[tuple[str, ...], ...] = (
-    # live commits and sharded logical commits record under different names;
-    # the async engine's worker commits land in all three.
-    (
-        "repro.live.commit.seconds",
-        "repro.live.sharded.commit.seconds",
-        "repro.live.async.worker.commit.seconds",
-    ),
+    ("repro.live.commit.seconds",),
     ("repro.aggregation.kernel.numpy.seconds", "repro.aggregation.kernel.scalar.seconds"),
     ("repro.session.query.seconds",),
     # The versioned read path: snapshot publication on commit, cache-fronted
@@ -664,7 +666,6 @@ def _command_stats(args: argparse.Namespace) -> int:
         print(
             f"backlog               : pending={summary.get('pending_events', 0)} "
             f"dirty_cells={summary.get('dirty_cells', 0)} "
-            f"dirty_shards={summary.get('dirty_shards', '-')} "
             f"queue_depth={summary.get('queue_depth', '-')}"
         )
         print(f"tracing spans         : {len(obs.get_tracer().finished())} finished")

@@ -9,9 +9,6 @@ Layers, bottom up:
   the star schema via upsert/delete, keeping repository queries fresh.
 * :mod:`repro.live.subscriptions` — ``SubscriptionHub``: commit fan-out to
   views and monitoring alert rules.
-* :mod:`repro.live.sharded` — ``ShardedAggregationEngine``: the grouping grid
-  hash-partitioned into independent shards, committed in parallel and merged
-  into one logical commit.
 * :mod:`repro.live.asynccommit` — ``AsyncCommitEngine``: a bounded-queue
   background worker that drains events and commits off the caller's thread,
   with ``flush()``/``close()`` barriers.
@@ -43,11 +40,6 @@ from repro.live.events import (
     write_jsonl,
 )
 from repro.live.replay import ReplayReport, replay, scenario_event_stream
-from repro.live.sharded import (
-    ShardedAggregationEngine,
-    ShardedCommitResult,
-    shard_of_cell,
-)
 from repro.live.subscriptions import (
     ChangeCollector,
     CommitNotification,
@@ -59,9 +51,6 @@ from repro.live.warehouse import LiveWarehouse
 
 __all__ = [
     "AsyncCommitEngine",
-    "ShardedAggregationEngine",
-    "ShardedCommitResult",
-    "shard_of_cell",
     "ChunkStats",
     "CommitResult",
     "LiveAggregationEngine",

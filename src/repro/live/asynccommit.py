@@ -1,7 +1,6 @@
 """Asynchronous commits: decouple event ingestion from dirty-set draining.
 
-Both :class:`~repro.live.engine.LiveAggregationEngine` and
-:class:`~repro.live.sharded.ShardedAggregationEngine` commit *synchronously*:
+:class:`~repro.live.engine.LiveAggregationEngine` commits *synchronously*:
 the caller that applied the events also pays for re-aggregating the dirty
 cells.  :class:`AsyncCommitEngine` puts a background worker between the two —
 ``apply`` only enqueues onto a **bounded queue** (blocking when full, so a
@@ -64,14 +63,14 @@ _WORKER_COMMIT_SECONDS = _OBS.histogram(
 
 
 class AsyncCommitEngine:
-    """A background worker draining events into an inner live-family engine.
+    """A background worker draining events into an inner live engine.
 
     Parameters
     ----------
     inner:
-        The engine that owns the state — a ``LiveAggregationEngine`` or a
-        ``ShardedAggregationEngine``.  Its ``micro_batch_size`` must be 0:
-        the worker owns the commit cadence.
+        The :class:`~repro.live.engine.LiveAggregationEngine` that owns the
+        state.  Its ``micro_batch_size`` must be 0: the worker owns the
+        commit cadence.
     queue_size:
         Bound of the ingest queue; ``apply`` blocks when it is full.
     drain_batch:
@@ -259,9 +258,6 @@ class AsyncCommitEngine:
         self._queue.put(_STOP)
         self._worker.join()
         self._commit_if_dirty()
-        close_inner = getattr(self.inner, "close", None)
-        if close_inner is not None:
-            close_inner()
         self._raise_pending_error()
 
     def drain_commits(self) -> list[CommitResult]:

@@ -58,7 +58,7 @@ _COMMIT_EVENTS = _OBS.histogram(
     "repro.live.commit.events", "events drained per commit", COUNT_BUCKETS
 )
 _DRAIN_SECONDS = _OBS.histogram(
-    "repro.live.commit.drain.seconds", "commit_core drain latency (per engine/shard)"
+    "repro.live.commit.drain.seconds", "dirty-ledger drain latency per commit"
 )
 _PUBLISH_SECONDS = _OBS.histogram(
     "repro.live.commit.publish.seconds", "subscription-hub publish latency"
@@ -122,11 +122,6 @@ class ChunkStats:
     reaggregated: int = 0
     #: Chunks inside dirty cells that were proven clean and reused untouched.
     skipped: int = 0
-
-    def __add__(self, other: "ChunkStats") -> "ChunkStats":
-        return ChunkStats(
-            self.reaggregated + other.reaggregated, self.skipped + other.skipped
-        )
 
 
 @dataclass
@@ -431,11 +426,23 @@ class LiveAggregationEngine:
 
         The cost is proportional to the dirty membership, not the population:
         clean cells keep their committed output objects untouched.
+
+        Instrumented: the drain is a ``live.commit.drain`` span, its latency
+        lands in ``repro.live.commit.drain.seconds``, and the chunk split
+        feeds the reaggregated/skipped counters.
         """
         started = time.perf_counter()
         events_applied = self._pending_events
         with _TRACER.span("live.commit"):
-            dirty, changed, removed, stats = self.commit_core()
+            if _OBS.enabled:
+                drain_started = time.perf_counter()
+                with _TRACER.span("live.commit.drain"):
+                    dirty, changed, removed, stats = self._drain()
+                _DRAIN_SECONDS.observe(time.perf_counter() - drain_started)
+                _CHUNKS_REAGGREGATED.inc(stats.reaggregated)
+                _CHUNKS_SKIPPED.inc(stats.skipped)
+            else:
+                dirty, changed, removed, stats = self._drain()
             # A raw offer migrating between cells in one commit leaves its old
             # cell (removed) and enters its new one (changed); it is still
             # live, so it must not be reported as removed or mirrors would
@@ -496,45 +503,18 @@ class LiveAggregationEngine:
                 dirty_chunks.add(index // max_group_size if max_group_size > 0 else 0)
         return dirty_chunks
 
-    def commit_core(
+    def _drain(
         self,
     ) -> tuple[tuple[GroupKey, ...], list[FlexOffer], list[FlexOffer], ChunkStats]:
         """Drain the dirty state; returns ``(dirty_cells, changed, removed, stats)``.
 
-        The engine-composition seam: :meth:`commit` wraps this with timing,
-        migration filtering, sequence numbering and hub publication, and the
-        sharded engine fans it out per shard so those per-commit fixed costs
-        are paid once per *logical* commit, not once per shard.  ``removed``
-        is unfiltered — an offer that migrated cells appears in both lists;
-        callers apply the changed-wins rule over their merged result.
-        Resets the dirty ledger and the pending-event counter.
-
         Within each dirty cell only the *perturbed* chunks re-aggregate; a
         clean chunk's committed output object is reused untouched — its
-        member list is provably identical (see :class:`_CellDirt`).  The
-        split is reported through ``stats``.
-
-        Instrumented: the drain is a ``live.commit.drain`` span, its latency
-        lands in ``repro.live.commit.drain.seconds``, and the chunk split
-        feeds the reaggregated/skipped counters — recorded *here*, not in
-        :meth:`commit`, so the sharded engine's direct per-shard fan-out
-        calls are measured too.
+        member list is provably identical (see :class:`_CellDirt`).
+        ``removed`` is unfiltered — an offer that migrated cells appears in
+        both lists; :meth:`commit` applies the changed-wins rule.  Resets the
+        dirty ledger and the pending-event counter.
         """
-        if not _OBS.enabled:
-            return self._drain()
-        started = time.perf_counter()
-        with _TRACER.span("live.commit.drain"):
-            outcome = self._drain()
-        _DRAIN_SECONDS.observe(time.perf_counter() - started)
-        stats = outcome[3]
-        _CHUNKS_REAGGREGATED.inc(stats.reaggregated)
-        _CHUNKS_SKIPPED.inc(stats.skipped)
-        return outcome
-
-    def _drain(
-        self,
-    ) -> tuple[tuple[GroupKey, ...], list[FlexOffer], list[FlexOffer], ChunkStats]:
-        """The uninstrumented drain body (see :meth:`commit_core`)."""
         changed: list[FlexOffer] = []
         removed: list[FlexOffer] = []
         reaggregated = 0

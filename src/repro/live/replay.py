@@ -179,7 +179,7 @@ def replay(
     """Drive ``engine`` (and optionally ``warehouse``) through an event stream.
 
     ``engine`` may be a bare incremental engine (``LiveAggregationEngine``,
-    ``ShardedAggregationEngine``, ``AsyncCommitEngine``), a session-layer
+    ``AsyncCommitEngine``), a session-layer
     ``LiveEngine``-family backend, or a whole ``FlexSession`` — the session
     forms bring their own live warehouse, which is mirrored unless
     ``warehouse`` overrides it.  Events are consumed in replay order

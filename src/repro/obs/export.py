@@ -58,7 +58,7 @@ def prometheus_name(name: str) -> str:
 def to_prometheus_text(registry: MetricsRegistry) -> str:
     """The whole registry in the Prometheus text exposition format.
 
-    Labeled series (``{shard="3"}``) share their base name's ``# HELP`` /
+    Labeled series (``{worker="3"}``) share their base name's ``# HELP`` /
     ``# TYPE`` header with the unlabeled series, as Prometheus expects —
     labels appear only on the sample lines (merged with ``le`` for
     histogram buckets).

@@ -108,7 +108,7 @@ def instrument_key(name: str, labels: dict[str, str] | None) -> str:
     """The registry cache key: the name, plus ``{k="v"}`` when labeled.
 
     Labeled instruments are independent series sharing a base name —
-    ``repro.live.sharded.fanout.seconds{shard="3"}`` next to the unlabeled
+    ``name{worker="3"}`` next to the unlabeled
     total — exactly how the Prometheus exporter will emit them.
     """
     rendered = render_labels(labels)
@@ -170,7 +170,7 @@ class Counter:
 
 
 class Gauge:
-    """A point-in-time level (queue depth, dirty shards, segment count).
+    """A point-in-time level (queue depth, views, segment count).
 
     ``track`` is the hot-path setter (no-op while disabled); ``set`` always
     writes — read-side refreshes like :meth:`FlexSession.summary` use it so

@@ -5,16 +5,16 @@ A span is one timed region of one thread — ``with tracer.span("live.commit"):`
 Every span carries a process-unique ``span_id``, its parent's ``parent_id``
 and the ``trace_id`` of the logical operation it belongs to (the root span
 mints the trace id), so the finished-span log reconstructs the call tree of a
-commit (drain → per-shard fan-out → kernel) *by ids*, not by names — two
-sibling drains of the same stage stay distinguishable.
+commit (drain → kernel → publish) *by ids*, not by names — two sibling
+spans of the same stage stay distinguishable.
 
 Crossing threads is **explicit**: the thread that owns an operation captures
 a :class:`TraceContext` (``tracer.context()``) and the worker thread installs
-it (``with tracer.attach(context):``) before opening its spans — the sharded
-fan-out pool and the async commit worker hand their ingesting commit's
-context over this way instead of relying on thread-local state that was never
-theirs.  Each thread still keeps its own span stack, and finished spans land
-in one bounded ring buffer shared by the process.
+it (``with tracer.attach(context):``) before opening its spans — the async
+commit worker joins the trace of the ingest that caused its commit this way
+instead of relying on thread-local state that was never its own.  Each thread
+still keeps its own span stack, and finished spans land in one bounded ring
+buffer shared by the process.
 
 Always-on production tracing goes through a head-based :class:`Sampler`: the
 decision is taken once, at the root span, per root-stage name (trace 1-in-N

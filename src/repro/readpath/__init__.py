@@ -7,7 +7,7 @@ skipped), a :class:`SnapshotManager` retains a bounded, pinnable ring of
 them, and a :class:`ResultCache` memoizes ``ResultSet``s keyed on frozen
 spec + version with invalidation driven by the commits' own dirty-cell
 bookkeeping.  ``FlexSession.query()`` routes through the latest snapshot by
-default, making reads lock-free while live/sharded/async engines commit
+default, making reads lock-free while the live and async engines commit
 underneath; :mod:`repro.readpath.checker` proves it — recorded concurrent
 histories are verified for atomicity (no torn commits) and monotonic reads.
 """

@@ -109,7 +109,7 @@ class AggregateSnapshot:
     # ------------------------------------------------------------------
     @classmethod
     def capture(cls, engine, grid: "TimeGrid", name: str, version: int | None = None):
-        """Full build from a (live or sharded) engine's committed state.
+        """Full build from a live engine's committed state.
 
         ``version`` defaults to the engine's own commit sequence, so a
         snapshot seeded from a restored checkpoint continues the sequence the

@@ -17,7 +17,6 @@ from repro.session.engines import (
     AsyncEngine,
     BatchEngine,
     LiveEngine,
-    ShardedEngine,
     subscribe_spec,
 )
 from repro.session.facade import ENGINE_FACTORIES, FlexSession
@@ -36,7 +35,6 @@ __all__ = [
     "AsyncEngine",
     "BatchEngine",
     "LiveEngine",
-    "ShardedEngine",
     "subscribe_spec",
     "ENGINE_FACTORIES",
     "FlexSession",

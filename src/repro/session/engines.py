@@ -1,6 +1,6 @@
 """The pluggable aggregation backends behind the session facade.
 
-Both engines answer the same two questions — *which offers match a spec* and
+All engines answer the same two questions — *which offers match a spec* and
 *what is their aggregation* — behind the :class:`AggregationBackend`
 protocol, so the query builder, the views and the CLI never care which one is
 active:
@@ -14,21 +14,17 @@ active:
   grouping grid, a :class:`~repro.live.warehouse.LiveWarehouse` kept fresh
   under the same events, and a :class:`~repro.live.subscriptions.SubscriptionHub`
   for commit fan-out.
-* :class:`ShardedEngine` swaps the inner engine for the hash-partitioned
-  :class:`~repro.live.sharded.ShardedAggregationEngine` — same events, same
-  warehouse mirror, commits fanned out over independent shards and merged
-  into one logical commit.
 * :class:`AsyncEngine` layers the bounded-queue
-  :class:`~repro.live.asynccommit.AsyncCommitEngine` worker over sharded
-  state: ``ingest`` only enqueues; the worker applies, mirrors the warehouse
-  and commits in the background; reads flush first, so queries stay
-  deterministic.
+  :class:`~repro.live.asynccommit.AsyncCommitEngine` worker over a plain
+  live engine: ``ingest`` only enqueues; the worker applies, mirrors the
+  warehouse and commits in the background; reads flush first, so queries
+  stay deterministic.
 
 The interchangeability contract: one :class:`~repro.session.spec.QuerySpec`
 executed against any engine over the same offer population yields equivalent
 :class:`~repro.session.spec.ResultSet` envelopes — bit-identical aggregate
 profiles, ids modulo :func:`~repro.live.engine.canonical_form`
-(property-tested across all four engines in
+(property-tested across all three engines in
 ``tests/test_session_equivalence.py``).
 """
 
@@ -43,7 +39,6 @@ from repro.flexoffer.model import FlexOffer
 from repro.live.asynccommit import AsyncCommitEngine
 from repro.live.engine import CommitResult, LiveAggregationEngine
 from repro.live.events import OfferAdded, OfferEvent
-from repro.live.sharded import ShardedAggregationEngine
 from repro.live.subscriptions import CommitNotification, Subscription, SubscriptionHub
 from repro.live.warehouse import LiveWarehouse
 from repro.obs import get_registry
@@ -56,13 +51,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.readpath import ReadPath
     from repro.session.spec import QuerySpec
 
-# The engine modules above registered these gauges at import time; fetching
-# them again by name returns the same instruments.  ``depth_stats`` refreshes
-# them with the unconditional ``set`` so the figures a summary reports are
-# truthful even while observability is disabled.
-_OBS = get_registry()
-_ASYNC_QUEUE_DEPTH = _OBS.gauge("repro.live.async.queue_depth")
-_SHARDED_DIRTY_SHARDS = _OBS.gauge("repro.live.sharded.dirty_shards")
+# The async engine module registered this gauge at import time; fetching it
+# again by name returns the same instrument.  ``depth_stats`` refreshes it
+# with the unconditional ``set`` so the figure a summary reports is truthful
+# even while observability is disabled.
+_ASYNC_QUEUE_DEPTH = get_registry().gauge("repro.live.async.queue_depth")
 
 
 @runtime_checkable
@@ -238,9 +231,9 @@ class LiveEngine:
     def depth_stats(self) -> dict[str, int]:
         """Backlog figures of this backend (pending events, dirty cells/chunks).
 
-        Subclasses extend with their own depth — the async queue, the sharded
-        dirty-shard count — and refresh the matching :mod:`repro.obs` gauges
-        on the way out, so ``session.summary()`` and a metrics scrape agree.
+        The async backend adds its queue depth and refreshes the matching
+        :mod:`repro.obs` gauge on the way out, so ``session.summary()`` and a
+        metrics scrape agree.
         """
         return {
             "pending_events": self.engine.pending_events,
@@ -337,7 +330,7 @@ class LiveEngine:
         self.reseed_readpath()
 
     def close(self) -> None:
-        """Release engine-owned resources (worker threads, commit pools)."""
+        """Release engine-owned resources (the async worker thread)."""
         close_engine = getattr(self.engine, "close", None)
         if close_engine is not None:
             close_engine()
@@ -382,50 +375,11 @@ class LiveEngine:
         return aggregate(offers, parameters, id_offset=self.engine.id_offset)
 
 
-class ShardedEngine(LiveEngine):
-    """The live backend over the hash-partitioned sharded engine.
-
-    Identical session semantics to :class:`LiveEngine` — same event vocabulary,
-    warehouse mirror and subscriptions — with commits fanned out over
-    ``shard_count`` independent shards and merged into one logical commit
-    (published to the hub exactly once).
-    """
-
-    name = "sharded"
-
-    def __init__(
-        self,
-        scenario: "Scenario",
-        parameters: AggregationParameters | None = None,
-        micro_batch_size: int = 0,
-        preload: bool = True,
-        shard_count: int = 8,
-    ) -> None:
-        self.shard_count = shard_count
-        super().__init__(
-            scenario, parameters, micro_batch_size=micro_batch_size, preload=preload
-        )
-
-    def _build_engine(self):
-        return ShardedAggregationEngine(
-            self.parameters,
-            shard_count=self.shard_count,
-            micro_batch_size=self.micro_batch_size,
-            hub=self.hub,
-        )
-
-    def depth_stats(self) -> dict[str, int]:
-        stats = super().depth_stats()
-        stats["dirty_shards"] = self.engine.dirty_shard_count
-        _SHARDED_DIRTY_SHARDS.set(stats["dirty_shards"])
-        return stats
-
-
 class AsyncEngine(LiveEngine):
     """The live backend with ingestion decoupled from commits.
 
     ``ingest`` only enqueues onto the async worker's bounded queue; the worker
-    applies events to the sharded state, mirrors the live warehouse and
+    applies events to a plain live engine, mirrors the live warehouse and
     commits in the background.  Every read path flushes first (the
     :meth:`refresh` barrier), so queries observe exactly the synchronous
     engines' state — the interchangeability contract is unchanged, only the
@@ -440,21 +394,16 @@ class AsyncEngine(LiveEngine):
         parameters: AggregationParameters | None = None,
         micro_batch_size: int = 0,
         preload: bool = True,
-        shard_count: int = 8,
         queue_size: int = 1024,
     ) -> None:
-        self.shard_count = shard_count
         self.queue_size = queue_size
         super().__init__(
             scenario, parameters, micro_batch_size=micro_batch_size, preload=preload
         )
 
     def _build_engine(self):
-        inner = ShardedAggregationEngine(
-            self.parameters, shard_count=self.shard_count, hub=self.hub
-        )
         return AsyncCommitEngine(
-            inner,
+            LiveAggregationEngine(self.parameters, hub=self.hub),
             queue_size=self.queue_size,
             # micro_batch_size maps onto the worker's drain batch: the latency
             # bound between commits under sustained load.
@@ -487,10 +436,7 @@ class AsyncEngine(LiveEngine):
 
     def depth_stats(self) -> dict[str, int]:
         stats = super().depth_stats()
-        # The inner engine is sharded; surface its shard backlog here too.
-        stats["dirty_shards"] = self.engine.inner.dirty_shard_count
         stats["queue_depth"] = self.engine.queued_events
-        _SHARDED_DIRTY_SHARDS.set(stats["dirty_shards"])
         _ASYNC_QUEUE_DEPTH.set(stats["queue_depth"])
         return stats
 

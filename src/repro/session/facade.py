@@ -12,9 +12,9 @@ exposes every workflow the scattered entry points used to cover:
 Engines are pluggable behind the
 :class:`~repro.session.engines.AggregationBackend` protocol: ``"batch"`` is a
 read-only snapshot of the scenario, ``"live"`` the event-driven incremental
-subsystem, ``"sharded"`` its hash-partitioned variant and ``"async"`` the
-bounded-queue background-commit variant (live-family engines are preloaded
-with the scenario's offers so all engines start interchangeable).  Engines
+subsystem and ``"async"`` the same engine behind a bounded-queue
+background-commit worker (live-family engines are preloaded with the
+scenario's offers so all engines start interchangeable).  Engines
 are kept per session, so switching back and forth is free after first use;
 downstream backends register through the same :data:`ENGINE_FACTORIES`.
 """
@@ -33,7 +33,6 @@ from repro.session.engines import (
     AsyncEngine,
     BatchEngine,
     LiveEngine,
-    ShardedEngine,
     subscribe_spec,
 )
 from repro.session.materialize import MaterializedView, views_gauge
@@ -55,7 +54,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 ENGINE_FACTORIES: dict[str, Callable[..., AggregationBackend]] = {
     "batch": BatchEngine,
     "live": LiveEngine,
-    "sharded": ShardedEngine,
     "async": AsyncEngine,
 }
 
@@ -162,14 +160,13 @@ class FlexSession:
             view.attach(backend)
 
     def close(self) -> None:
-        """Release every cached engine's resources (worker threads, pools).
+        """Release every cached engine's resources (the async worker thread).
 
-        The sharded engine owns a commit thread pool and the async engine a
-        worker thread; sessions that create them should be closed (or used as
-        a context manager) instead of relying on process exit.  Closed
-        engines stay cached — the live-family ones rebuild their inner engine
-        on :meth:`~repro.session.engines.LiveEngine.reset`, but the usual
-        pattern is one close at the end of the session's life.
+        The async engine owns a worker thread; sessions that create it should
+        be closed (or used as a context manager) instead of relying on process
+        exit.  Closed engines stay cached — the live-family ones rebuild their
+        inner engine on :meth:`~repro.session.engines.LiveEngine.reset`, but
+        the usual pattern is one close at the end of the session's life.
         """
         for backend in self._engines.values():
             close_backend = getattr(backend, "close", None)
@@ -433,7 +430,7 @@ class FlexSession:
         ``events`` stream is treated as a *continuation* of the current live
         state; pass ``reset=True`` when it is a from-scratch log (e.g. the
         full scenario stream against a preloaded engine).  ``engine`` picks
-        the replaying backend (``"live"``/``"sharded"``/``"async"``); the
+        the replaying backend (``"live"``/``"async"``); the
         default keeps the active engine when it is a live-family one and
         falls back to ``"live"`` otherwise.  The chosen engine is created if
         needed and becomes the active engine.  ``resume_from`` skips that many
@@ -532,8 +529,8 @@ class FlexSession:
         """Warehouse row counts and state distribution, plus session facts.
 
         Live-family backends also contribute their backlog depth — pending
-        events, dirty cells/chunks, and on the sharded/async engines the
-        dirty-shard count and ingest queue depth.  The figures are pushed
+        events, dirty cells/chunks, and on the async engine the ingest queue
+        depth.  The figures are pushed
         through the :mod:`repro.obs` gauges on the way out, so this summary
         and a metrics scrape can never disagree.
         """

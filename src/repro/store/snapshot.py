@@ -59,6 +59,11 @@ _WAREHOUSE = "warehouse"
 #: The two data buffers saves alternate between (manifest names the live one).
 _BUFFERS = ("snapshot-a", "snapshot-b")
 
+#: Engine families older checkpoints may name that no longer exist, mapped to
+#: the family that restores them.  The captured state holds no engine
+#: topology, so the mapping only picks which backend a restore rebuilds.
+_RETIRED_ENGINES = {"sharded": "live"}
+
 
 @dataclass
 class Checkpoint:
@@ -75,8 +80,8 @@ class Checkpoint:
 
     @property
     def engine(self) -> str:
-        """The engine family that wrote the snapshot."""
-        return str(self.manifest["engine"])
+        """The engine family that restores the snapshot (normally its writer)."""
+        return self.state.engine
 
     def scenario_config(self):
         """The recorded scenario configuration (``None`` when not recorded)."""
@@ -158,10 +163,6 @@ class SnapshotStore:
             "next_id": state.next_id,
             "reserved_ids": list(state.reserved_ids),
             "commit_count": state.commit_count,
-            # Informational (what wrote the snapshot): restores never depend
-            # on shard topology — the state is topology-free and the session
-            # builds its engines with its own defaults.
-            "shard_count": state.shard_count,
             "log_offset": int(log_offset),
             "offer_count": len(state.offers),
             "aggregate_count": len(state.aggregates),
@@ -206,8 +207,9 @@ class SnapshotStore:
                 AggregateRecord.from_dict(payload)
                 for payload in read_jsonl(data_dir / _AGGREGATES)
             ]
+            engine = str(manifest["engine"])
             state = EngineState(
-                engine=str(manifest["engine"]),
+                engine=_RETIRED_ENGINES.get(engine, engine),
                 parameters=parameters,
                 id_offset=int(manifest["id_offset"]),
                 offers=offers,
@@ -215,7 +217,6 @@ class SnapshotStore:
                 next_id=int(manifest["next_id"]),
                 reserved_ids=tuple(int(r) for r in manifest.get("reserved_ids", ())),
                 commit_count=int(manifest.get("commit_count", 0)),
-                shard_count=int(manifest.get("shard_count", 0)),
             )
         except (KeyError, TypeError, ValueError, OSError) as exc:
             raise StoreError(f"malformed checkpoint in {self.directory}: {exc}") from exc

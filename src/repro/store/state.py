@@ -14,16 +14,15 @@ their private bookkeeping rather than adding persistence methods to them,
 which keeps the engines durability-agnostic and avoids a store↔live import
 cycle.  The coupling is guarded twice — restores re-derive and cross-check
 every structure (inconsistency raises), and ``tests/test_store_recovery.py``
-round-trips all three engines, so an engine-internal refactor that breaks
-the mapping fails loudly.
+round-trips both engines, so an engine-internal refactor that breaks the
+mapping fails loudly.
 
 :func:`capture_engine_state` extracts that data from a clean (committed)
-:class:`~repro.live.engine.LiveAggregationEngine`,
-:class:`~repro.live.sharded.ShardedAggregationEngine` or
+:class:`~repro.live.engine.LiveAggregationEngine` or
 :class:`~repro.live.asynccommit.AsyncCommitEngine`;
-:func:`restore_engine_state` rebuilds any of the three from it — including
-across engine families (a checkpoint taken from the live engine restores into
-a sharded one and vice versa).  Restores *verify* as they rebuild: a recorded
+:func:`restore_engine_state` rebuilds either from it — including across
+engine families (a checkpoint taken from the live engine restores into an
+async one and vice versa).  Restores *verify* as they rebuild: a recorded
 aggregate whose constituents disagree with the offer population, or a
 multi-offer chunk with no recorded aggregate, raises
 :class:`~repro.errors.StoreError` instead of silently diverging.
@@ -41,7 +40,6 @@ from repro.flexoffer.model import FlexOffer
 from repro.flexoffer.serialization import flex_offer_from_dict, flex_offer_to_dict
 from repro.live.asynccommit import AsyncCommitEngine
 from repro.live.engine import LiveAggregationEngine
-from repro.live.sharded import ShardedAggregationEngine
 
 
 @dataclass(frozen=True)
@@ -73,7 +71,7 @@ class AggregateRecord:
 class EngineState:
     """The minimal consistent description of a committed engine."""
 
-    #: Which engine family produced the state ("live" / "sharded" / "async").
+    #: Which engine family produced the state ("live" / "async").
     engine: str
     parameters: AggregationParameters
     id_offset: int
@@ -81,12 +79,11 @@ class EngineState:
     offers: list[FlexOffer]
     #: Committed multi-offer aggregates with their (cell, chunk) identity.
     aggregates: list[AggregateRecord]
-    #: Aggregate-id allocator high-water mark (max across shards).
+    #: Aggregate-id allocator high-water mark.
     next_id: int
     #: Every id ever handed to an engine aggregate (collision fencing).
     reserved_ids: tuple[int, ...] = ()
     commit_count: int = 0
-    shard_count: int = 0
     extras: dict[str, Any] = field(default_factory=dict)
 
 
@@ -98,8 +95,17 @@ def _require_clean(engine) -> None:
         )
 
 
-def _capture_grid(engine: LiveAggregationEngine) -> list[AggregateRecord]:
-    """The committed multi-offer aggregates of one single-grid engine."""
+def capture_engine_state(engine) -> EngineState:
+    """Extract the durable state of a clean (committed) incremental engine."""
+    if isinstance(engine, AsyncCommitEngine):
+        with engine._lock:
+            _require_clean(engine)
+            state = capture_engine_state(engine.inner)
+        state.engine = "async"
+        return state
+    if not isinstance(engine, LiveAggregationEngine):
+        raise StoreError(f"cannot capture state of {type(engine).__name__}")
+    _require_clean(engine)
     chunk_of = {aid: key for key, aid in engine._aggregate_ids.items()}
     records: list[AggregateRecord] = []
     for cell, outputs in engine.cell_outputs().items():
@@ -112,60 +118,36 @@ def _capture_grid(engine: LiveAggregationEngine) -> list[AggregateRecord]:
                     f"aggregate {offer.id} has no allocator entry for cell {cell}"
                 )
             records.append(AggregateRecord(cell=cell, chunk=key[1], offer=offer))
-    return records
+    return EngineState(
+        engine="live",
+        parameters=engine.parameters,
+        id_offset=engine.id_offset,
+        offers=engine.offers(),
+        aggregates=records,
+        next_id=engine._next_id,
+        reserved_ids=tuple(sorted(engine._reserved_ids)),
+        commit_count=engine._commit_count,
+    )
 
 
-def capture_engine_state(engine) -> EngineState:
-    """Extract the durable state of a clean (committed) incremental engine."""
+def restore_engine_state(engine, state: EngineState) -> None:
+    """Rebuild an incremental engine from a captured :class:`EngineState`.
+
+    Works across engine families; the only hard requirement is that the
+    target's aggregation parameters equal the snapshot's (they define the
+    grouping grid the state describes).
+    """
     if isinstance(engine, AsyncCommitEngine):
         with engine._lock:
-            _require_clean(engine)
-            state = capture_engine_state(engine.inner)
-        state.engine = "async"
-        return state
-    _require_clean(engine)
-    if isinstance(engine, ShardedAggregationEngine):
-        records: list[AggregateRecord] = []
-        reserved: set[int] = set()
-        next_id = engine.id_offset
-        for shard in engine.shards:
-            records.extend(_capture_grid(shard))
-            reserved.update(shard._reserved_ids)
-            next_id = max(next_id, shard._next_id)
-        return EngineState(
-            engine="sharded",
-            parameters=engine.parameters,
-            id_offset=engine.id_offset,
-            offers=engine.offers(),
-            aggregates=records,
-            next_id=next_id,
-            reserved_ids=tuple(sorted(reserved)),
-            commit_count=engine._commit_count,
-            shard_count=engine.shard_count,
+            restore_engine_state(engine.inner, state)
+        return
+    if not isinstance(engine, LiveAggregationEngine):
+        raise StoreError(f"cannot restore state into {type(engine).__name__}")
+    if engine.parameters != state.parameters:
+        raise StoreError(
+            f"engine parameters {engine.parameters} do not match the "
+            f"snapshot's {state.parameters}; the grouping grids would disagree"
         )
-    if isinstance(engine, LiveAggregationEngine):
-        return EngineState(
-            engine="live",
-            parameters=engine.parameters,
-            id_offset=engine.id_offset,
-            offers=engine.offers(),
-            aggregates=_capture_grid(engine),
-            next_id=engine._next_id,
-            reserved_ids=tuple(sorted(engine._reserved_ids)),
-            commit_count=engine._commit_count,
-        )
-    raise StoreError(f"cannot capture state of {type(engine).__name__}")
-
-
-def _restore_grid(
-    engine: LiveAggregationEngine,
-    offers: list[FlexOffer],
-    aggregates: list[AggregateRecord],
-    next_id: int,
-    reserved_ids,
-    commit_count: int,
-) -> None:
-    """Install one single-grid engine's state (offers routed here already)."""
     engine._offers.clear()
     engine._passthrough.clear()
     engine._committed_passthrough.clear()
@@ -180,7 +162,7 @@ def _restore_grid(
     engine._outputs.clear()
     engine._constituents.clear()
     engine._aggregate_ids.clear()
-    for offer in offers:
+    for offer in state.offers:
         if offer.is_aggregate:
             engine._passthrough[offer.id] = offer
             engine._committed_passthrough[offer.id] = offer
@@ -189,7 +171,7 @@ def _restore_grid(
         engine._offers[offer.id] = offer
         engine._cells.setdefault(cell, set()).add(offer.id)
         engine._cell_of[offer.id] = cell
-    recorded = {(record.cell, record.chunk): record.offer for record in aggregates}
+    recorded = {(record.cell, record.chunk): record.offer for record in state.aggregates}
     used: set[tuple[GroupKey, int]] = set()
     for cell, member_ids in engine._cells.items():
         members = [engine._offers[i] for i in sorted(member_ids)]
@@ -216,74 +198,16 @@ def _restore_grid(
             outputs.append(aggregate)
             used.add(key)
         # ``outputs`` is chunk-index aligned — the invariant the engine's
-        # clean-chunk reuse (``commit_core``) depends on.
+        # clean-chunk reuse (``commit``) depends on.
         engine._outputs[cell] = outputs
     stale = set(recorded) - used
     if stale:
         raise StoreError(
             f"snapshot records {len(stale)} aggregate(s) no surviving chunk produces"
         )
-    top = max((offer.id + 1 for offer in offers), default=0)
-    engine._next_id = max(next_id, engine.id_offset, top)
-    engine._reserved_ids = set(reserved_ids)
+    top = max((offer.id + 1 for offer in state.offers), default=0)
+    engine._next_id = max(state.next_id, engine.id_offset, top)
+    engine._reserved_ids = set(state.reserved_ids)
     engine._pending_events = 0
-    engine._commit_count = commit_count
+    engine._commit_count = state.commit_count
 
-
-def restore_engine_state(engine, state: EngineState) -> None:
-    """Rebuild an incremental engine from a captured :class:`EngineState`.
-
-    Works across engine families; the only hard requirement is that the
-    target's aggregation parameters equal the snapshot's (they define the
-    grouping grid the state describes).
-    """
-    if isinstance(engine, AsyncCommitEngine):
-        with engine._lock:
-            restore_engine_state(engine.inner, state)
-        return
-    if engine.parameters != state.parameters:
-        raise StoreError(
-            f"engine parameters {engine.parameters} do not match the "
-            f"snapshot's {state.parameters}; the grouping grids would disagree"
-        )
-    if isinstance(engine, ShardedAggregationEngine):
-        engine._owner.clear()
-        engine._dirty_shards.clear()
-        engine._pending_events = 0
-        engine._commit_count = state.commit_count
-        shard_offers: list[list[FlexOffer]] = [[] for _ in engine.shards]
-        shard_aggregates: list[list[AggregateRecord]] = [[] for _ in engine.shards]
-        for offer in state.offers:
-            if offer.is_aggregate:
-                index = offer.id % engine.shard_count
-            else:
-                index = engine._route_cell(group_key(offer, engine.parameters))
-            shard_offers[index].append(offer)
-            engine._owner[offer.id] = index
-        for record in state.aggregates:
-            shard_aggregates[engine._route_cell(record.cell)].append(record)
-        for index, shard in enumerate(engine._shards):
-            # Reserved ids fence the *allocating* shard, which is the one
-            # whose congruence class contains the id — not necessarily the
-            # shard the aggregate's cell routes to (cross-family restores).
-            reserved = [r for r in state.reserved_ids if r % engine.shard_count == index]
-            _restore_grid(
-                shard,
-                shard_offers[index],
-                shard_aggregates[index],
-                state.next_id,
-                reserved,
-                commit_count=0,
-            )
-        return
-    if isinstance(engine, LiveAggregationEngine):
-        _restore_grid(
-            engine,
-            state.offers,
-            state.aggregates,
-            state.next_id,
-            state.reserved_ids,
-            state.commit_count,
-        )
-        return
-    raise StoreError(f"cannot restore state into {type(engine).__name__}")

@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING
 import pytest
 from hypothesis import settings as hypothesis_settings
 
+from repro import obs
 from repro.flexoffer.model import Direction, FlexOffer, ProfileSlice, Schedule
 from repro.timeseries.grid import TimeGrid
 
@@ -120,6 +121,17 @@ def offer_batch() -> list[FlexOffer]:
             offer = offer.reject()
         offers.append(offer)
     return offers
+
+
+@pytest.fixture
+def global_obs():
+    """The process-global registry, guaranteed disabled + zeroed afterwards."""
+    obs.reset()
+    try:
+        yield obs.get_registry()
+    finally:
+        obs.disable()
+        obs.reset()
 
 
 @pytest.fixture(scope="session")

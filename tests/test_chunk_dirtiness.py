@@ -5,8 +5,8 @@ applied events perturbed — observable through the ``chunks_reaggregated`` /
 ``chunks_skipped`` counters on :class:`~repro.live.engine.CommitResult` —
 while staying bit-identical to the batch pipeline.  Covered: targeted
 single-offer mutations (price and state), chunk-boundary shifts on insert
-and withdraw, the ``max_group_size=0`` unlimited case, and the sharded
-engine's per-shard ledgers merging into one logical commit.
+and withdraw, the ``max_group_size=0`` unlimited case, and multi-mutation
+commits counting the union of their chunks.
 """
 
 from __future__ import annotations
@@ -23,24 +23,20 @@ from repro.aggregation.grouping import chunk_assignment, chunk_count, chunks_fro
 from repro.aggregation.parameters import AggregationParameters
 from repro.live.engine import LiveAggregationEngine, canonical_form
 from repro.live.events import OfferAdded, OfferStateChanged, OfferUpdated, OfferWithdrawn
-from repro.live.sharded import ShardedAggregationEngine
 from repro.flexoffer.model import FlexOfferState
 from tests.conftest import make_offer
 
 #: One grid cell, chunked: 64 members in chunks of 4 -> 16 chunks.
 MEMBERS, CHUNK, CHUNKS = 64, 4, 16
 
-ENGINES = ("live", "sharded")
+#: Engines whose ``commit()`` drains exactly the events applied since the
+#: previous one (the async worker may split a burst across several commits).
+ENGINES = {"live": LiveAggregationEngine}
 
 
 def build_engine(name: str, max_group_size: int = CHUNK, members: int = MEMBERS):
     """A committed engine holding one cell of ``members`` chunked offers."""
-    parameters = AggregationParameters(max_group_size=max_group_size)
-    engine = (
-        LiveAggregationEngine(parameters)
-        if name == "live"
-        else ShardedAggregationEngine(parameters, shard_count=3, parallel=False)
-    )
+    engine = ENGINES[name](AggregationParameters(max_group_size=max_group_size))
     for index in range(1, members + 1):
         offer = make_offer(offer_id=index, earliest_start=40, time_flexibility=8)
         engine.apply(OfferAdded(offer.creation_time, offer))

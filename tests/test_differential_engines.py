@@ -1,12 +1,12 @@
-"""Black-box differential stress harness over all four engines.
+"""Black-box differential stress harness over the incremental engines.
 
 In the spirit of black-box checkers that validate engine behaviour purely
 through observable results, this harness never reaches into an engine's
 private state: it keeps its own mirror of the live population, feeds
 randomized event interleavings — inserts, in-place mutations, cell
 migrations, withdrawals, mid-stream flush/commit points, varied
-``max_group_size`` — to every incremental engine (live, sharded, async) side
-by side, and checks observables only:
+``max_group_size`` — to every incremental engine (live, async) side by
+side, and checks observables only:
 
 * **bit-identical aggregate profiles** — at every commit point each engine's
   output must equal the *batch oracle*
@@ -15,8 +15,8 @@ by side, and checks observables only:
   exact float equality, no tolerance;
 * **stable ids** — an aggregate whose grid cell saw no event between two
   commit points must reappear *identically* (same id, same profile, same
-  constituents): neither the chunk-granular dirty ledger nor the sharded
-  fan-out may disturb untouched output;
+  constituents): neither the chunk-granular dirty ledger nor the async
+  worker's commit cadence may disturb untouched output;
 * **cross-kernel bit-identity** — the oracle is pinned to one
   :mod:`repro.aggregation.kernel` path while the engines run the other, so
   any drift between the scalar and numpy kernels fails on realistic
@@ -42,7 +42,6 @@ from repro.aggregation.parameters import AggregationParameters
 from repro.live.asynccommit import AsyncCommitEngine
 from repro.live.engine import LiveAggregationEngine, canonical_form
 from repro.live.events import OfferAdded, OfferUpdated, OfferWithdrawn
-from repro.live.sharded import ShardedAggregationEngine
 from tests.conftest import make_offer
 
 #: Interleaved op codes the random scripts are built from.
@@ -64,13 +63,10 @@ _ops = st.lists(
 
 
 def _fresh_engines(parameters: AggregationParameters):
-    """The three incremental engines under test, keyed by name."""
+    """The incremental engines under test, keyed by name."""
     return {
         "live": LiveAggregationEngine(parameters),
-        "sharded": ShardedAggregationEngine(parameters, shard_count=3, parallel=False),
-        "async": AsyncCommitEngine(
-            ShardedAggregationEngine(parameters, shard_count=2), drain_batch=5
-        ),
+        "async": AsyncCommitEngine(LiveAggregationEngine(parameters), drain_batch=5),
     }
 
 
@@ -135,8 +131,7 @@ def run_differential(ops, max_group_size, engine_kernel, oracle_kernel) -> None:
                         current, price_per_kwh=current.price_per_kwh + magnitude / 100.0
                     )
                     if op == MIGRATE:
-                        # Shift the start enough to change the grid cell (and,
-                        # for the sharded engine, possibly the owning shard).
+                        # Shift the start enough to change the grid cell.
                         revised = replace(
                             revised,
                             earliest_start_slot=current.earliest_start_slot + magnitude,

@@ -31,7 +31,7 @@ from repro.live.replay import scenario_event_stream
 from repro.session import FlexSession, QuerySpec
 from tests.conftest import make_offer
 
-LIVE_ENGINES = ("live", "sharded", "async")
+LIVE_ENGINES = ("live", "async")
 
 
 @pytest.fixture(scope="module")
@@ -228,7 +228,7 @@ def test_views_follow_engine_swaps_and_replay(small_scenario):
     with FlexSession(small_scenario, engine="live") as session:
         spec = QuerySpec.build(parameters=session.parameters)
         view = session.materialize(spec, name="agg")
-        for target in ("sharded", "async", "live"):
+        for target in ("async", "live"):
             session.use_engine(target)
             session.engine.refresh()
             _check_view(session, view)
@@ -238,7 +238,7 @@ def test_views_follow_engine_swaps_and_replay(small_scenario):
             _check_view(session, view)
         # replay(engine=...) resets the live state: the view must re-base on
         # the emptied engine and then track the replayed stream.
-        session.replay(update_fraction=0.2, withdraw_fraction=0.1, engine="sharded")
+        session.replay(update_fraction=0.2, withdraw_fraction=0.1, engine="async")
         session.engine.refresh()
         _check_view(session, view)
         assert view.refreshes >= 1, "a reset replay must re-base the view"
@@ -246,7 +246,7 @@ def test_views_follow_engine_swaps_and_replay(small_scenario):
 
 def test_live_accessor_does_not_steal_views(small_scenario):
     """session.live must not move standing views off the active engine."""
-    with FlexSession(small_scenario, engine="sharded") as session:
+    with FlexSession(small_scenario, engine="async") as session:
         view = session.materialize(
             QuerySpec.build(parameters=session.parameters), name="agg"
         )
@@ -285,7 +285,7 @@ def test_materialize_requires_live_family(small_scenario):
 # ----------------------------------------------------------------------
 # Checkpoint / restore mid-stream
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("engine", ("live", "sharded"))
+@pytest.mark.parametrize("engine", ("live", "async"))
 def test_restore_mid_stream_rebases_views(tmp_path, small_scenario, engine):
     """Views materialized on a restored session track the tail, versions intact."""
     from repro.store import RecoveryManager

@@ -25,9 +25,9 @@ from repro.aggregation.kernel import (
     set_min_slots,
 )
 from repro.errors import ObservabilityError
+from repro.live.asynccommit import AsyncCommitEngine
 from repro.live.engine import LiveAggregationEngine, canonical_form
 from repro.live.replay import replay, scenario_event_stream
-from repro.live.sharded import ShardedAggregationEngine
 from repro.obs.export import export_jsonl, read_jsonl_export, to_prometheus_text
 from repro.obs.metrics import COUNT_BUCKETS, LATENCY_BUCKETS, MetricsRegistry
 from repro.obs.trace import Tracer
@@ -38,17 +38,6 @@ from repro.session import FlexSession
 def registry() -> MetricsRegistry:
     """A private, enabled registry (never the process-global one)."""
     return MetricsRegistry(enabled=True)
-
-
-@pytest.fixture
-def global_obs():
-    """The process-global registry, guaranteed disabled + zeroed afterwards."""
-    obs.reset()
-    try:
-        yield obs.get_registry()
-    finally:
-        obs.disable()
-        obs.reset()
 
 
 # ----------------------------------------------------------------------
@@ -302,11 +291,16 @@ def test_prometheus_text_grammar_and_histogram_series(registry):
 # ----------------------------------------------------------------------
 # The no-observable-effect contract
 # ----------------------------------------------------------------------
+def async_engine():
+    """A fresh async engine over a plain live one (worker-thread commits)."""
+    return AsyncCommitEngine(LiveAggregationEngine())
+
+
 @pytest.mark.parametrize(
     ("engine_factory", "commit_metric"),
     (
         (LiveAggregationEngine, "repro.live.commit.count"),
-        (ShardedAggregationEngine, "repro.live.sharded.commit.seconds"),
+        (async_engine, "repro.live.async.worker.commit.seconds"),
     ),
 )
 def test_instrumented_replay_is_bit_identical(
@@ -326,6 +320,8 @@ def test_instrumented_replay_is_bit_identical(
             replay(log, engine)
         finally:
             obs.disable()
+            if isinstance(engine, AsyncCommitEngine):
+                engine.close()
         return TallyCounter(canonical_form(offer) for offer in engine.aggregated_offers())
 
     baseline = run(instrumented=False)
@@ -354,12 +350,10 @@ def test_session_metrics_and_trace_surface(global_obs, scenario):
 
 
 def test_summary_reports_engine_depth_figures(scenario):
-    sharded = FlexSession(scenario, engine="sharded", live_preload=False)
-    assert sharded.summary()["dirty_shards"] == 0
-    sharded.close()
     asynchronous = FlexSession(scenario, engine="async", live_preload=False)
     summary = asynchronous.summary()
-    assert summary["queue_depth"] == 0 and summary["dirty_shards"] == 0
+    assert summary["queue_depth"] == 0 and summary["dirty_cells"] == 0
+    assert "dirty_shards" not in summary
     asynchronous.close()
     batch = FlexSession(scenario, engine="batch")
     assert "queue_depth" not in batch.summary()
@@ -400,7 +394,7 @@ def test_flexviz_stats_smoke(global_obs, capsys):
 
 
 # ----------------------------------------------------------------------
-# Labeled series (the sharded per-shard fan-out instrumentation)
+# Labeled series (the generic labeled-metric API)
 # ----------------------------------------------------------------------
 def test_labeled_instruments_are_independent_series(registry):
     total = registry.counter("repro.test.fanout", "fan-out total")
@@ -527,24 +521,3 @@ def test_jsonl_keys_round_trip_adversarial_labels(registry, value):
     assert metrics[counter.key]["labels"] == labels
     # And the registry snapshot agrees with the export on every key.
     assert set(metrics) == set(registry.snapshot())
-
-
-def test_sharded_commit_records_per_shard_fanout_series(global_obs, scenario):
-    obs.enable()
-    session = FlexSession(scenario, engine="sharded")  # preload commits
-    obs.disable()
-    try:
-        snapshot = global_obs.snapshot()
-        keys = [
-            key
-            for key in snapshot
-            if key.startswith("repro.live.sharded.fanout.seconds{")
-        ]
-        assert keys, "no per-shard fan-out series recorded"
-        assert all(
-            re.fullmatch(r'repro\.live\.sharded\.fanout\.seconds\{shard="\d+"\}', key)
-            for key in keys
-        )
-        assert all(snapshot[key]["count"] >= 1 for key in keys)
-    finally:
-        session.close()

@@ -2,7 +2,7 @@
 head-based sampling, flip safety, and the flamegraph/trace exporters.
 
 Unit tests build private :class:`MetricsRegistry`/:class:`Tracer` pairs; the
-engine-integration tests (sharded fan-out, async worker) go through the
+engine-integration test (the async worker) goes through the
 ``global_obs`` fixture because the engines bind the process-global tracer at
 import time.
 """
@@ -43,16 +43,6 @@ def registry() -> MetricsRegistry:
 @pytest.fixture
 def tracer(registry) -> Tracer:
     return Tracer(registry)
-
-
-@pytest.fixture
-def global_obs():
-    obs.reset()
-    try:
-        yield obs.get_registry()
-    finally:
-        obs.disable()
-        obs.reset()
 
 
 # ----------------------------------------------------------------------
@@ -263,34 +253,6 @@ def test_disable_mid_operation_keeps_the_open_root(tracer, registry):
 # ----------------------------------------------------------------------
 # Engine integration: one trace across threads
 # ----------------------------------------------------------------------
-def test_sharded_commit_is_one_trace_across_pool_threads(global_obs):
-    from repro.live.events import OfferAdded
-    from repro.live.sharded import ShardedAggregationEngine
-
-    from tests.conftest import make_offer
-
-    engine = ShardedAggregationEngine(shard_count=4, parallel_min_cells=1)
-    offers = [make_offer(offer_id=i, earliest_start=8 * i) for i in range(1, 9)]
-    for offer in offers:
-        engine.apply(OfferAdded(offer.creation_time, offer))
-    obs.enable()
-    try:
-        engine.commit()
-    finally:
-        obs.disable()
-    spans = obs.get_tracer().finished()
-    (root,) = [span for span in spans if span.name == "sharded.commit"]
-    assert {span.trace_id for span in spans} == {root.trace_id}
-    (fanout,) = [span for span in spans if span.name == "sharded.commit.fanout"]
-    drains = [span for span in spans if span.name == "sharded.shard.drain"]
-    assert drains and all(span.parent_id == fanout.span_id for span in drains)
-    pool_threads = {span.thread for span in drains}
-    assert all(name.startswith("shard-commit") for name in pool_threads)
-    # The trace genuinely spans threads: the root ran on this thread, the
-    # drains on the pool's.
-    assert root.thread not in pool_threads
-
-
 def test_async_worker_commit_joins_the_ingest_trace(global_obs):
     from repro.live.asynccommit import AsyncCommitEngine
     from repro.live.engine import LiveAggregationEngine

@@ -49,7 +49,7 @@ def _specs(session, scenario):
     ]
 
 
-@pytest.mark.parametrize("engine", ("live", "sharded", "async"))
+@pytest.mark.parametrize("engine", ("live", "async"))
 def test_concurrent_reads_are_atomic_and_monotonic(engine, race_scenario):
     with FlexSession(race_scenario, engine=engine, live_preload=False) as session:
         backend = session.engine

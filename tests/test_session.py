@@ -204,7 +204,7 @@ class TestEngines:
         assert [o.id for o in notifications[1].removed] == [mirrored_id]
         assert notifications[1].changed == ()
 
-    @pytest.mark.parametrize("engine", ("live", "sharded", "async"))
+    @pytest.mark.parametrize("engine", ("live", "async"))
     def test_snapshot_rebuilds_batch_from_surviving_offers(self, engine):
         session = FlexSession(
             generate_scenario(ScenarioConfig(prosumer_count=20, seed=3)), engine=engine

@@ -1,9 +1,9 @@
-"""Property tests for the engine interchangeability contract — all four engines.
+"""Property tests for the engine interchangeability contract — all three engines.
 
 One :class:`~repro.session.QuerySpec` executed against the
 :class:`~repro.session.BatchEngine` and any live-family engine
-(:class:`~repro.session.LiveEngine`, :class:`~repro.session.ShardedEngine`,
-:class:`~repro.session.AsyncEngine`) over the same offer population must
+(:class:`~repro.session.LiveEngine`, :class:`~repro.session.AsyncEngine`)
+over the same offer population must
 return equivalent :class:`~repro.session.ResultSet` envelopes: the same
 offers for raw reads, and — when the spec aggregates — outputs whose profiles
 are bit-identical, ids modulo :func:`~repro.live.engine.canonical_form`.
@@ -24,7 +24,7 @@ from repro.live.replay import scenario_event_stream
 from repro.session import FlexSession, QuerySpec
 
 #: Every live-family engine the contract covers (batch is the reference).
-STREAM_ENGINES = ("live", "sharded", "async")
+STREAM_ENGINES = ("live", "async")
 
 #: Shared read-only sessions; module-level so hypothesis examples reuse them.
 _SCENARIO = generate_scenario(ScenarioConfig(prosumer_count=50, seed=11))
@@ -125,7 +125,7 @@ def _build_mutated_pair(engine):
 _mutated_pairs = {name: _build_mutated_pair(name) for name in STREAM_ENGINES}
 
 
-@pytest.mark.parametrize("engine", ("live", "sharded"))
+@pytest.mark.parametrize("engine", STREAM_ENGINES)
 def test_fast_path_serves_committed_state(engine):
     """The default-parameter whole-population aggregation is the committed state."""
     session = _STREAMS[engine]

@@ -29,7 +29,6 @@ from repro.flexoffer.model import FlexOfferState, Schedule
 from repro.live.engine import LiveAggregationEngine
 from repro.live.events import EventLog, OfferAdded, OfferStateChanged, OfferUpdated, OfferWithdrawn
 from repro.live.replay import replay
-from repro.live.sharded import ShardedAggregationEngine
 from repro.live.warehouse import LiveWarehouse
 from repro.store import SnapshotStore, capture_engine_state
 from repro.store.columnar import load_schema_columnar, read_table, save_schema_columnar, write_table
@@ -43,11 +42,8 @@ GRID = TimeGrid()
 
 ENGINE_FACTORIES = {
     "live": lambda: LiveAggregationEngine(AggregationParameters()),
-    "sharded": lambda: ShardedAggregationEngine(
-        AggregationParameters(), shard_count=3, parallel=False
-    ),
     "async": lambda: AsyncCommitEngine(
-        ShardedAggregationEngine(AggregationParameters(), shard_count=2), drain_batch=5
+        LiveAggregationEngine(AggregationParameters()), drain_batch=5
     ),
 }
 

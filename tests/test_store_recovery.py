@@ -2,7 +2,7 @@
 
 The contract: *restoring from a checkpoint taken at any point of the stream
 and replaying the log tail is observably equivalent to a full replay* — for
-every live-family engine, with the batch pipeline as the fourth reference
+every live-family engine, with the batch pipeline as the third reference
 (via :meth:`FlexSession.snapshot`, checked by ``RecoveryManager.verify``).
 Equivalence is the same normal form ``tests/test_session_equivalence.py``
 uses: identical surviving offer ids, aggregate profiles bit-for-bit, ids
@@ -11,6 +11,7 @@ modulo :func:`~repro.live.engine.canonical_form`.
 
 from __future__ import annotations
 
+import json
 import shutil
 import tempfile
 from collections import Counter
@@ -40,7 +41,7 @@ from repro.store import (
     restore_engine_state,
 )
 
-STREAM_ENGINES = ("live", "sharded", "async")
+STREAM_ENGINES = ("live", "async")
 
 _SCENARIO = generate_scenario(ScenarioConfig(prosumer_count=30, seed=13))
 
@@ -125,10 +126,11 @@ def test_checkpoint_at_random_point_plus_tail_equals_full_replay(
 
 @pytest.mark.parametrize("target", STREAM_ENGINES)
 def test_cross_engine_restore(target, tmp_path):
-    """A checkpoint written by one engine family restores into any other."""
+    """A checkpoint written by one engine family restores into the other."""
     ordered = _STREAMS[(0.25, 0.15)]
     cut = int(len(ordered) * 0.6)
-    writer = FlexSession(_SCENARIO, engine="sharded", live_preload=False)
+    (source,) = set(STREAM_ENGINES) - {target}
+    writer = FlexSession(_SCENARIO, engine=source, live_preload=False)
     manager = RecoveryManager(tmp_path, segment_size=64)
     manager.record(ordered)
     writer.replay(ordered[:cut])
@@ -140,13 +142,42 @@ def test_cross_engine_restore(target, tmp_path):
     ref_state, ref_profiles, ref_ids = _REFERENCES[(target, (0.25, 0.15))]
     assert sorted(o.id for o in restored.engine.offers()) == ref_ids
     assert _canonical_state(restored) == ref_state
-    # Provenance stays reachable even when ids came from another family's
-    # allocator (non-congruent ids probe all shards).
+    # Provenance stays reachable when ids came from another family's allocator.
     aggregates = [o for o in restored.engine.engine.aggregated_offers() if o.is_aggregate]
     inner = restored.engine.engine
     owned = [a for a in aggregates if inner.constituents_of(a.id)]
     assert owned == aggregates
     RecoveryManager(tmp_path).verify(restored)
+    restored.close()
+
+
+def test_checkpoint_naming_the_retired_sharded_engine_restores_on_live(tmp_path):
+    """Checkpoints written while the ``sharded`` engine existed still restore.
+
+    The manifest is rewritten to that era's shape (engine name plus the
+    informational ``shard_count``); the captured state carries no engine
+    topology, so the restore rebuilds it on the ``live`` engine.
+    """
+    ordered = _STREAMS[(0.25, 0.15)]
+    cut = int(len(ordered) * 0.6)
+    RecoveryManager(tmp_path, segment_size=64).record(ordered[:cut])
+    writer = FlexSession(_SCENARIO, engine="live", live_preload=False)
+    writer.replay(ordered[:cut])
+    writer.checkpoint(str(tmp_path))
+    population = sorted(o.id for o in writer.engine.offers())
+    state = _canonical_state(writer)
+    writer.close()
+    manifest_path = tmp_path / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    assert "shard_count" not in manifest
+    manifest.update(engine="sharded", shard_count=8)
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+
+    restored = FlexSession.restore(str(tmp_path))
+    assert restored.engine_name == "live"
+    RecoveryManager(tmp_path).verify(restored)
+    assert sorted(o.id for o in restored.engine.offers()) == population
+    assert _canonical_state(restored) == state
     restored.close()
 
 
@@ -416,7 +447,7 @@ def test_session_checkpoint_records_backend_offset(tmp_path):
     session.close()
 
 
-@pytest.mark.parametrize("target_engine", ("live", "sharded"))
+@pytest.mark.parametrize("target_engine", STREAM_ENGINES)
 def test_restore_rebuilds_chunk_ledger_clean(target_engine):
     """Restore must not cause spurious first-commit re-aggregation.
 
@@ -429,9 +460,9 @@ def test_restore_rebuilds_chunk_ledger_clean(target_engine):
     from dataclasses import replace
 
     from repro.aggregation.parameters import AggregationParameters
+    from repro.live.asynccommit import AsyncCommitEngine
     from repro.live.engine import LiveAggregationEngine
     from repro.live.events import OfferAdded, OfferUpdated
-    from repro.live.sharded import ShardedAggregationEngine
     from tests.conftest import make_offer
 
     parameters = AggregationParameters(max_group_size=4)
@@ -442,11 +473,9 @@ def test_restore_rebuilds_chunk_ledger_clean(target_engine):
     source.commit()
     state = capture_engine_state(source)
 
-    restored = (
-        LiveAggregationEngine(parameters)
-        if target_engine == "live"
-        else ShardedAggregationEngine(parameters, shard_count=3, parallel=False)
-    )
+    restored = LiveAggregationEngine(parameters)
+    if target_engine == "async":
+        restored = AsyncCommitEngine(restored)
     restore_engine_state(restored, state)
     assert restored.dirty_chunk_count == 0
     clean = restored.commit()
@@ -464,3 +493,5 @@ def test_restore_rebuilds_chunk_ledger_clean(target_engine):
     state_live = Counter(canonical_form(o) for o in restored.aggregated_offers())
     state_batch = Counter(canonical_form(o) for o in restored.batch_equivalent().offers)
     assert state_live == state_batch
+    if target_engine == "async":
+        restored.close()
