@@ -12,6 +12,7 @@ from __future__ import annotations
 from datetime import timedelta
 
 from benchmarks.conftest import record
+from repro.session import FlexSession
 from repro.views.loading import LoadingWorkflow
 from repro.warehouse.loader import load_scenario
 from repro.warehouse.query import FlexOfferFilter, FlexOfferRepository
@@ -36,9 +37,7 @@ def test_fig07_warehouse_load(benchmark, paper_scenario):
 
 def test_fig07_entity_interval_read(benchmark, paper_scenario):
     """The loading tab's read: one legal entity, one absolute time interval."""
-    schema = load_scenario(paper_scenario)
-    repository = FlexOfferRepository(schema, paper_scenario.grid)
-    workflow = LoadingWorkflow(repository, paper_scenario.grid)
+    workflow = LoadingWorkflow(FlexSession(paper_scenario))
     entity = next(
         (e["entity_id"] for e in workflow.available_entities() if paper_scenario.offers_of_prosumer(e["entity_id"])),
         workflow.available_entities()[0]["entity_id"],

@@ -14,10 +14,10 @@ of 1%, 5% and 25%, for every incremental engine:
 The headline requirement stays: >=5x over full re-aggregation when 1% of the
 offers are touched, for the live engine.
 
-The standalone mode additionally runs :func:`scaling_sweep` — the columnar
-warehouse's scale claim: with a fixed touched set, commit latency (engine +
-warehouse mirror) must stay flat while the resident population grows an order
-of magnitude (100k → 1M offers; ``--quick`` stops at 100k).
+The standalone mode additionally runs :func:`scaling_sweep` — the scale
+claim: with a fixed touched set, commit latency (engine apply + commit) must
+stay flat while the resident population grows an order of magnitude
+(100k → 1M offers; ``--quick`` stops at 100k).
 
 Standalone mode (CI): ``python -m benchmarks.bench_live_engine --quick
 --engine all --json BENCH_live.json`` writes the machine-readable summary the
@@ -234,26 +234,21 @@ def test_chunked_commit_granularity(benchmark, large_offer_scenario):
 
 
 def scaling_sweep(offers, rungs, touched: int = 256, rounds: int = 5) -> dict:
-    """Commit latency against warehouse population — the scale claim.
+    """Commit latency against resident population — the scale claim.
 
     For every rung the population is grown to ``size`` offers (replicas of the
-    scenario offers under fresh ids), streamed into a fresh live engine with a
-    mirrored :class:`~repro.live.warehouse.LiveWarehouse`, and then exactly
-    ``touched`` offers are revised per commit.  The engine runs with a
-    *bounded* aggregate group size (the paper's ``max_group_size``): with
-    unbounded groups one aggregate output covers its entire grid cell, so a
-    single touched offer re-aggregates O(cell) members by definition and no
+    scenario offers under fresh ids), streamed into a fresh live engine, and
+    then exactly ``touched`` offers are revised per commit.  The engine runs
+    with a *bounded* aggregate group size (the paper's ``max_group_size``):
+    with unbounded groups one aggregate output covers its entire grid cell, so
+    a single touched offer re-aggregates O(cell) members by definition and no
     incremental engine can be flat.  Bounded, the chunk-granular dirty ledger
-    pays ``dirty_chunks * max_group_size`` per commit and the columnar
-    warehouse updates rows by hash index, so the timed commit (engine +
-    warehouse mirror) must stay *flat* as the resident population grows —
-    that is the claim the trajectory gate holds: ``latency_ratio`` (largest
-    over smallest rung) stays under an absolute ceiling.
+    pays ``dirty_chunks * max_group_size`` per commit, so the timed commit
+    (engine apply + commit, what a session commit pays) must stay *flat* as
+    the resident population grows — that is the claim the trajectory gate
+    holds: ``latency_ratio`` (largest over smallest rung) stays under an
+    absolute ceiling.
     """
-    from repro.live.warehouse import LiveWarehouse
-    from repro.timeseries.grid import TimeGrid
-    from repro.warehouse.schema import StarSchema
-
     parameters = AggregationParameters(max_group_size=64)
     rows = []
     for size in rungs:
@@ -262,14 +257,10 @@ def scaling_sweep(offers, rungs, touched: int = 256, rounds: int = 5) -> dict:
             base = offers[index % len(offers)]
             population.append(replace(base, id=index + 1, schedule=None))
         engine = LiveAggregationEngine(parameters)
-        warehouse = LiveWarehouse(StarSchema.empty(), TimeGrid(), parameters)
         seed_started = time.perf_counter()
         for offer in population:
-            event = OfferAdded(offer.creation_time, offer)
-            engine.apply(event)
-            warehouse.apply(event)
-        result = engine.commit()
-        warehouse.apply_commit(result)
+            engine.apply(OfferAdded(offer.creation_time, offer))
+        engine.commit()
         seed_seconds = time.perf_counter() - seed_started
         rng = np.random.default_rng(23)
         timings = []
@@ -286,9 +277,7 @@ def scaling_sweep(offers, rungs, touched: int = 256, rounds: int = 5) -> dict:
             started = time.perf_counter()
             for event in events:
                 engine.apply(event)
-                warehouse.apply(event)
-            commit = engine.commit()
-            warehouse.apply_commit(commit)
+            engine.commit()
             timings.append(time.perf_counter() - started)
         rows.append(
             {
@@ -296,7 +285,6 @@ def scaling_sweep(offers, rungs, touched: int = 256, rounds: int = 5) -> dict:
                 "touched_offers": min(touched, size),
                 "seed_seconds": round(seed_seconds, 3),
                 "commit_ms": round(statistics.median(timings) * 1000, 3),
-                "fact_rows": len(warehouse.schema.table("fact_flexoffer")),
             }
         )
     smallest, largest = rows[0], rows[-1]
@@ -784,15 +772,14 @@ def main(argv=None) -> int:
         f"full cell {chunked['full_cell_ms']:.3f} ms, speedup {chunked['speedup']:.1f}x"
     )
     # The scale claim: fixed-touched-set commit latency stays flat while the
-    # resident population (and the columnar warehouse behind it) grows 10x.
+    # resident population grows 10x.
     scaling_rungs = (10_000, 100_000) if args.quick else (100_000, 1_000_000)
     scaling = scaling_sweep(offers, scaling_rungs, rounds=5 if args.quick else 9)
     summary["scaling"] = scaling
     for rung in scaling["rungs"]:
         print(
             f"  scaling {rung['population']:>9,} offers: commit {rung['commit_ms']:8.3f} ms "
-            f"({rung['touched_offers']} touched, {rung['fact_rows']:,} fact rows, "
-            f"seeded in {rung['seed_seconds']:.1f} s)"
+            f"({rung['touched_offers']} touched, seeded in {rung['seed_seconds']:.1f} s)"
         )
     print(
         f"  scaling flatness: {scaling['population_ratio']:.0f}x population -> "

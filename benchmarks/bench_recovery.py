@@ -5,8 +5,8 @@ Two claims of the :mod:`repro.store` durability subsystem are gated here:
 * **Restore speedup** — rebuilding a session from the latest checkpoint and
   replaying only the log tail must be ≥5x faster than a cold replay of the
   whole event log when 10% of the stream lies beyond the checkpoint.  The
-  restore path parses the snapshot (JSONL offers + CSV warehouse) instead of
-  re-running ~90% of the event stream through the engine and warehouse.
+  restore path parses the snapshot (JSONL offers + aggregates) instead of
+  re-running ~90% of the event stream through the engine.
 
 * **Delete throughput** — `warehouse.Table` deletes are tombstoned and
   compacted periodically, so per-delete cost is amortized O(1).  The bench
@@ -82,8 +82,8 @@ def recovery_summary(scenario, rounds: int = 3) -> dict:
 
     * *cold replay* reads the whole segmented event log back from disk and
       replays it through a fresh session (sequence 0 onward);
-    * *restore* loads the checkpoint (offers + warehouse CSV) and replays
-      only the log tail past the checkpoint's offset.
+    * *restore* loads the checkpoint (offers + aggregates) and replays only
+      the log tail past the checkpoint's offset.
     """
     ordered = _event_stream(scenario)
     cut = len(ordered) - int(len(ordered) * TAIL_FRACTION)
@@ -122,58 +122,6 @@ def recovery_summary(scenario, rounds: int = 3) -> dict:
         "cold_replay_ms": round(cold * 1000, 3),
         "restore_ms": round(restore * 1000, 3),
         "speedup": round(cold / restore, 1),
-    }
-
-
-def snapshot_format_summary(scenario, rounds: int = 5) -> dict:
-    """Binary columnar vs CSV checkpoint restore, same state, same process.
-
-    One session's engine state + warehouse is checkpointed twice — once in
-    each warehouse format — and both checkpoints are loaded back ``rounds``
-    times.  The binary format memmaps its typed column blocks instead of
-    parsing text, so ``speedup = csv_load_ms / columnar_load_ms`` must stay
-    above 1 (gated, with the committed baseline as the reference).
-    """
-    from repro.store import SnapshotStore, capture_engine_state
-
-    ordered = _event_stream(scenario, churn_rounds=2)
-    writer = FlexSession(
-        scenario, engine="live", micro_batch_size=BATCH_SIZE, live_preload=False
-    )
-    writer.replay(ordered)
-    backend = writer.engine
-    backend.refresh()
-    state = capture_engine_state(backend.engine)
-    with tempfile.TemporaryDirectory(prefix="bench-format-") as directory:
-        from pathlib import Path
-
-        stores = {
-            "csv": SnapshotStore(Path(directory) / "csv", warehouse_format="csv"),
-            "columnar": SnapshotStore(Path(directory) / "bin", warehouse_format="columnar"),
-        }
-        save_ms = {}
-        for name, store in stores.items():
-            started = time.perf_counter()
-            store.save(state, log_offset=len(ordered), schema=backend.schema)
-            save_ms[name] = round((time.perf_counter() - started) * 1000, 3)
-        load_timings: dict[str, list[float]] = {name: [] for name in stores}
-        for _ in range(rounds):
-            for name, store in stores.items():
-                started = time.perf_counter()
-                checkpoint = store.load()
-                load_timings[name].append(time.perf_counter() - started)
-                assert checkpoint.schema is not None
-        fact_rows = len(backend.schema.table("fact_flexoffer"))
-    writer.close()
-    csv_load = statistics.median(load_timings["csv"])
-    columnar_load = statistics.median(load_timings["columnar"])
-    return {
-        "fact_rows": fact_rows,
-        "csv_save_ms": save_ms["csv"],
-        "columnar_save_ms": save_ms["columnar"],
-        "csv_load_ms": round(csv_load * 1000, 3),
-        "columnar_load_ms": round(columnar_load * 1000, 3),
-        "load_speedup": round(csv_load / columnar_load, 2),
     }
 
 
@@ -307,17 +255,11 @@ def main(argv=None) -> int:
 
     scenario = generate_scenario(ScenarioConfig(prosumer_count=prosumers, seed=args.seed))
     recovery = recovery_summary(scenario, rounds=rounds)
-    formats = snapshot_format_summary(scenario, rounds=5)
     deletes = delete_summary(small_rows, rounds=rounds)
     print(
         f"[RECOVERY] {recovery['events']} events, tail {TAIL_FRACTION:.0%}: "
         f"cold {recovery['cold_replay_ms']:.1f} ms vs restore "
         f"{recovery['restore_ms']:.1f} ms -> {recovery['speedup']:.1f}x"
-    )
-    print(
-        f"[FORMATS ] {formats['fact_rows']} fact rows: csv load "
-        f"{formats['csv_load_ms']:.1f} ms vs columnar {formats['columnar_load_ms']:.1f} ms "
-        f"-> {formats['load_speedup']:.2f}x"
     )
     print(
         f"[DELETES ] {deletes['small_rows']} rows {deletes['small_deletes_per_s']:,}/s, "
@@ -336,7 +278,6 @@ def main(argv=None) -> int:
         "schema": 1,
         "quick": bool(args.quick),
         "recovery": recovery,
-        "formats": formats,
         "deletes": deletes,
         "stages": stages,
         "stage_shares": stage_shares(stages),

@@ -30,19 +30,13 @@ what gates are machine-independent *ratios*:
 
 * the scale claim (``scaling`` in the live summary): commit latency for a
   fixed touched set must stay flat as the stored population grows 10x —
-  dirty-cell tracking plus hash-indexed warehouse updates mean commits pay
-  for what changed, not what is stored.  ``latency_ratio`` (largest rung
+  chunk-granular dirty tracking means commits pay for what changed, not
+  what is stored.  ``latency_ratio`` (largest rung
   over smallest) gates against the absolute ``SCALING_CEILING`` only: it
   is a ratio of two medians on differently-sized working sets, jittery
   enough run-to-run (±30% observed on an idle machine) that a
   baseline-relative tolerance would flake; the baseline value is printed
   for the artifact reader.
-
-* the checkpoint-format race (``formats`` in the recovery summary): the
-  binary columnar restore must beat the CSV restore of the same state —
-  ``load_speedup`` gates against the absolute ``FORMAT_SPEEDUP_FLOOR``
-  (1.0: binary at least ties text, same process, same state) and against
-  the baseline ratio with ``TOLERANCE``.
 
 * the versioned-read-path storm (``storm`` in the live summary): the
   cached read of an untouched aggregation spec must beat recomputing it
@@ -125,11 +119,6 @@ STAGE_SHARE_TOLERANCE = 0.20
 #: path holds this near 1; the ceiling leaves room for cache effects on the
 #: bigger working set while still failing anything resembling O(population).
 SCALING_CEILING = 3.0
-
-#: Absolute floor on the binary-columnar vs CSV checkpoint restore ratio —
-#: the binary format must at least tie the text format it replaces (same
-#: state, same process, so an absolute floor is safe).
-FORMAT_SPEEDUP_FLOOR = 1.0
 
 #: Absolute floor on the storm's cached-vs-uncached read latency ratio — a
 #: cache hit on an untouched aggregation spec must beat recomputing it >=5x
@@ -424,33 +413,6 @@ def check_recovery(current: dict, baseline: dict) -> list[str]:
             f"recovery: delete throughput degrades with table size again "
             f"(scaling {now_s:.2f} vs baseline {then_s:.2f})"
         )
-    # The checkpoint-format race: binary columnar restore vs CSV restore of
-    # the same state.  Absolute floor (binary must at least tie text) plus
-    # the usual baseline-relative tolerance once a baseline carries it.
-    if "formats" not in current:
-        failures.append("checkpoint-format summary missing from the recovery sweep")
-    else:
-        now_b = float(current["formats"]["load_speedup"])
-        then_b = (
-            float(baseline["formats"]["load_speedup"]) if "formats" in baseline else None
-        )
-        print(
-            f"  columnar vs csv restore : {now_b:6.2f}x "
-            f"({current['formats']['csv_load_ms']:.1f} -> "
-            f"{current['formats']['columnar_load_ms']:.1f} ms, "
-            f"baseline {then_b if then_b is not None else float('nan'):.2f}x, "
-            f"absolute floor {FORMAT_SPEEDUP_FLOOR:.1f}x)"
-        )
-        if now_b < FORMAT_SPEEDUP_FLOOR:
-            failures.append(
-                f"formats: binary columnar restore slower than the CSV restore "
-                f"it replaces ({now_b:.2f}x < {FORMAT_SPEEDUP_FLOOR:.1f}x)"
-            )
-        elif then_b is not None and now_b < then_b * floor:
-            failures.append(
-                f"formats: columnar restore speedup regressed >{TOLERANCE:.0%} "
-                f"({now_b:.2f}x vs baseline {then_b:.2f}x)"
-            )
     stages = current.get("stages", {})
     missing = _missing_stages(stages, RECOVERY_REQUIRED_STAGES)
     print(

@@ -16,8 +16,8 @@ unified facade over scenario, warehouse, engines and views:
 * ``flexviz live`` — replay a scenario as a timestamped offer-event stream
   through the incremental aggregation engine and report commit latencies.
 * ``flexviz checkpoint`` — stream a scenario into the segmented event log,
-  checkpoint mid-stream (snapshot + warehouse + log offset), optionally
-  compact the closed segments.
+  checkpoint mid-stream (committed state + log offset), optionally compact
+  the closed segments.
 * ``flexviz restore`` — rebuild a session from a checkpoint plus its log
   tail; ``--smoke`` proves the recovery contract (restore ≡ batch rebuild ≡
   cold replay) and exits non-zero on divergence.
@@ -128,11 +128,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     live.add_argument(
         "--withdraw", type=float, default=0.05, help="fraction of offers withdrawn"
-    )
-    live.add_argument(
-        "--with-warehouse",
-        action="store_true",
-        help="deprecated: the session's live engine always maintains its warehouse",
     )
 
     checkpoint = subparsers.add_parser(
@@ -440,16 +435,17 @@ def _command_live(args: argparse.Namespace) -> int:
     print(report.describe())
     backend = session.engine
     started = time.perf_counter()
-    # Deliberately the raw batch pipeline (not backend.aggregate, whose live
-    # fast path would serve the committed state): this times a full recompute.
+    # Deliberately the raw batch pipeline (not a session query, whose fast
+    # path would serve the committed state): this times a full recompute.
     batch = aggregate(backend.offers(), backend.parameters)
     batch_seconds = time.perf_counter() - started
     print(f"batch re-aggregation  : {batch_seconds * 1000:9.3f} ms ({len(batch.offers)} outputs)")
     if report.mean_commit_ms > 0:
         print(f"commit vs batch       : {batch_seconds * 1000 / report.mean_commit_ms:9.1f}x")
+    committed = backend.engine.aggregated_offers()
     print(
-        f"warehouse facts       : {backend.warehouse.offer_count()} offers + "
-        f"{backend.warehouse.aggregate_count()} aggregates"
+        f"committed state       : {len(backend.offers())} offers + "
+        f"{sum(offer.is_aggregate for offer in committed)} aggregates"
     )
     return 0
 

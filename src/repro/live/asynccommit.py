@@ -29,7 +29,7 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from typing import Callable, Iterable
+from typing import Iterable
 
 from repro.aggregation.aggregate import AggregationResult
 from repro.errors import LiveEngineError
@@ -58,7 +58,7 @@ _DRAIN_BATCH_EVENTS = _OBS.histogram(
 )
 _WORKER_COMMIT_SECONDS = _OBS.histogram(
     "repro.live.async.worker.commit.seconds",
-    "worker-side commit latency (inner commit + mirroring hooks)",
+    "worker-side commit latency",
 )
 
 
@@ -76,10 +76,6 @@ class AsyncCommitEngine:
     drain_batch:
         Commit after at most this many applied events even when the queue
         never runs empty (latency bound under sustained load).
-    on_event / on_commit:
-        Optional mirroring hooks run *on the worker thread* after each applied
-        event / committed result — the session layer wires its live warehouse
-        through these so reads after :meth:`flush` see a consistent mirror.
     """
 
     def __init__(
@@ -87,8 +83,6 @@ class AsyncCommitEngine:
         inner,
         queue_size: int = 1024,
         drain_batch: int = 64,
-        on_event: Callable[[OfferEvent], None] | None = None,
-        on_commit: Callable[[CommitResult], None] | None = None,
     ) -> None:
         if queue_size < 1:
             raise LiveEngineError("queue_size must be >= 1")
@@ -101,8 +95,6 @@ class AsyncCommitEngine:
         self.inner = inner
         self.queue_size = queue_size
         self.drain_batch = drain_batch
-        self.on_event = on_event
-        self.on_commit = on_commit
         self._queue: queue.Queue = queue.Queue(maxsize=queue_size)
         #: The most recent producer-side trace context (captured by ``apply``
         #: while the ingesting thread had a span open).  The worker attaches
@@ -138,8 +130,6 @@ class AsyncCommitEngine:
                 if self._error is None:
                     with self._lock:
                         self.inner.apply(item)
-                        if self.on_event is not None:
-                            self.on_event(item)
                     applied += 1
             except BaseException as exc:  # noqa: BLE001 - surfaced at the barriers
                 self._error = exc
@@ -162,13 +152,12 @@ class AsyncCommitEngine:
             return self._commit_inner()
 
     def _commit_inner(self) -> CommitResult:
-        """One mirrored, logged inner commit (callers hold the lock).
+        """One logged inner commit (callers hold the lock).
 
-        Instrumented as ``async.commit``: the latency covers the inner commit
-        *and* the mirroring hooks — what a flush barrier actually waits for.
-        A commit running on the worker thread attaches to the trace context
-        the producer handed off at enqueue time (when there was one); barrier
-        commits run on the caller's thread and nest there naturally.
+        Instrumented as ``async.commit``.  A commit running on the worker
+        thread attaches to the trace context the producer handed off at
+        enqueue time (when there was one); barrier commits run on the
+        caller's thread and nest there naturally.
         """
         started = time.perf_counter() if _OBS.enabled else 0.0
         handoff = None
@@ -177,8 +166,6 @@ class AsyncCommitEngine:
         with _TRACER.attach(handoff):
             with _TRACER.span("async.commit"):
                 result = self.inner.commit()
-                if self.on_commit is not None:
-                    self.on_commit(result)
         if _OBS.enabled:
             _WORKER_COMMIT_SECONDS.observe(time.perf_counter() - started)
         self._commit_log.append(result)
@@ -237,8 +224,8 @@ class AsyncCommitEngine:
         most recent logical commit is returned instead of forcing an empty
         one — subscribers never see a phantom commit from the barrier.  Only
         a barrier on an engine that never committed anything produces (and
-        mirrors, and logs) one empty commit, matching the synchronous
-        engines' behaviour of allowing clean commits.
+        logs) one empty commit, matching the synchronous engines' behaviour
+        of allowing clean commits.
         """
         self._queue.join()
         self._raise_pending_error()

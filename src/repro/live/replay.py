@@ -5,7 +5,7 @@ state* of a stream of lifecycle events: every offer was added when it was
 created, then accepted/assigned/rejected by the enterprise before its
 deadlines.  :func:`scenario_event_stream` reconstructs that stream (optionally
 salting in prosumer revisions and withdrawals), and :func:`replay` drives a
-:class:`~repro.live.engine.LiveAggregationEngine` — and optionally a
+live engine — and optionally a standalone
 :class:`~repro.live.warehouse.LiveWarehouse` — through it while measuring
 commit latencies.
 """
@@ -179,19 +179,14 @@ def replay(
     """Drive ``engine`` (and optionally ``warehouse``) through an event stream.
 
     ``engine`` may be a bare incremental engine (``LiveAggregationEngine``,
-    ``AsyncCommitEngine``), a session-layer
-    ``LiveEngine``-family backend, or a whole ``FlexSession`` — the session
-    forms bring their own live warehouse, which is mirrored unless
-    ``warehouse`` overrides it.  Events are consumed in replay order
-    (timestamp, then arrival).  When a ``warehouse`` is mirrored it receives
-    every event plus every commit's aggregate changes directly — do not
-    *also* subscribe it to the engine's hub, or commits would be mirrored
-    twice.  Session-layer async backends mirror their warehouse from the
-    worker thread via their own hooks, so no caller-side mirroring happens
-    for them; a warehouse passed *explicitly* alongside a bare async engine
-    is mirrored on the calling thread instead (events during the loop,
-    aggregate changes after the flush barrier).  Async commits are gathered
-    from the worker's log once the barrier returns.
+    ``AsyncCommitEngine``), a session-layer ``LiveEngine``-family backend, or
+    a whole ``FlexSession``.  Events are consumed in replay order (timestamp,
+    then arrival).  A ``warehouse`` passed in receives every event plus every
+    commit's aggregate changes directly — do not *also* subscribe it to the
+    engine's hub, or commits would be mirrored twice.  With an async engine
+    the warehouse is mirrored on the calling thread (events during the
+    loop, aggregate changes after the flush barrier), and the commits are
+    gathered from the worker's log once the barrier returns.
 
     ``resume_from`` skips that many events at the head of the (ordered)
     stream — the resume-from-checkpoint entry point: an engine restored from
@@ -209,8 +204,6 @@ def replay(
     if not isinstance(backend, LiveAggregationEngine) and hasattr(backend, "engine"):
         # A session backend (duck-typed so this module never imports the
         # session layer at import time).
-        if warehouse is None and not hasattr(backend.engine, "flush"):
-            warehouse = getattr(backend, "warehouse", None)
         backend = backend.engine
     engine = backend
     ordered = events.replay_order() if isinstance(events, EventLog) else list(events)
@@ -222,10 +215,10 @@ def replay(
     started = time.perf_counter()
     if hasattr(engine, "flush"):
         # Async-commit engine: the worker applies and commits; the flush
-        # barrier makes the final state (and the commit log) complete.  An
-        # explicitly passed warehouse cannot ride the worker's hooks, so it is
-        # mirrored on this thread: events during the loop, aggregate changes
-        # from the drained commits after the barrier — same end state.
+        # barrier makes the final state (and the commit log) complete.  The
+        # warehouse is mirrored on this thread: events during the loop,
+        # aggregate changes from the drained commits after the barrier —
+        # same end state.
         for event in ordered:
             engine.apply(event)
             if warehouse is not None:

@@ -245,10 +245,11 @@ class AggregateSnapshot:
     def select(self, spec: QuerySpec) -> tuple[list[FlexOffer], int]:
         """Spec filter over this version, with index-backed candidate pruning.
 
-        Mirrors the live backend's plan shape: the most selective constrained
-        value field supplies the candidate list (``scanned_rows`` counts it),
-        candidates are verified with the spec's full in-memory predicate, and
-        passthrough aggregates are matched separately.
+        The most selective constrained value field supplies the candidate
+        list (``scanned_rows`` counts it), candidates are verified with the
+        spec's full in-memory predicate, and passthrough aggregates are
+        matched separately.  This is the only select a live-family engine
+        has.
         """
         constrained = [
             (field, allowed)
@@ -283,10 +284,10 @@ class AggregateSnapshot:
     ) -> AggregationResult:
         """Serve aggregation from the committed outputs when possible.
 
-        Same fast path as the live backend: the engine's own parameters over
-        the whole surviving population return the committed outputs without
-        recomputation; anything else runs the shared batch pipeline over the
-        selection (with the engine's id offset, so chunking is identical).
+        The engine's own parameters over the whole surviving population
+        return the committed outputs without recomputation; anything else
+        runs the shared batch pipeline over the selection (with the engine's
+        id offset, so chunking is identical).
         """
         if parameters == self.parameters and {
             offer.id for offer in offers

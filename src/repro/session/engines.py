@@ -1,24 +1,25 @@
 """The pluggable aggregation backends behind the session facade.
 
 All engines answer the same two questions — *which offers match a spec* and
-*what is their aggregation* — behind the :class:`AggregationBackend`
-protocol, so the query builder, the views and the CLI never care which one is
-active:
+*what is their aggregation* — behind :meth:`FlexSession.query
+<repro.session.facade.FlexSession.query>`, so the query builder, the views
+and the CLI never care which one is active:
 
 * :class:`BatchEngine` is the seed's pipeline: a star schema loaded once from
   the scenario, read through the index-backed
   :class:`~repro.warehouse.query.FlexOfferRepository`, aggregated on demand
   with the batch :func:`~repro.aggregation.aggregate.aggregate`.
-* :class:`LiveEngine` wraps PR 1's event-driven subsystem: a
+* :class:`LiveEngine` wraps the event-driven subsystem: a
   :class:`~repro.live.engine.LiveAggregationEngine` with its persistent
-  grouping grid, a :class:`~repro.live.warehouse.LiveWarehouse` kept fresh
-  under the same events, and a :class:`~repro.live.subscriptions.SubscriptionHub`
-  for commit fan-out.
+  grouping grid, a :class:`~repro.live.subscriptions.SubscriptionHub` for
+  commit fan-out, and the versioned read path
+  (:class:`~repro.readpath.ReadPath`) its commits publish into.  Every read
+  goes through an :class:`~repro.readpath.snapshot.AggregateSnapshot`; the
+  star schema is derived on demand from the latest one.
 * :class:`AsyncEngine` layers the bounded-queue
   :class:`~repro.live.asynccommit.AsyncCommitEngine` worker over a plain
-  live engine: ``ingest`` only enqueues; the worker applies, mirrors the
-  warehouse and commits in the background; reads flush first, so queries
-  stay deterministic.
+  live engine: ``ingest`` only enqueues; the worker applies and commits in
+  the background; reads flush first, so queries stay deterministic.
 
 The interchangeability contract: one :class:`~repro.session.spec.QuerySpec`
 executed against any engine over the same offer population yields equivalent
@@ -30,6 +31,7 @@ profiles, ids modulo :func:`~repro.live.engine.canonical_form`
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import TYPE_CHECKING, Callable, Iterable, Protocol, runtime_checkable
 
 from repro.aggregation.aggregate import AggregationResult, aggregate
@@ -40,7 +42,6 @@ from repro.live.asynccommit import AsyncCommitEngine
 from repro.live.engine import CommitResult, LiveAggregationEngine
 from repro.live.events import OfferAdded, OfferEvent
 from repro.live.subscriptions import CommitNotification, Subscription, SubscriptionHub
-from repro.live.warehouse import LiveWarehouse
 from repro.obs import get_registry
 from repro.warehouse.loader import load_scenario
 from repro.warehouse.query import FlexOfferRepository
@@ -49,6 +50,7 @@ from repro.warehouse.schema import StarSchema
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.datagen.scenarios import Scenario
     from repro.readpath import ReadPath
+    from repro.readpath.snapshot import AggregateSnapshot
     from repro.session.spec import QuerySpec
 
 # The async engine module registered this gauge at import time; fetching it
@@ -62,10 +64,11 @@ _ASYNC_QUEUE_DEPTH = get_registry().gauge("repro.live.async.queue_depth")
 class AggregationBackend(Protocol):
     """What a session engine must provide.
 
-    ``select`` may use whatever access path it owns (hash indexes, the
-    persistent grouping grid) but must return exactly the offers matching the
-    spec's filter; ``aggregate`` must be batch-equivalent.  Engines that
-    cannot ingest events raise :class:`~repro.errors.SessionError` from
+    Spec reads do not go through this protocol: the batch engine answers
+    them with its own ``select``/``aggregate``, live-family engines through
+    their read path's snapshots (see :meth:`FlexSession.query`).  ``schema``
+    and ``repository`` are the engine's offers as a star schema.  Engines
+    that cannot ingest events raise :class:`~repro.errors.SessionError` from
     :meth:`ingest`.
     """
 
@@ -79,12 +82,6 @@ class AggregationBackend(Protocol):
     def repository(self) -> FlexOfferRepository: ...  # pragma: no cover - protocol
 
     def offers(self) -> list[FlexOffer]: ...  # pragma: no cover - protocol
-
-    def select(self, spec: "QuerySpec") -> tuple[list[FlexOffer], int]: ...  # pragma: no cover
-
-    def aggregate(
-        self, offers: list[FlexOffer], parameters: AggregationParameters
-    ) -> AggregationResult: ...  # pragma: no cover - protocol
 
     def ingest(self, event: OfferEvent) -> CommitResult | None: ...  # pragma: no cover
 
@@ -132,13 +129,13 @@ class BatchEngine:
 
 
 class LiveEngine:
-    """The event-driven backend: incremental engine + live warehouse + hub.
+    """The event-driven backend: incremental engine + hub + versioned read path.
 
     The inner :class:`LiveAggregationEngine` is the ground truth for the
-    surviving population; the :class:`LiveWarehouse` mirrors it into the star
-    schema so spec filters run through the same index-backed repository the
-    batch engine uses.  Reads auto-commit pending events first, so a query
-    always sees the latest ingested state.
+    surviving population.  Its commits publish immutable snapshots, and every
+    read is served from one: spec reads through the read path, the star
+    schema derived from the latest snapshot on first use.  Reads commit
+    pending events first, so they always see the latest ingested state.
     """
 
     name = "live"
@@ -162,11 +159,9 @@ class LiveEngine:
         #: backend observed (the async backend feeds them from its worker).
         self._chunks_reaggregated = 0
         self._chunks_skipped = 0
-        # The warehouse first: engine builders (the async worker's mirroring
-        # hooks) may need it.
-        self.warehouse = LiveWarehouse(
-            load_scenario(scenario.replace_offers([])), self.grid, self.parameters
-        )
+        #: (snapshot, batch engine over its offers): the derived star schema,
+        #: keyed on the snapshot *object* — versions restart after a reset.
+        self._derived: "tuple[AggregateSnapshot, BatchEngine] | None" = None
         self.engine = self._build_engine()
         #: The versioned read path (snapshot ring + result cache) fed by the
         #: inner engine's commit listener; rebuilt by :meth:`reseed_readpath`.
@@ -185,20 +180,32 @@ class LiveEngine:
             self.parameters, micro_batch_size=self.micro_batch_size, hub=self.hub
         )
 
+    def _derived_batch(self) -> BatchEngine:
+        """The batch engine over the latest snapshot's offers, built once per snapshot."""
+        self.refresh()
+        snapshot = self.readpath.manager.latest()
+        derived = self._derived
+        if derived is None or derived[0] is not snapshot:
+            batch = BatchEngine(self.scenario.replace_offers(snapshot.offers()), self.parameters)
+            self._derived = derived = (snapshot, batch)
+        return derived[1]
+
     @property
     def schema(self) -> StarSchema:
-        return self.warehouse.schema
+        """The star schema of the latest snapshot, loaded on first access."""
+        return self._derived_batch().schema
 
     @property
     def repository(self) -> FlexOfferRepository:
-        return self.warehouse.repository
+        """The repository over :attr:`schema`."""
+        return self._derived_batch().repository
 
     def offers(self) -> list[FlexOffer]:
         """The surviving raw offers (passthrough aggregates included), id order."""
         return self.engine.offers()
 
     # ------------------------------------------------------------------
-    # Event write path (engine first — it is the stricter validator)
+    # Event write path
     # ------------------------------------------------------------------
     @property
     def events_ingested(self) -> int:
@@ -246,6 +253,14 @@ class LiveEngine:
         """The engine holding grouped state (the async wrapper's inner)."""
         return getattr(self.engine, "inner", self.engine)
 
+    def _quiescent(self):
+        """A context in which the state engine cannot commit underneath.
+
+        The async wrapper commits on its worker thread under its own lock;
+        the synchronous engine only commits on the caller's thread.
+        """
+        return getattr(self.engine, "_lock", None) or nullcontext()
+
     def reseed_readpath(self) -> None:
         """(Re)build the versioned read path from the engine's current state.
 
@@ -263,14 +278,22 @@ class LiveEngine:
         engine = self._state_engine
         self.readpath = ReadPath(self.grid, self.name, self.parameters)
         engine.commit_listener = self._on_engine_commit
-        # The async wrapper commits on its worker thread under its own lock;
-        # take it so the baseline capture cannot interleave with a commit.
-        lock = getattr(self.engine, "_lock", None)
-        if lock is not None:
-            with lock:
-                self.readpath.seed(engine)
-        else:
+        with self._quiescent():
             self.readpath.seed(engine)
+
+    def capture_snapshot(self) -> "AggregateSnapshot":
+        """A snapshot of the committed state, captured fresh outside the read path.
+
+        Flushes pending writes first.  It shares nothing with the published
+        snapshots or the result cache: ``consistency="live"`` queries read it
+        as the reference the read path is checked against, and
+        :meth:`RecoveryManager.verify` compares it with the batch pipeline.
+        """
+        from repro.readpath.snapshot import AggregateSnapshot
+
+        self.refresh()
+        with self._quiescent():
+            return AggregateSnapshot.capture(self._state_engine, self.grid, self.name)
 
     def _on_engine_commit(self, result: CommitResult) -> None:
         """Commit listener: cumulative chunk totals + snapshot publication.
@@ -285,12 +308,9 @@ class LiveEngine:
             self.readpath.on_commit(self._state_engine, result)
 
     def ingest(self, event: OfferEvent) -> CommitResult | None:
-        """Apply one event to the engine and mirror it into the warehouse."""
+        """Apply one event to the engine."""
         result = self.engine.apply(event)
-        self.warehouse.apply(event)
         self._events_ingested += 1
-        if result is not None:
-            self.warehouse.apply_commit(result)
         return result
 
     def ingest_many(self, events: Iterable[OfferEvent]) -> list[CommitResult]:
@@ -303,10 +323,8 @@ class LiveEngine:
         return results
 
     def commit(self) -> CommitResult:
-        """Commit pending events and mirror the aggregate changes."""
-        result = self.engine.commit()
-        self.warehouse.apply_commit(result)
-        return result
+        """Commit pending events (on the async engine: the barrier commit)."""
+        return self.engine.commit()
 
     def refresh(self) -> None:
         """Commit if anything is pending, so reads see the latest state."""
@@ -314,15 +332,12 @@ class LiveEngine:
             self.commit()
 
     def reset(self) -> None:
-        """Drop the live state (engine + warehouse) for a from-scratch replay.
+        """Drop the live state for a from-scratch replay.
 
         The hub — and with it every registered subscription — survives, so
         standing queries keep firing on the commits of the new stream.
         """
         self.close()
-        self.warehouse = LiveWarehouse(
-            load_scenario(self.scenario.replace_offers([])), self.grid, self.parameters
-        )
         self.engine = self._build_engine()
         self._events_ingested = 0
         self._chunks_reaggregated = 0
@@ -335,55 +350,15 @@ class LiveEngine:
         if close_engine is not None:
             close_engine()
 
-    # ------------------------------------------------------------------
-    # Read path
-    # ------------------------------------------------------------------
-    def select(self, spec: "QuerySpec") -> tuple[list[FlexOffer], int]:
-        """Spec filter over the live population.
-
-        Raw offers are read through the live warehouse's repository (same
-        index-backed planning as the batch engine); passthrough aggregates
-        live outside ``fact_flexoffer`` and are matched in memory.
-        """
-        self.refresh()
-        result = self.repository.load(spec.to_filter())
-        offers = list(result.offers)
-        scanned = result.scanned_rows
-        passthroughs = [offer for offer in self.engine.offers() if offer.is_aggregate]
-        scanned += len(passthroughs)
-        offers.extend(
-            offer for offer in passthroughs if spec.matches(offer, self.grid)
-        )
-        return offers, scanned
-
-    def aggregate(
-        self, offers: list[FlexOffer], parameters: AggregationParameters
-    ) -> AggregationResult:
-        """Serve aggregation from the committed incremental state when possible.
-
-        The fast path applies when the requested parameters are the engine's
-        own and the selection covers the whole surviving population — then the
-        committed dirty-cell outputs are returned without recomputation.  Any
-        other selection or parameterization falls back to the shared batch
-        pipeline over the selected offers.
-        """
-        self.refresh()
-        if parameters == self.parameters and {offer.id for offer in offers} == {
-            offer.id for offer in self.engine.offers()
-        }:
-            return self.engine.result()
-        return aggregate(offers, parameters, id_offset=self.engine.id_offset)
-
 
 class AsyncEngine(LiveEngine):
     """The live backend with ingestion decoupled from commits.
 
     ``ingest`` only enqueues onto the async worker's bounded queue; the worker
-    applies events to a plain live engine, mirrors the live warehouse and
-    commits in the background.  Every read path flushes first (the
-    :meth:`refresh` barrier), so queries observe exactly the synchronous
-    engines' state — the interchangeability contract is unchanged, only the
-    thread that pays for commits moves.
+    applies events to a plain live engine and commits in the background.
+    Every read path flushes first (the :meth:`refresh` barrier), so queries
+    observe exactly the synchronous engines' state — the interchangeability
+    contract is unchanged, only the thread that pays for commits moves.
     """
 
     name = "async"
@@ -408,27 +383,7 @@ class AsyncEngine(LiveEngine):
             # micro_batch_size maps onto the worker's drain batch: the latency
             # bound between commits under sustained load.
             drain_batch=self.micro_batch_size or 64,
-            on_event=self._mirror_event,
-            on_commit=self._mirror_commit,
         )
-
-    # The warehouse is mirrored by the worker (these hooks run on its thread);
-    # the synchronous LiveEngine write path must not mirror a second time.
-    def _mirror_event(self, event: OfferEvent) -> None:
-        self.warehouse.apply(event)
-
-    def _mirror_commit(self, result: CommitResult) -> None:
-        self.warehouse.apply_commit(result)
-
-    def ingest(self, event: OfferEvent) -> CommitResult | None:
-        """Enqueue one event; the worker applies, mirrors and commits it."""
-        result = self.engine.apply(event)
-        self._events_ingested += 1
-        return result
-
-    def commit(self) -> CommitResult:
-        """Barrier commit: drain the queue and return the newest logical commit."""
-        return self.engine.commit()
 
     def refresh(self) -> None:
         """The flush barrier: reads wait for the worker to drain and commit."""

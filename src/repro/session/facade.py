@@ -1,7 +1,7 @@
 """``FlexSession`` — the one front door to the flex-offer system.
 
-A session owns a scenario, a warehouse, an engine and the view registry, and
-exposes every workflow the scattered entry points used to cover:
+A session owns a scenario, its engines and the view registry, and exposes
+every workflow the scattered entry points used to cover:
 
 >>> session = FlexSession.from_config(prosumers=120, seed=7)
 >>> frame = session.offers().where(state="assigned", region="Capital").to_frame()
@@ -59,7 +59,7 @@ ENGINE_FACTORIES: dict[str, Callable[..., AggregationBackend]] = {
 
 
 class FlexSession:
-    """The unified facade over scenario, warehouse, engines and views."""
+    """The unified facade over scenario, engines and views."""
 
     def __init__(
         self,
@@ -239,8 +239,9 @@ class FlexSession:
         * ``"latest"`` — read the newest *published* snapshot without
           flushing: lock-free, never blocks on the writer (concurrent
           readers' bread and butter).
-        * ``"live"`` — bypass the read path and execute directly against the
-          engine (the legacy path).
+        * ``"live"`` — flush, then read a snapshot captured fresh from the
+          committed engine state, bypassing the published snapshots and the
+          result cache: the reference the read path is checked against.
 
         ``at_version=`` pins the read to one retained historical snapshot
         (overrides ``consistency``); the batch engine is an unversioned
@@ -260,8 +261,10 @@ class FlexSession:
                 f"unknown consistency {consistency!r}; expected 'snapshot', "
                 "'latest' or 'live'"
             )
-        if readpath is None or consistency == "live":
+        if readpath is None:
             return execute(backend, self.grid, spec)
+        if consistency == "live":
+            return execute(backend.capture_snapshot(), self.grid, spec)
         if consistency == "snapshot":
             backend.refresh()
         return readpath.read(readpath.manager.latest(), spec)
@@ -418,7 +421,7 @@ class FlexSession:
         engine: str | None = None,
         resume_from: int = 0,
     ) -> ReplayReport:
-        """Replay an event stream through a live-family engine (and its warehouse).
+        """Replay an event stream through a live-family engine.
 
         With ``events=None`` the session's scenario is reconstructed as a
         timestamped stream first (see
@@ -471,10 +474,10 @@ class FlexSession:
     def checkpoint(self, path: str, offset: int | None = None):
         """Write a checkpoint of the active live-family engine to ``path``.
 
-        Serializes the committed engine state (grouping grid + aggregate-id
-        allocator), the live warehouse's star schema and the event-log offset
-        (``offset`` or the backend's own ingested-event counter) into a
-        versioned checkpoint directory.  Returns the loaded-back
+        Serializes the committed engine state (surviving offers, aggregate
+        outputs, aggregate-id allocator) and the event-log offset (``offset``
+        or the backend's own ingested-event counter) into a versioned
+        checkpoint directory.  Returns the loaded-back
         :class:`~repro.store.snapshot.Checkpoint`.
         """
         from repro.store.recovery import RecoveryManager
@@ -509,12 +512,17 @@ class FlexSession:
     # ------------------------------------------------------------------
     @property
     def schema(self):
-        """The active engine's star schema."""
+        """The active engine's star schema.
+
+        On a live-family engine it is derived on demand — the batch loader
+        run over the latest snapshot's offers — and cached until the next
+        commit publishes a new snapshot.
+        """
         return self.engine.schema
 
     @property
     def repository(self):
-        """The active engine's index-backed repository."""
+        """The index-backed repository over :attr:`schema`."""
         return self.engine.repository
 
     def cube(self) -> "FlexOfferCube":
@@ -528,12 +536,17 @@ class FlexSession:
     def summary(self) -> dict[str, Any]:
         """Warehouse row counts and state distribution, plus session facts.
 
+        The counts come from :attr:`repository`, so on a live-family engine
+        the first summary after a commit derives the star schema.
+
         Live-family backends also contribute their backlog depth — pending
         events, dirty cells/chunks, and on the async engine the ingest queue
-        depth.  The figures are pushed
-        through the :mod:`repro.obs` gauges on the way out, so this summary
-        and a metrics scrape can never disagree.
+        depth — read before :attr:`repository` commits the backlog.  The
+        figures are pushed through the :mod:`repro.obs` gauges on the way
+        out, so this summary and a metrics scrape can never disagree.
         """
+        depth_stats = getattr(self.engine, "depth_stats", None)
+        backlog = depth_stats() if depth_stats is not None else {}
         summary = self.repository.summary()
         summary["engine"] = self.engine_name
         summary["views"] = list(self.view_names)
@@ -565,9 +578,7 @@ class FlexSession:
             summary["materialized_views"] = [
                 view.stats() for view in self._materialized.values()
             ]
-        depth_stats = getattr(self.engine, "depth_stats", None)
-        if depth_stats is not None:
-            summary.update(depth_stats())
+        summary.update(backlog)
         return summary
 
     # ------------------------------------------------------------------

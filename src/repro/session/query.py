@@ -24,7 +24,6 @@ from repro.obs.metrics import COUNT_BUCKETS
 from repro.session.spec import QuerySpec, ResultSet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.session.engines import AggregationBackend
     from repro.session.facade import FlexSession
     from repro.live.subscriptions import Subscription
     from repro.views.base import FlexOfferView
@@ -51,12 +50,15 @@ _QUERY_ROWS_SCANNED = _OBS.histogram(
 )
 
 
-def execute(backend: "AggregationBackend", grid, spec: QuerySpec) -> ResultSet:
-    """Run one spec against one backend; the only execution path there is.
+def execute(backend, grid, spec: QuerySpec) -> ResultSet:
+    """Run one spec against one read surface; the only execution path there is.
 
+    ``backend`` provides ``name``, ``select`` and ``aggregate``: the batch
+    engine, or a live engine's :class:`~repro.readpath.snapshot.AggregateSnapshot`
+    (directly or through a :class:`~repro.readpath.snapshot.SnapshotReader`).
     The selection is sorted by offer id before limiting and aggregating so
-    that both engines chunk groups identically — this is what makes result
-    sets interchangeable down to aggregate profiles.
+    that both chunk groups identically — this is what makes result sets
+    interchangeable down to aggregate profiles.
     """
     if not _OBS.enabled:
         return _execute(backend, grid, spec)
@@ -69,7 +71,7 @@ def execute(backend: "AggregationBackend", grid, spec: QuerySpec) -> ResultSet:
     return result
 
 
-def _execute(backend: "AggregationBackend", grid, spec: QuerySpec) -> ResultSet:
+def _execute(backend, grid, spec: QuerySpec) -> ResultSet:
     """The query body (see :func:`execute` for the instrumented entry point)."""
     recording = _OBS.enabled
     select_started = time.perf_counter() if recording else 0.0

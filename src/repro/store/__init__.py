@@ -10,21 +10,16 @@ Layers, bottom up:
   sequence-numbered event log split into JSONL segments (each with a binary
   byte-offset sidecar index so tail reads seek instead of parse), with
   ``compact()``.
-* :mod:`repro.store.columnar` — the binary offset-indexed columnar format
-  for checkpointed warehouses (per-column blocks + a footer index; restores
-  memmap the typed columns).
 * :mod:`repro.store.snapshot` — :class:`SnapshotStore`: versioned checkpoint
-  directories (offers + aggregates + warehouse in columnar or CSV form +
-  manifest).
+  directories (offers + aggregates + manifest).
 * :mod:`repro.store.recovery` — :class:`RecoveryManager`: checkpoint /
   restore / verify over one durability directory, enforcing the recovery
   contract (snapshot + log tail ≡ full replay).
 """
 
-from repro.store.columnar import load_schema_columnar, read_table, save_schema_columnar, write_table
 from repro.store.recovery import EVENTS_SUBDIR, RecoveryManager, RestoreReport
 from repro.store.segments import SegmentStore
-from repro.store.snapshot import CHECKPOINT_VERSION, WAREHOUSE_FORMATS, Checkpoint, SnapshotStore
+from repro.store.snapshot import CHECKPOINT_VERSION, Checkpoint, SnapshotStore
 from repro.store.state import (
     AggregateRecord,
     EngineState,
@@ -38,13 +33,8 @@ __all__ = [
     "RestoreReport",
     "SegmentStore",
     "CHECKPOINT_VERSION",
-    "WAREHOUSE_FORMATS",
     "Checkpoint",
     "SnapshotStore",
-    "load_schema_columnar",
-    "read_table",
-    "save_schema_columnar",
-    "write_table",
     "AggregateRecord",
     "EngineState",
     "capture_engine_state",

@@ -3,8 +3,8 @@
 :class:`RecoveryManager` owns one durability directory::
 
     <directory>/
-      manifest.json, offers.jsonl, aggregates.jsonl, warehouse/   # snapshot
-      events/events-*.jsonl                                       # segment log
+      manifest.json, snapshot-{a,b}/{offers,aggregates}.jsonl   # snapshot
+      events/events-*.jsonl                                     # segment log
 
 and implements the recovery contract the subsystem is named for: *restoring
 from a checkpoint taken at any point of the stream and replaying the log tail
@@ -27,7 +27,6 @@ from typing import TYPE_CHECKING, Iterable
 from repro.errors import StoreError
 from repro.live.events import OfferEvent
 from repro.live.replay import replay
-from repro.live.warehouse import LiveWarehouse
 from repro.obs import get_registry, get_tracer
 from repro.session.engines import LiveEngine
 from repro.session.facade import FlexSession
@@ -100,14 +99,9 @@ def _live_backend(session: FlexSession) -> LiveEngine:
 class RecoveryManager:
     """Checkpoint, compaction and restore over one durability directory."""
 
-    def __init__(
-        self,
-        directory: str | Path,
-        segment_size: int = 512,
-        warehouse_format: str = "columnar",
-    ) -> None:
+    def __init__(self, directory: str | Path, segment_size: int = 512) -> None:
         self.directory = Path(directory)
-        self.snapshots = SnapshotStore(self.directory, warehouse_format=warehouse_format)
+        self.snapshots = SnapshotStore(self.directory)
         self.log = SegmentStore(self.directory / EVENTS_SUBDIR, segment_size=segment_size)
         self.last_restore: RestoreReport | None = None
 
@@ -119,7 +113,7 @@ class RecoveryManager:
         return self.log.extend(events)
 
     def checkpoint(self, session: FlexSession, offset: int | None = None) -> Checkpoint:
-        """Snapshot the session's active live-family engine and warehouse.
+        """Snapshot the session's active live-family engine.
 
         ``offset`` is the event-log position the snapshot is consistent with;
         it defaults to the backend's own ingested-event counter, which is
@@ -135,7 +129,6 @@ class RecoveryManager:
             self.snapshots.save(
                 state,
                 log_offset=offset,
-                schema=backend.schema,
                 scenario_config=session.scenario.config,
             )
             checkpoint = self.snapshots.load()
@@ -177,9 +170,9 @@ class RecoveryManager:
 
         ``engine`` picks the live-family backend to rebuild (default: the
         family that wrote the snapshot); the session's ``_build_engine`` hook
-        constructs it empty, the captured state is installed, the checkpointed
-        warehouse replaces the empty one, and every stored event past the
-        snapshot's offset is replayed through the normal ingest path.
+        constructs it empty, the captured state is installed, and every stored
+        event past the snapshot's offset is replayed through the normal
+        ingest path.
         ``scenario`` defaults to regenerating the checkpoint's recorded
         scenario configuration.
         """
@@ -205,12 +198,6 @@ class RecoveryManager:
             )
             backend = _live_backend(session)
             restore_engine_state(backend.engine, checkpoint.state)
-            if checkpoint.schema is not None:
-                backend.warehouse = LiveWarehouse(
-                    checkpoint.schema, session.grid, checkpoint.state.parameters
-                )
-            else:
-                self._rebuild_warehouse(backend)
             backend._events_ingested = checkpoint.log_offset
             # The read path seeded at construction saw an *empty* engine;
             # re-seed so the baseline snapshot is the checkpointed state (at
@@ -240,14 +227,6 @@ class RecoveryManager:
         )
         return session
 
-    def _rebuild_warehouse(self, backend: LiveEngine) -> None:
-        """Rebuild the star schema from the restored engine (no CSV in checkpoint)."""
-        for offer in backend.offers():
-            backend.warehouse.upsert_offer(offer)
-        for offer in backend.engine.aggregated_offers():
-            if offer.is_aggregate and backend.engine.constituents_of(offer.id):
-                backend.warehouse._upsert_aggregate(offer)
-
     # ------------------------------------------------------------------
     # The recovery contract
     # ------------------------------------------------------------------
@@ -256,15 +235,16 @@ class RecoveryManager:
 
         Rebuilds the batch engine from the live engine's surviving offers
         (:meth:`FlexSession.snapshot`) and compares both a raw read and a
-        full aggregation — ids must agree exactly on the read, profiles
-        bit-for-bit (ids modulo canonical form) on the aggregation.  Raises
+        full aggregation, read from a snapshot captured fresh from the
+        engine — ids must agree exactly on the read, profiles bit-for-bit
+        (ids modulo canonical form) on the aggregation.  Raises
         :class:`StoreError` on any divergence.
         """
         backend = _live_backend(session)
-        backend.refresh()
+        live = backend.capture_snapshot()
         batch = session.snapshot()
         raw_spec = QuerySpec()
-        live_raw = execute(backend, session.grid, raw_spec)
+        live_raw = execute(live, session.grid, raw_spec)
         batch_raw = execute(batch, session.grid, raw_spec)
         if sorted(o.id for o in live_raw) != sorted(o.id for o in batch_raw):
             raise StoreError(
@@ -272,7 +252,7 @@ class RecoveryManager:
                 f"{len(batch_raw)} batch offers"
             )
         agg_spec = QuerySpec.build(parameters=backend.parameters)
-        live_agg = execute(backend, session.grid, agg_spec)
+        live_agg = execute(live, session.grid, agg_spec)
         batch_agg = execute(batch, session.grid, agg_spec)
         if not batch_agg.matches(live_agg):
             raise StoreError(

@@ -20,8 +20,7 @@ as a cold replay of the full one.
 Each segment carries a binary *offset-index sidecar* (``<segment>.idx``:
 little-endian ``(sequence, byte offset)`` pairs, appended in lockstep with
 the data lines).  :meth:`SegmentStore.tail` uses it to seek straight to the
-first record of the tail instead of parsing the segment's earlier lines —
-the same trade the columnar checkpoint format makes for warehouse columns.
+first record of the tail instead of parsing the segment's earlier lines.
 The sidecar is an accelerator, never a source of truth: a missing, stale or
 implausible index silently degrades to the full parse.
 """

@@ -1,4 +1,4 @@
-"""Versioned on-disk checkpoints of a live-family engine + warehouse.
+"""Versioned on-disk checkpoints of a live-family engine.
 
 A checkpoint directory is written by :class:`SnapshotStore` and contains:
 
@@ -7,15 +7,15 @@ A checkpoint directory is written by :class:`SnapshotStore` and contains:
   (when known) the scenario configuration to regenerate the session from,
   and which *data buffer* holds the current snapshot;
 * two data buffers, ``snapshot-a/`` and ``snapshot-b/``, each holding
-  ``offers.jsonl`` (the surviving offers, one JSON document per line),
+  ``offers.jsonl`` (the surviving offers, one JSON document per line) and
   ``aggregates.jsonl`` (the committed aggregate outputs with their grid
   cell, chunk index and stable id — see
-  :class:`~repro.store.state.AggregateRecord`) and a ``warehouse/`` directory
-  holding the live warehouse's star schema — ``*.fcb`` binary columnar files
-  (:mod:`repro.store.columnar`, the default: restores memmap the column
-  blocks instead of parsing text) or ``*.csv`` in the batch persistence
-  format (``warehouse_format="csv"``, and the read path for checkpoints
-  written before the manifest recorded a format).
+  :class:`~repro.store.state.AggregateRecord`).  That is the whole state:
+  the star schema is derived from it on demand after a restore.
+
+Checkpoints written while the live engines mirrored a warehouse also hold a
+``warehouse/`` directory and the ``has_warehouse`` / ``warehouse_format``
+manifest keys; :meth:`SnapshotStore.load` ignores all three.
 
 Saves are double-buffered: a new checkpoint is written into the buffer the
 current manifest does *not* reference, and the manifest — the commit point —
@@ -38,24 +38,14 @@ from repro.aggregation.parameters import AggregationParameters
 from repro.errors import StoreError
 from repro.flexoffer.serialization import flex_offer_from_dict, flex_offer_to_dict
 from repro.live.events import read_jsonl, write_jsonl
-from repro.store.columnar import load_schema_columnar, save_schema_columnar
 from repro.store.state import AggregateRecord, EngineState
-from repro.warehouse.persistence import load_schema, save_schema
-from repro.warehouse.schema import StarSchema
 
 #: Format version of the checkpoint directory layout.
 CHECKPOINT_VERSION = 1
 
-#: Supported warehouse serializations inside a checkpoint buffer:
-#: ``columnar`` is the binary offset-indexed format (:mod:`repro.store.columnar`,
-#: memmap restores), ``csv`` the text format batch dumps use.  Checkpoints
-#: written before the manifest recorded a format are read as ``csv``.
-WAREHOUSE_FORMATS = ("columnar", "csv")
-
 _MANIFEST = "manifest.json"
 _OFFERS = "offers.jsonl"
 _AGGREGATES = "aggregates.jsonl"
-_WAREHOUSE = "warehouse"
 #: The two data buffers saves alternate between (manifest names the live one).
 _BUFFERS = ("snapshot-a", "snapshot-b")
 
@@ -67,10 +57,9 @@ _RETIRED_ENGINES = {"sharded": "live"}
 
 @dataclass
 class Checkpoint:
-    """One loaded checkpoint: engine state, optional warehouse, manifest."""
+    """One loaded checkpoint: engine state and manifest."""
 
     state: EngineState
-    schema: StarSchema | None
     manifest: dict[str, Any]
 
     @property
@@ -96,14 +85,8 @@ class Checkpoint:
 class SnapshotStore:
     """Reads and writes checkpoint directories."""
 
-    def __init__(self, directory: str | Path, warehouse_format: str = "columnar") -> None:
-        if warehouse_format not in WAREHOUSE_FORMATS:
-            raise StoreError(
-                f"unknown warehouse format {warehouse_format!r} "
-                f"(supported: {', '.join(WAREHOUSE_FORMATS)})"
-            )
+    def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
-        self.warehouse_format = warehouse_format
 
     def exists(self) -> bool:
         """Whether the directory holds a committed (manifest-bearing) checkpoint."""
@@ -126,7 +109,6 @@ class SnapshotStore:
         self,
         state: EngineState,
         log_offset: int,
-        schema: StarSchema | None = None,
         scenario_config: Any = None,
     ) -> Path:
         """Write one checkpoint; returns the manifest path (the commit point).
@@ -148,15 +130,9 @@ class SnapshotStore:
             data_dir / _AGGREGATES,
             (record.to_dict() for record in state.aggregates),
         )
-        if schema is not None:
-            if self.warehouse_format == "columnar":
-                save_schema_columnar(schema, data_dir / _WAREHOUSE)
-            else:
-                save_schema(schema, data_dir / _WAREHOUSE)
         manifest = {
             "version": CHECKPOINT_VERSION,
             "data": buffer,
-            "warehouse_format": self.warehouse_format,
             "engine": state.engine,
             "parameters": asdict(state.parameters),
             "id_offset": state.id_offset,
@@ -166,7 +142,6 @@ class SnapshotStore:
             "log_offset": int(log_offset),
             "offer_count": len(state.offers),
             "aggregate_count": len(state.aggregates),
-            "has_warehouse": schema is not None,
             "scenario": asdict(scenario_config) if scenario_config is not None else None,
         }
         staged = manifest_path.with_suffix(".json.tmp")
@@ -220,16 +195,4 @@ class SnapshotStore:
             )
         except (KeyError, TypeError, ValueError, OSError) as exc:
             raise StoreError(f"malformed checkpoint in {self.directory}: {exc}") from exc
-        schema = None
-        if manifest.get("has_warehouse"):
-            # Checkpoints written before the format was recorded are CSV.
-            stored_format = manifest.get("warehouse_format", "csv")
-            if stored_format == "columnar":
-                schema = load_schema_columnar(data_dir / _WAREHOUSE)
-            elif stored_format == "csv":
-                schema = load_schema(data_dir / _WAREHOUSE)
-            else:
-                raise StoreError(
-                    f"checkpoint warehouse format {stored_format!r} is not supported"
-                )
-        return Checkpoint(state=state, schema=schema, manifest=manifest)
+        return Checkpoint(state=state, manifest=manifest)

@@ -4,7 +4,7 @@ Section 4 describes the tool's main window: a loading tab plus one tab per
 read operation, where each tab shows a set of flex-offers in the basic or the
 profile view and offers the aggregation tools, selection and on-the-fly
 details.  :class:`VisualAnalysisFramework` is the headless facade over all of
-that: it owns the warehouse connection, opens tabs, switches views, applies
+that: it reads through a session, opens tabs, switches views, applies
 aggregation and exports any open view to SVG/ASCII.
 """
 
@@ -166,13 +166,15 @@ class MaterializedViewTab(ViewTab):
 
 
 class VisualAnalysisFramework:
-    """The main-window facade: warehouse connection plus view tabs.
+    """The main-window facade: the loading tab plus view tabs.
 
-    Since the ``repro.session`` redesign the framework is a thin shell over a
-    :class:`~repro.session.facade.FlexSession` — the session owns the schema,
-    the repository and the engines; the framework adds the tab workflow on
-    top.  Constructing it from a bare :class:`Scenario` still works (a batch
-    session is opened internally), so pre-session callers are unaffected.
+    The framework is a thin shell over a
+    :class:`~repro.session.facade.FlexSession` — the session owns the engines
+    and the schema; the framework adds the tab workflow on top.  The loading
+    tab reads through the session's *active* engine, so tabs opened after a
+    ``use_engine()`` swap or a replay see the current state.  Constructing it
+    from a bare :class:`Scenario` still works (a batch session is opened
+    internally), so pre-session callers are unaffected.
     """
 
     def __init__(self, source) -> None:
@@ -183,7 +185,7 @@ class VisualAnalysisFramework:
         else:
             self.session = FlexSession(source)
         self.scenario = self.session.scenario
-        self.loading = LoadingWorkflow(self.session.repository, self.scenario.grid)
+        self.loading = LoadingWorkflow(self.session)
         self.tabs: list[ViewTab] = []
 
     @classmethod
@@ -193,12 +195,12 @@ class VisualAnalysisFramework:
 
     @property
     def schema(self):
-        """The session's star schema (kept for pre-session callers)."""
+        """The session's star schema (derived on demand on a live session)."""
         return self.session.schema
 
     @property
     def repository(self):
-        """The session's index-backed repository (kept for pre-session callers)."""
+        """The repository over :attr:`schema` (kept for pre-session callers)."""
         return self.session.repository
 
     # ------------------------------------------------------------------

@@ -3,20 +3,27 @@
 Figure 7 shows the loading tab of the main window: the analyst connects to the
 data warehouse, chooses a *legal entity* (prosumer) and an *absolute time
 interval*, and reading the matching flex-offers opens a new view tab.  The
-headless counterpart wraps the warehouse repository and returns
-:class:`LoadedDataset` objects that the framework turns into tabs.
+headless counterpart reads through a :class:`~repro.session.FlexSession` —
+whichever engine is active when the read happens, so on a live session every
+read is a snapshot read — and returns :class:`LoadedDataset` objects that the
+framework turns into tabs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import ViewError
 from repro.flexoffer.model import FlexOffer
+from repro.session.spec import QuerySpec
 from repro.timeseries.grid import TimeGrid
-from repro.warehouse.query import FlexOfferFilter, FlexOfferRepository
+from repro.warehouse.loader import legal_entity_row
+from repro.warehouse.query import FlexOfferFilter
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.session.facade import FlexSession
 
 
 @dataclass
@@ -25,7 +32,7 @@ class LoadedDataset:
 
     title: str
     offers: list[FlexOffer]
-    filter: FlexOfferFilter
+    spec: QuerySpec
     scanned_rows: int
     grid: TimeGrid
 
@@ -33,32 +40,45 @@ class LoadedDataset:
         return len(self.offers)
 
 
-@dataclass
 class LoadingWorkflow:
-    """The loading tab's state: connection, entity choice and time interval."""
+    """The loading tab's state: the session it reads through, and its history."""
 
-    repository: FlexOfferRepository
-    grid: TimeGrid
-    history: list[LoadedDataset] = field(default_factory=list)
+    def __init__(self, session: "FlexSession") -> None:
+        self.session = session
+        self.grid = session.grid
+        self.history: list[LoadedDataset] = []
+        self._entity_ids = frozenset(prosumer.id for prosumer in session.scenario.prosumers)
 
     # ------------------------------------------------------------------
     # What the combo boxes of the loading tab offer
     # ------------------------------------------------------------------
     def available_entities(self) -> list[dict[str, Any]]:
-        """Legal entities the analyst can choose from."""
-        return self.repository.legal_entities()
+        """Legal entities the analyst can choose from (the ``dim_legal_entity`` rows)."""
+        return [legal_entity_row(prosumer) for prosumer in self.session.scenario.prosumers]
 
     def available_states(self) -> list[str]:
-        """Distinct flex-offer states stored in the warehouse."""
-        return [str(value) for value in self.repository.known_values("state")]
+        """Distinct flex-offer states among the active engine's offers."""
+        return sorted({offer.state.value for offer in self.session.query(QuerySpec()).offers})
 
     def warehouse_summary(self) -> dict[str, Any]:
         """Row counts etc. shown next to the connection settings."""
-        return self.repository.summary()
+        return self.session.repository.summary()
 
     # ------------------------------------------------------------------
     # The read operations
     # ------------------------------------------------------------------
+    def _load(self, spec: QuerySpec, title: str) -> LoadedDataset:
+        result = self.session.query(spec)
+        dataset = LoadedDataset(
+            title=title,
+            offers=list(result.offers),
+            spec=spec,
+            scanned_rows=result.scanned_rows,
+            grid=self.grid,
+        )
+        self.history.append(dataset)
+        return dataset
+
     def load_entity(
         self,
         entity_id: int,
@@ -66,36 +86,20 @@ class LoadingWorkflow:
         interval_end: datetime | None = None,
     ) -> LoadedDataset:
         """Read the flex-offers of one legal entity within an absolute interval."""
-        known = {entity["entity_id"] for entity in self.available_entities()}
-        if entity_id not in known:
+        if entity_id not in self._entity_ids:
             raise ViewError(f"unknown legal entity {entity_id}")
-        result = self.repository.load_for_entity(entity_id, interval_start, interval_end)
         title = f"entity {entity_id}"
         if interval_start or interval_end:
             title += f" [{interval_start:%Y-%m-%d %H:%M} .. {interval_end:%Y-%m-%d %H:%M}]" if interval_start and interval_end else " (interval)"
-        dataset = LoadedDataset(
-            title=title,
-            offers=result.offers,
-            filter=result.filter,
-            scanned_rows=result.scanned_rows,
-            grid=self.grid,
+        spec = QuerySpec.build(
+            prosumer_ids=entity_id, interval_start=interval_start, interval_end=interval_end
         )
-        self.history.append(dataset)
-        return dataset
+        return self._load(spec, title)
 
     def load_filtered(self, query: FlexOfferFilter, title: str | None = None) -> LoadedDataset:
         """Read flex-offers matching an arbitrary attribute filter."""
-        result = self.repository.load(query)
-        dataset = LoadedDataset(
-            title=title or query.describe(),
-            offers=result.offers,
-            filter=query,
-            scanned_rows=result.scanned_rows,
-            grid=self.grid,
-        )
-        self.history.append(dataset)
-        return dataset
+        return self._load(QuerySpec.build(**vars(query)), title or query.describe())
 
     def load_all(self) -> LoadedDataset:
-        """Read every flex-offer in the warehouse."""
+        """Read every flex-offer the active engine holds."""
         return self.load_filtered(FlexOfferFilter(), title="all flex-offers")

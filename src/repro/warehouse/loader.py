@@ -19,6 +19,7 @@ from repro.warehouse.schema import StarSchema
 if TYPE_CHECKING:  # pragma: no cover - typing only (keeps the module
     # importable without numpy: datagen and timeseries are numpy-native,
     # while warehouse loading itself only walks their objects)
+    from repro.datagen.prosumers import Prosumer
     from repro.datagen.scenarios import Scenario
     from repro.timeseries.series import TimeSeries
 
@@ -87,6 +88,11 @@ def _load_grid_dimension(schema: StarSchema, scenario: Scenario) -> None:
         )
 
 
+def legal_entity_row(prosumer: "Prosumer") -> dict:
+    """The ``dim_legal_entity`` row of one prosumer (the loading tab's pick list)."""
+    return {"entity_id": prosumer.id, "name": prosumer.name, "kind": prosumer.type.value}
+
+
 def _load_prosumer_dimension(schema: StarSchema, scenario: Scenario) -> None:
     prosumer_table = schema.table("dim_prosumer")
     entity_table = schema.table("dim_legal_entity")
@@ -102,9 +108,7 @@ def _load_prosumer_dimension(schema: StarSchema, scenario: Scenario) -> None:
                 "grid_node": prosumer.grid_node,
             }
         )
-        entity_table.append(
-            {"entity_id": prosumer.id, "name": prosumer.name, "kind": prosumer.type.value}
-        )
+        entity_table.append(legal_entity_row(prosumer))
 
 
 def _load_type_dimensions(schema: StarSchema, scenario: Scenario) -> None:

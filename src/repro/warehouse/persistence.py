@@ -130,8 +130,7 @@ def load_schema(directory: str | Path) -> StarSchema:
     Loading is column-wise: the CSV rows are transposed once, each column is
     coerced with its single resolved parser and the result is installed in
     bulk (:meth:`~repro.warehouse.table.Table.install_columns`) — no per-row
-    dictionaries, no per-cell rule dispatch.  Restoring a checkpointed
-    warehouse is bounded by this path, so it matters.
+    dictionaries, no per-cell rule dispatch.
     """
     import csv as _csv
 

@@ -263,11 +263,10 @@ class Table:
         """Replace the table contents with whole columns (bulk-load fast path).
 
         Every declared column must be present and all columns equal-length.
-        The snapshot loaders use this to skip per-row dict building and index
+        The CSV loader uses this to skip per-row dict building and index
         upkeep entirely; indexes rebuild lazily on the next lookup.  A typed
-        column accepts a numpy array of the declared dtype directly (the
-        binary snapshot reader's zero-parse path); lists are adopted as
-        arrays when every cell fits, and kept as lists otherwise.
+        column's values are adopted as an array when every cell fits, and
+        kept as a list otherwise.
         """
         missing = [column for column in self.columns if column not in data]
         if missing:
@@ -282,18 +281,10 @@ class Table:
 
     def _adopt_column(self, column: str, values: Any) -> Any:
         """Typed-array backing when possible, a plain list otherwise."""
+        values = list(values)
         dtype = self.dtypes.get(column)
         if dtype is None or not numpy_enabled():
-            return values.tolist() if isinstance(values, ColumnArray) else list(values)
-        if isinstance(values, ColumnArray):
-            if values.dtype == dtype:
-                return ColumnArray(dtype, values.array)
-            return values.tolist()
-        if _np is not None and isinstance(values, _np.ndarray):
-            if str(values.dtype) == dtype:
-                return ColumnArray(dtype, values)
-            return list(values.tolist())
-        values = list(values)
+            return values
         if all(_fits(dtype, value) for value in values):
             return ColumnArray(dtype, _np.array(values, dtype=dtype))
         return values
@@ -450,17 +441,6 @@ class Table:
         if name not in self._data:
             raise UnknownColumnError(f"table {self.name!r} has no column {name!r}")
         return self._data[name]
-
-    def column_array(self, name: str) -> Any:
-        """The live numpy view of a typed column, or ``None`` if list-backed.
-
-        The binary snapshot writer uses this to dump raw column blocks
-        without a per-cell Python loop.
-        """
-        backing = self.column(name)
-        if isinstance(backing, ColumnArray):
-            return backing.array
-        return None
 
     def values(self, name: str) -> Iterator[Any]:
         """Iterate one column's live values (tombstoned rows skipped)."""

@@ -115,9 +115,9 @@ class TestCli:
         assert payload["rows"]
 
     def test_live_command(self, capsys):
-        assert main(["--prosumers", "15", "live", "--batch-size", "16", "--with-warehouse"]) == 0
+        assert main(["--prosumers", "15", "live", "--batch-size", "16"]) == 0
         out = capsys.readouterr().out
-        assert "commit latency" in out and "warehouse facts" in out
+        assert "commit latency" in out and "committed state" in out
 
     def test_live_command_rejects_negative_batch_size(self, capsys):
         assert main(["--prosumers", "15", "live", "--batch-size", "-1"]) == 2

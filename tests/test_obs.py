@@ -27,6 +27,7 @@ from repro.aggregation.kernel import (
 from repro.errors import ObservabilityError
 from repro.live.asynccommit import AsyncCommitEngine
 from repro.live.engine import LiveAggregationEngine, canonical_form
+from repro.live.events import OfferAdded
 from repro.live.replay import replay, scenario_event_stream
 from repro.obs.export import export_jsonl, read_jsonl_export, to_prometheus_text
 from repro.obs.metrics import COUNT_BUCKETS, LATENCY_BUCKETS, MetricsRegistry
@@ -355,6 +356,15 @@ def test_summary_reports_engine_depth_figures(scenario):
     assert summary["queue_depth"] == 0 and summary["dirty_cells"] == 0
     assert "dirty_shards" not in summary
     asynchronous.close()
+    # The backlog is reported as it stood when summary() was called, even
+    # though the row counts read the star schema with the backlog committed.
+    live = FlexSession(scenario, engine="live", live_preload=False)
+    offer = scenario.flex_offers[0]
+    live.ingest(OfferAdded(offer.creation_time, offer))
+    summary = live.summary()
+    assert summary["pending_events"] == 1 and summary["dirty_cells"] == 1
+    assert summary["offer_count"] == 1
+    live.close()
     batch = FlexSession(scenario, engine="batch")
     assert "queue_depth" not in batch.summary()
     batch.close()

@@ -22,7 +22,7 @@ from repro.datagen.scenarios import ScenarioConfig, generate_scenario
 from repro.errors import ReadPathError, SessionError
 from repro.live.events import OfferWithdrawn
 from repro.live.replay import scenario_event_stream
-from repro.readpath import SnapshotManager
+from repro.readpath import AggregateSnapshot, SnapshotManager
 from repro.session import FlexSession
 from repro.session.engines import BatchEngine
 from repro.session.query import execute
@@ -118,6 +118,38 @@ def test_query_modes_and_errors(small_scenario):
         session.use_engine("batch")
         with pytest.raises(SessionError):
             session.query(QuerySpec(), at_version=0)
+
+
+@pytest.mark.parametrize("engine", LIVE_ENGINES)
+def test_live_consistency_reads_a_fresh_capture_never_the_cache(
+    engine, small_scenario, monkeypatch
+):
+    """``consistency="live"`` flushes, captures a snapshot of the committed
+    engine state and reads it uncached — the reference the read path's
+    cache and delta-built snapshots are compared against."""
+    captures = []
+    original = AggregateSnapshot.capture.__func__
+
+    def capture(cls, *args, **kwargs):
+        captures.append(args)
+        return original(cls, *args, **kwargs)
+
+    with FlexSession(small_scenario, engine=engine) as session:
+        backend = session.engine
+        spec = QuerySpec.build(parameters=session.parameters)
+        cached = session.query(spec)
+        stats = backend.readpath.cache.stats()
+        monkeypatch.setattr(AggregateSnapshot, "capture", classmethod(capture))
+        first = session.query(spec, consistency="live")
+        second = session.query(spec, consistency="live")
+        assert len(captures) == 2
+        assert backend.readpath.cache.stats() == stats  # never probed or filled
+        assert first is not second and first is not cached
+        assert first.matches(cached) and second.matches(cached)
+        victim = backend.offers()[0]
+        session.ingest(OfferWithdrawn(victim.creation_time, victim.id))
+        fresh = session.query(QuerySpec(), consistency="live")
+        assert victim.id not in {o.id for o in fresh}
 
 
 def test_latest_consistency_does_not_flush_pending_writes(small_scenario):

@@ -9,7 +9,7 @@ from repro.app.cli import main as cli_main
 from repro.datagen.scenarios import ScenarioConfig, generate_scenario
 from repro.errors import SessionError
 from repro.flexoffer.model import FlexOfferState
-from repro.live.events import OfferWithdrawn
+from repro.live.events import OfferAdded, OfferWithdrawn
 from repro.session import VIEW_REGISTRY, OfferQuery, ResultSet
 from repro.session.spec import FRAME_COLUMNS
 from repro.views.framework import ViewKind, VisualAnalysisFramework
@@ -159,6 +159,58 @@ class TestEngines:
         session.ingest(OfferWithdrawn(victim.creation_time, victim.id))
         assert session.offers().count() == before - 1
         assert not session.repository.load_by_offer_ids([victim.id])
+
+    def test_live_reads_derive_the_star_schema_only_on_demand(self, monkeypatch):
+        """Live sessions keep one copy of their state, the snapshots: no read
+        but ``schema``/``repository`` loads a star schema, and that one is
+        cached per snapshot object (versions restart after a reset)."""
+        import repro.session.engines as engines
+        import repro.warehouse.loader as loader
+
+        loads = []
+
+        def counted(original):
+            def load(*args, **kwargs):
+                loads.append(args)
+                return original(*args, **kwargs)
+
+            return load
+
+        monkeypatch.setattr(engines, "load_scenario", counted(loader.load_scenario))
+        monkeypatch.setattr(loader, "load_scenario", counted(loader.load_scenario))
+        scenario = generate_scenario(ScenarioConfig(prosumer_count=20, seed=3))
+        session = FlexSession(scenario, engine="live")
+        assert not hasattr(session.engine, "warehouse")
+        framework = session.framework()
+        victim, survivor = session.engine.offers()[:2]
+        session.ingest(OfferWithdrawn(victim.creation_time, victim.id))
+        session.commit()
+        session.query(QuerySpec.build(state="assigned"))
+        session.query(QuerySpec.build(parameters=session.parameters))
+        session.query(QuerySpec(), consistency="live")
+        framework.loading.load_entity(survivor.prosumer_id)
+        assert loads == []
+
+        repository = session.repository
+        assert session.repository is repository and session.schema is repository.schema
+        assert len(loads) == 1
+        session.ingest(OfferWithdrawn(survivor.creation_time, survivor.id))
+        session.commit()
+        after_commit = session.repository
+        assert after_commit is not repository
+        assert not after_commit.load_by_offer_ids([survivor.id])
+        # A reset restarts the versions: the same version number must not
+        # hand back the schema derived before the reset.
+        version = session.engine.readpath.manager.latest_version
+        session.engine.reset()
+        session.ingest(OfferAdded(survivor.creation_time, survivor))
+        for _ in range(version):
+            session.commit()
+        assert session.engine.readpath.manager.latest_version == version
+        after_reset = session.repository
+        assert after_reset is not after_commit
+        assert [o.id for o in after_reset.load().offers] == [survivor.id]
+        session.close()
 
     def test_spec_subscription_sees_matching_changes_only(self):
         from dataclasses import replace

@@ -40,6 +40,7 @@ from repro.store import (
     capture_engine_state,
     restore_engine_state,
 )
+from repro.warehouse.persistence import save_schema
 
 STREAM_ENGINES = ("live", "async")
 
@@ -182,8 +183,8 @@ def test_checkpoint_naming_the_retired_sharded_engine_restores_on_live(tmp_path)
 
 
 def test_restore_after_tombstone_compacted_warehouse(tmp_path):
-    """Mass withdrawals tombstone + auto-compact the fact table; the
-    checkpointed warehouse stays equivalent through the CSV round trip."""
+    """Mass withdrawals, then a checkpoint: the restored session's derived
+    star schema holds exactly the surviving offers."""
     scenario = generate_scenario(ScenarioConfig(prosumer_count=100, seed=17))
     session = FlexSession(scenario, engine="live")
     fact = session.engine.schema.table("fact_flexoffer")
@@ -192,8 +193,9 @@ def test_restore_after_tombstone_compacted_warehouse(tmp_path):
     for victim in victims:
         session.ingest(OfferWithdrawn(victim.creation_time, victim.id))
     session.commit()
-    # Enough deletes crossed the auto-compaction threshold at least once.
-    assert fact.tombstone_count < len(victims)
+    # A derived schema is never written to: the withdrawals reach the
+    # snapshots, not the schema derived before them.
+    assert fact.tombstone_count == 0
     session.checkpoint(str(tmp_path))
     restored = FlexSession.restore(str(tmp_path))
     assert sorted(o.id for o in restored.engine.offers()) == sorted(
@@ -206,6 +208,47 @@ def test_restore_after_tombstone_compacted_warehouse(tmp_path):
     )
     RecoveryManager(tmp_path).verify(restored)
     session.close()
+    restored.close()
+
+
+@pytest.mark.parametrize(
+    "warehouse_format", (None, "csv", "columnar"), ids=("unrecorded", "csv", "columnar")
+)
+def test_checkpoint_with_retired_warehouse_section_restores(tmp_path, warehouse_format):
+    """Checkpoints from when the live engines mirrored a warehouse still restore.
+
+    The manifest is rewritten to that era's shape: ``has_warehouse`` plus,
+    once the format was recorded, ``warehouse_format``.  The ``csv`` section
+    is a real star schema; the ``columnar`` one is bytes no reader could
+    parse, which proves the section is never read.
+    """
+    ordered = _STREAMS[(0.25, 0.15)]
+    cut = int(len(ordered) * 0.6)
+    RecoveryManager(tmp_path, segment_size=64).record(ordered)
+    writer = FlexSession(_SCENARIO, engine="live", live_preload=False)
+    writer.replay(ordered[:cut])
+    checkpoint = writer.checkpoint(str(tmp_path))
+    section = tmp_path / checkpoint.manifest["data"] / "warehouse"
+    if warehouse_format == "columnar":
+        section.mkdir()
+        (section / "fact_flexoffer.fcb").write_bytes(b"\x00not a columnar table\xff")
+    else:
+        save_schema(writer.schema, section)
+    manifest_path = tmp_path / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest["has_warehouse"] = True
+    if warehouse_format is not None:
+        manifest["warehouse_format"] = warehouse_format
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    writer.replay(ordered[cut:])
+    population = sorted(o.id for o in writer.engine.offers())
+    state = _canonical_state(writer)
+    writer.close()
+
+    restored = FlexSession.restore(str(tmp_path))
+    RecoveryManager(tmp_path).verify(restored)
+    assert sorted(o.id for o in restored.engine.offers()) == population
+    assert _canonical_state(restored) == state
     restored.close()
 
 

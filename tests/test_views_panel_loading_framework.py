@@ -8,12 +8,13 @@ import pytest
 
 from repro.aggregation.parameters import AggregationParameters
 from repro.errors import ViewError
+from repro.live.events import OfferWithdrawn
+from repro.session import FlexSession
 from repro.views.aggregation_panel import AggregationPanel, AggregationPanelView
 from repro.views.framework import ViewKind, VisualAnalysisFramework
 from repro.views.loading import LoadingWorkflow
 from repro.views.selection import SelectionRectangle
-from repro.warehouse.loader import load_scenario
-from repro.warehouse.query import FlexOfferFilter, FlexOfferRepository
+from repro.warehouse.query import FlexOfferFilter
 
 
 class TestAggregationPanel:
@@ -70,8 +71,7 @@ class TestAggregationPanel:
 class TestLoadingWorkflow:
     @pytest.fixture(scope="class")
     def workflow(self, scenario):
-        schema = load_scenario(scenario)
-        return LoadingWorkflow(FlexOfferRepository(schema, scenario.grid), scenario.grid)
+        return LoadingWorkflow(FlexSession(scenario))
 
     def test_entities_listed(self, workflow, scenario):
         assert len(workflow.available_entities()) == len(scenario.prosumers)
@@ -109,6 +109,42 @@ class TestLoadingWorkflow:
 
     def test_warehouse_summary(self, workflow, scenario):
         assert workflow.warehouse_summary()["offer_count"] == len(scenario.flex_offers)
+
+
+class TestLoadingFollowsTheSession:
+    """The loading tab reads the session's active engine, never a stale copy."""
+
+    @staticmethod
+    def _entity_offers(scenario):
+        entity = max(scenario.prosumers, key=lambda p: len(scenario.offers_of_prosumer(p.id)))
+        return entity.id, scenario.offers_of_prosumer(entity.id)
+
+    @staticmethod
+    def _withdraw(session, offers):
+        for offer in offers:
+            session.ingest(OfferWithdrawn(offer.creation_time, offer.id))
+        session.commit()
+
+    def test_engine_swap_then_withdrawals(self, scenario):
+        session = FlexSession(scenario)
+        framework = session.framework()
+        entity, offers = self._entity_offers(scenario)
+        assert len(framework.loading.load_entity(entity)) == len(offers) > 0
+        session.use_engine("live")
+        self._withdraw(session, offers)
+        assert len(session.offers().where(prosumer_ids=(entity,)).fetch()) == 0
+        assert len(framework.loading.load_entity(entity)) == 0
+        session.close()
+
+    def test_replay_reset(self, scenario):
+        session = FlexSession(scenario, engine="live")
+        framework = session.framework()
+        entity, offers = self._entity_offers(scenario)
+        self._withdraw(session, offers)
+        assert len(framework.loading.load_entity(entity)) == 0
+        session.replay()  # the scenario stream again, from an emptied engine
+        assert len(framework.loading.load_entity(entity)) == len(offers)
+        session.close()
 
 
 class TestFramework:
