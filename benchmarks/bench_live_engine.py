@@ -365,19 +365,30 @@ def materialized_refresh(scenario, rounds: int = 9, fraction: float = 0.02) -> d
 
     A standing aggregated :class:`~repro.session.materialize.MaterializedView`
     rides a revise-and-commit workload: each round touches ``fraction`` of
-    the raw offers and commits once.  The per-commit maintenance cost comes
-    from the view's own ``maintenance_seconds`` clock (only the delta
-    application, not the engine commit around it); the comparator is a timed
-    ``view.refresh()`` — the from-scratch rebuild every dashboard redraw paid
-    before materialized views existed.  ``speedup`` is a same-process,
+    the raw offers and commits once.  The measured spec aggregates the whole
+    population at re-tuned parameters (``est_tolerance_slots + 1``), so the
+    view maintains it group by group; the engine's own aggregation would only
+    adopt the engine's committed outputs and measure nothing of the view.
+    The per-commit maintenance cost comes from the view's own
+    ``maintenance_seconds`` clock (only the delta application, not the
+    engine commit around it); the comparator is a timed ``view.refresh()``
+    — the from-scratch rebuild every dashboard redraw paid before
+    materialized views existed.  ``speedup`` is a same-process,
     machine-independent ratio the trajectory gate holds above an absolute
-    floor (>= 3x, the ISSUE acceptance criterion).
+    floor (>= 3x).  ``engine_own_apply_ms`` is the per-commit upkeep of a
+    second view over the engine's own aggregation, beside it on the same
+    commits (informational, not gated).
     """
     from repro.session import FlexSession, QuerySpec
 
     with FlexSession(scenario, engine="live") as session:
-        view = session.materialize(
-            QuerySpec.build(parameters=session.parameters), name="bench"
+        parameters = session.parameters
+        retuned = replace(
+            parameters, est_tolerance_slots=parameters.est_tolerance_slots + 1
+        )
+        view = session.materialize(QuerySpec.build(parameters=retuned), name="bench")
+        engine_own = session.materialize(
+            QuerySpec.build(parameters=parameters), name="engine-own"
         )
         population = {
             offer.id: offer
@@ -388,6 +399,7 @@ def materialized_refresh(scenario, rounds: int = 9, fraction: float = 0.02) -> d
         touched = max(1, int(len(ids) * fraction))
         rng = np.random.default_rng(17)
         apply_timings: list[float] = []
+        engine_own_timings: list[float] = []
         for _ in range(rounds):
             for position in rng.choice(len(ids), size=touched, replace=False):
                 current = population[ids[position]]
@@ -397,8 +409,10 @@ def materialized_refresh(scenario, rounds: int = 9, fraction: float = 0.02) -> d
                 population[revised.id] = revised
                 session.ingest(OfferUpdated(current.creation_time, revised))
             before = view.maintenance_seconds
+            engine_own_before = engine_own.maintenance_seconds
             session.commit()
             apply_timings.append(view.maintenance_seconds - before)
+            engine_own_timings.append(engine_own.maintenance_seconds - engine_own_before)
         refresh_timings: list[float] = []
         for _ in range(rounds):
             started = time.perf_counter()
@@ -415,6 +429,7 @@ def materialized_refresh(scenario, rounds: int = 9, fraction: float = 0.02) -> d
         "delta_apply_ms": round(delta_apply * 1000, 4),
         "full_refresh_ms": round(full_refresh * 1000, 4),
         "speedup": round(full_refresh / delta_apply, 1) if delta_apply else 0.0,
+        "engine_own_apply_ms": round(statistics.median(engine_own_timings) * 1000, 4),
     }
 
 
@@ -803,7 +818,8 @@ def main(argv=None) -> int:
         f"  materialized view: delta apply {materialized['delta_apply_ms']:.4f} ms vs "
         f"full refresh {materialized['full_refresh_ms']:.4f} ms "
         f"({materialized['speedup']:.1f}x, {materialized['touched_offers']} touched "
-        f"of {materialized['offer_count']})"
+        f"of {materialized['offer_count']}); engine-own view "
+        f"{materialized['engine_own_apply_ms']:.4f} ms per commit"
     )
     # The versioned-read-path storm: cached reads vs recomputation, reader
     # scaling, and the cache hit ratio under a region-confined writer.

@@ -10,9 +10,20 @@ profiles.  The cost of keeping a view current therefore tracks the commit's
 dirty membership — the paper's incremental-visualization claim — not the
 population size.
 
-Maintenance is driven by the same dirty bookkeeping the read path trusts
-(see :mod:`repro.readpath.cache`): a commit's ``dirty_cells`` name every
-grid cell whose membership changed, so the view re-reads exactly those
+A view whose spec *is* the engine's own aggregation (``QuerySpec(parameters=
+<the engine's parameters>)``: no filter, interval, ``only_aggregates`` or
+limit) keeps no rows or groups at all.  The engine has just aggregated
+exactly that, chunk by chunk, so the view serves the engine's committed
+outputs, provenance and ids — aggregating them a second time would only
+repeat work the commit already did.  Which of the two kinds a view is
+follows from its spec alone, decided again whenever the view re-bases on an
+engine (attach, :meth:`MaterializedView.refresh`, engine swap, replay
+reset) — the same test :meth:`AggregateSnapshot.aggregate
+<repro.readpath.snapshot.AggregateSnapshot.aggregate>` applies to queries.
+
+Every other spec is maintained from the same dirty bookkeeping the read path
+trusts (see :mod:`repro.readpath.cache`): a commit's ``dirty_cells`` name
+every grid cell whose membership changed, so the view re-reads exactly those
 cells' surviving members from the committed engine state, diffs them against
 its mirror, and re-aggregates only the spec-level groups whose membership
 moved.  Commits that touch none of the view's rows only advance its
@@ -29,7 +40,7 @@ The differential contract (``tests/test_materialize.py``): at every commit
 point, on every live-family engine, a materialized view's result is
 equivalent to a from-scratch ``session.query(spec)`` — raw ids exactly,
 aggregate profiles bit-for-bit modulo
-:func:`~repro.live.engine.canonical_form`.
+:func:`~repro.live.engine.canonical_form`, provenance per aggregate.
 """
 
 from __future__ import annotations
@@ -47,7 +58,7 @@ from repro.session.spec import QuerySpec, ResultSet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.flexoffer.model import FlexOffer
-    from repro.live.engine import CommitResult
+    from repro.live.engine import CommitResult, LiveAggregationEngine
     from repro.live.subscriptions import CommitNotification, Subscription
     from repro.session.engines import LiveEngine
 
@@ -97,6 +108,12 @@ class MaterializedView:
     not useful free-standing (it needs a live-family backend's hub and
     committed state to attach to).  Thread-safe: the async backend applies
     deltas on its worker thread while readers take :attr:`result` on theirs.
+
+    When the spec is the attached engine's own aggregation, :attr:`result`
+    holds the engine's committed output objects and ids (an unchanged chunk
+    keeps its object from commit to commit) and :attr:`last_delta` is the
+    commit's own changed/removed outputs; every other spec is maintained
+    from its own mirror of rows and spec-level groups.
     """
 
     def __init__(self, spec: QuerySpec, name: str, grid) -> None:
@@ -121,6 +138,10 @@ class MaterializedView:
         #: live engine, so an unchanged chunk keeps its output identity.
         self._chunk_ids: dict[tuple[GroupKey, int], int] = {}
         self._next_id = 1_000_000
+        #: Whether the spec is the attached engine's own aggregation (decided
+        #: at every reseed); such a view holds no mirror and serves the
+        #: engine's committed outputs.
+        self._follows_engine = False
         self._result: ResultSet | None = None
         self.version = 0
         self.last_delta: MaterializedDelta | None = None
@@ -195,8 +216,9 @@ class MaterializedView:
 
     @property
     def rows(self) -> int:
-        """Held matching rows (raw + passthrough, pre-limit)."""
-        return len(self._rows) + len(self._passthrough)
+        """Matching rows (raw + passthrough, pre-limit): the result's ``matched_rows``."""
+        result = self._result
+        return 0 if result is None else result.matched_rows
 
     @property
     def staleness(self) -> int:
@@ -263,9 +285,14 @@ class MaterializedView:
         with self._lock:
             self._rows.clear()
             self._cell_rows.clear()
+            self._passthrough = {}
             self._groups.clear()
             self._outputs.clear()
             self._constituents.clear()
+            self._follows_engine = spec == QuerySpec(parameters=state.parameters)
+            if self._follows_engine:
+                self._finish(state, state.commit_count, engine_name=backend.name)
+                return
             for cell in state.cells():
                 matching = [
                     offer
@@ -289,7 +316,7 @@ class MaterializedView:
                     ).add(offer.id)
                 for key in list(self._groups):
                     self._recompute_group(key)
-            self._finish(state.commit_count, engine_name=backend.name)
+            self._finish(state, state.commit_count, engine_name=backend.name)
 
     # ------------------------------------------------------------------
     # Delta maintenance (runs on whichever thread committed)
@@ -318,6 +345,8 @@ class MaterializedView:
         spec = self.spec
         grid = self.grid
         with self._lock:
+            if self._follows_engine:
+                return self._follow(commit, state, backend.name)
             changed_groups: set[GroupKey] = set()
             inserted: list[int] = []
             removed: list[int] = []
@@ -367,9 +396,7 @@ class MaterializedView:
                 self._passthrough = current
             if not (inserted or removed or passthrough_moved):
                 # Provably untouched: only the version moves (a cache carry).
-                self.version = commit.sequence
-                if self._result is not None:
-                    self._result.version = commit.sequence
+                self._carry(commit.sequence)
                 return False
             output_changed: list[int] = []
             output_removed: list[int] = []
@@ -391,13 +418,38 @@ class MaterializedView:
             else:
                 output_changed = inserted + pass_changed
                 output_removed = removed + pass_removed
-            self._finish(commit.sequence, engine_name=backend.name)
+            self._finish(state, commit.sequence, engine_name=backend.name)
             self.last_delta = MaterializedDelta(
                 version=commit.sequence,
                 changed_ids=tuple(output_changed),
                 removed_ids=tuple(output_removed),
             )
             return True
+
+    def _follow(
+        self, commit: "CommitResult", state: "LiveAggregationEngine", engine_name: str
+    ) -> bool:
+        """Adopt one commit of the engine-own spec: its outputs, not a re-aggregation."""
+        # Provenance can move without any output changing: a member's state
+        # change re-aggregates an equal aggregate, so ``commit.changed`` stays
+        # empty while the constituents differ.  Only a commit that applied no
+        # event and dirtied no cell leaves the committed state as it was.
+        if not (commit.events_applied or commit.dirty_cells):
+            self._carry(commit.sequence)
+            return False
+        self._finish(state, commit.sequence, engine_name=engine_name)
+        self.last_delta = MaterializedDelta(
+            version=commit.sequence,
+            changed_ids=commit.changed_ids,
+            removed_ids=commit.removed_ids,
+        )
+        return True
+
+    def _carry(self, version: int) -> None:
+        """Advance the version of a result the commit provably left alone."""
+        self.version = version
+        if self._result is not None:
+            self._result.version = version
 
     # ------------------------------------------------------------------
     # Group bookkeeping (aggregation specs without a limit)
@@ -468,8 +520,10 @@ class MaterializedView:
     # ------------------------------------------------------------------
     # Result assembly
     # ------------------------------------------------------------------
-    def _finish(self, version: int, engine_name: str) -> None:
-        """Rebuild the :class:`ResultSet` envelope from the mirror."""
+    def _finish(
+        self, state: "LiveAggregationEngine", version: int, engine_name: str
+    ) -> None:
+        """Rebuild the :class:`ResultSet` envelope from the mirror (or the engine)."""
         spec = self.spec
         passthrough = [self._passthrough[i] for i in sorted(self._passthrough)]
         selected = sorted(
@@ -477,7 +531,13 @@ class MaterializedView:
         )
         matched = len(selected)
         constituents: dict[int, list["FlexOffer"]] = {}
-        if spec.parameters is None:
+        if self._follows_engine:  # the mirror is empty: serve the engine's outputs
+            offers = state.aggregated_offers()
+            matched = len(state)
+            # A copy: the engine's map is live and its next commit mutates
+            # it, while readers on other threads hold this result.
+            constituents = dict(state.constituent_map())
+        elif spec.parameters is None:
             offers = selected[: spec.limit] if spec.limit is not None else selected
         elif spec.limit is not None:
             # Limit + aggregation: the cap is global over the sorted selection,

@@ -128,8 +128,11 @@ class MaterializedViewTab(ViewTab):
     :mod:`repro.session.materialize`), and :meth:`sync` diffs the view's
     current result against the tab's mirror *by object identity* — offers the
     deltas never touched are the same objects, so only aggregates that
-    actually changed come back for redraw.  ``self.offers`` is refreshed in
-    place, so the ordinary :meth:`ViewTab.view` renders the current state.
+    actually changed come back for redraw.  Over the engine's own
+    aggregation the view holds the engine's output objects, so a redraw is
+    exactly the chunks the engine re-aggregated.  ``self.offers`` is
+    refreshed in place, so the ordinary :meth:`ViewTab.view` renders the
+    current state, and the analyst's selection keeps every offer still shown.
     """
 
     #: The delta-maintained view this tab mirrors (None only transiently
@@ -153,8 +156,10 @@ class MaterializedViewTab(ViewTab):
         current_ids = {offer.id for offer in current}
         removed = [offer_id for offer_id in mirror if offer_id not in current_ids]
         if changed or removed:
+            selected = self.selection.selected_ids
             self.offers = list(current)
             self.selection = SelectionModel(self.offers)
+            self.selection.select(selected)  # drops the ids no longer shown
         return changed, removed
 
     @property

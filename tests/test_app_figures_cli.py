@@ -119,6 +119,19 @@ class TestCli:
         out = capsys.readouterr().out
         assert "commit latency" in out and "committed state" in out
 
+    @pytest.mark.parametrize("engine", ("live", "async"))
+    def test_views_materialized_command(self, capsys, engine):
+        argv = ["--prosumers", "30", "--seed", "5", "views", "--materialized"]
+        assert main([*argv, "--engine", engine]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        population = next(line for line in lines if line.startswith("final live offers"))
+        header = next(index for index, line in enumerate(lines) if line.startswith("view "))
+        # One row per view: name, version, rows, deltas, skipped, stale, ms, fresh.
+        rows = {line.split()[0]: line.split() for line in lines[header + 2 :]}
+        assert set(rows) >= {"all-aggregated", "assigned"}
+        assert all(fields[-1] == "ok" for fields in rows.values())
+        assert int(rows["all-aggregated"][2]) == int(population.split(":")[1])
+
     def test_live_command_rejects_negative_batch_size(self, capsys):
         assert main(["--prosumers", "15", "live", "--batch-size", "-1"]) == 2
         assert "--batch-size" in capsys.readouterr().err

@@ -26,7 +26,14 @@ from hypothesis import strategies as st
 
 from repro.datagen.scenarios import ScenarioConfig, generate_scenario
 from repro.errors import SessionError
-from repro.live.events import OfferAdded, OfferUpdated, OfferWithdrawn
+from repro.flexoffer.model import FlexOfferState
+from repro.live.engine import canonical_form
+from repro.live.events import (
+    OfferAdded,
+    OfferStateChanged,
+    OfferUpdated,
+    OfferWithdrawn,
+)
 from repro.live.replay import scenario_event_stream
 from repro.session import FlexSession, QuerySpec
 from tests.conftest import make_offer
@@ -46,6 +53,20 @@ def _mutated_events(scenario, seed: int = 5):
     return list(stream.replay_order())
 
 
+def _retuned(session: FlexSession):
+    """The session's parameters with a wider start-time tolerance."""
+    parameters = session.parameters
+    return replace(parameters, est_tolerance_slots=parameters.est_tolerance_slots + 1)
+
+
+def _group_specs(session: FlexSession) -> dict[str, QuerySpec]:
+    """Aggregation specs that are not the engine's own: maintained group by group."""
+    return {
+        "agg-region": QuerySpec.build(region="Capital", parameters=session.parameters),
+        "agg-retuned": QuerySpec.build(parameters=_retuned(session)),
+    }
+
+
 def _standing_specs(session: FlexSession) -> dict[str, QuerySpec]:
     return {
         "raw-region": QuerySpec.build(region="Capital"),
@@ -53,7 +74,24 @@ def _standing_specs(session: FlexSession) -> dict[str, QuerySpec]:
         "raw-limited": QuerySpec.build(state="assigned", limit=5),
         "aggregated": QuerySpec.build(parameters=session.parameters),
         "agg-limited": QuerySpec.build(parameters=session.parameters, limit=8),
+        **_group_specs(session),
     }
+
+
+def _by_id(offers) -> list:
+    return sorted(offers, key=lambda offer: offer.id)
+
+
+def _assert_same_provenance(held, expect, name: str) -> None:
+    """Each held aggregate's constituents ≡ those of its canonical twin in ``expect``."""
+    expected = {
+        canonical_form(offer): expect.constituents_of(offer.id)
+        for offer in expect.aggregates
+    }
+    for offer in held.aggregates:
+        assert _by_id(held.constituents_of(offer.id)) == _by_id(
+            expected[canonical_form(offer)]
+        ), f"view {name!r}: constituents of aggregate {offer.id} diverged"
 
 
 def _check_view(session: FlexSession, view) -> None:
@@ -63,6 +101,7 @@ def _check_view(session: FlexSession, view) -> None:
     assert expect.matches(held), (
         f"view {view.name!r} diverged from a from-scratch query at v{view.version}"
     )
+    _assert_same_provenance(held, expect, view.name)
     if view.spec.parameters is None:
         assert [o.id for o in held.offers] == [o.id for o in expect.offers], (
             f"view {view.name!r}: raw ids diverged"
@@ -104,6 +143,7 @@ def test_views_match_queries_at_every_commit_point(small_scenario, engine):
             assert oracle.matches(view.result), (
                 f"view {view.name!r} diverged from the batch oracle"
             )
+            _assert_same_provenance(view.result, oracle, view.name)
 
 
 def test_maintenance_is_delta_driven_not_recompute(small_scenario):
@@ -122,6 +162,87 @@ def test_maintenance_is_delta_driven_not_recompute(small_scenario):
         stats = view.stats()
         assert stats["staleness"] == 0
         assert view.result.scanned_rows == 0, "a maintained view never scans"
+
+
+# ----------------------------------------------------------------------
+# The engine-own spec: the view serves the engine's committed outputs
+# ----------------------------------------------------------------------
+def _assert_follows_engine(session: FlexSession, view) -> None:
+    """The view holds the state engine's own output objects and population."""
+    backend = session.engine
+    backend.refresh()
+    state = backend._state_engine
+    outputs = state.aggregated_offers()
+    held = view.result
+    assert len(held.offers) == len(outputs)
+    assert all(mine is theirs for mine, theirs in zip(held.offers, outputs)), (
+        "the engine-own view holds outputs the engine did not commit"
+    )
+    assert held.matched_rows == view.stats()["rows"] == len(state)
+    _check_view(session, view)
+
+
+@pytest.mark.parametrize("engine", LIVE_ENGINES)
+def test_engine_own_view_does_no_aggregation_of_its_own(
+    small_scenario, engine, monkeypatch
+):
+    """Stream, refresh, swap engines and replay: the view never aggregates."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the engine-own view aggregated a group itself")
+
+    monkeypatch.setattr("repro.session.materialize.aggregate_group", refuse)
+    other = next(name for name in LIVE_ENGINES if name != engine)
+    with FlexSession(small_scenario, engine=engine, live_preload=False) as session:
+        view = session.materialize(
+            QuerySpec.build(parameters=session.parameters), name="agg"
+        )
+        _assert_follows_engine(session, view)
+        for index, event in enumerate(_mutated_events(small_scenario), start=1):
+            session.ingest(event)
+            if index % 25 == 0:
+                session.commit()
+                _assert_follows_engine(session, view)
+        session.commit()
+        _assert_follows_engine(session, view)
+        view.refresh()
+        _assert_follows_engine(session, view)
+        for step, target in enumerate((other, engine)):
+            session.use_engine(target)
+            _assert_follows_engine(session, view)
+            fresh = make_offer(offer_id=990_001 + step, earliest_start=40)
+            session.ingest(OfferAdded(fresh.creation_time, fresh))
+            session.commit()
+            _assert_follows_engine(session, view)
+        session.replay(update_fraction=0.2, withdraw_fraction=0.1, engine=other)
+        _assert_follows_engine(session, view)
+        assert view.refreshes >= 2
+
+
+@pytest.mark.parametrize("engine", LIVE_ENGINES)
+def test_state_change_refreshes_engine_own_provenance(small_scenario, engine):
+    """A member's state change moves provenance though no output changes."""
+    with FlexSession(small_scenario, engine=engine) as session:
+        view = session.materialize(
+            QuerySpec.build(parameters=session.parameters), name="agg"
+        )
+        aggregate = view.result.aggregates[0]
+        member = view.result.constituents_of(aggregate.id)[0]
+        assert member.state is not FlexOfferState.REJECTED
+        session.ingest(
+            OfferStateChanged(
+                member.acceptance_deadline, member.id, FlexOfferState.REJECTED
+            )
+        )
+        session.commit()
+        # The engine re-aggregated the chunk into an equal aggregate, so the
+        # commit reports no changed output at all.
+        assert view.last_delta is not None and len(view.last_delta) == 0
+        states = {
+            offer.id: offer.state for offer in view.result.constituents_of(aggregate.id)
+        }
+        assert states[member.id] is FlexOfferState.REJECTED
+        _check_view(session, view)
 
 
 # ----------------------------------------------------------------------
@@ -149,6 +270,10 @@ def test_random_interleavings_keep_views_fresh(small_scenario, engine, ops):
         views = [
             session.materialize(QuerySpec.build(parameters=session.parameters), name="agg"),
             session.materialize(QuerySpec.build(prosumer_id=2), name="p2"),
+            *(
+                session.materialize(spec, name=name)
+                for name, spec in _group_specs(session).items()
+            ),
         ]
         population: dict[int, object] = {}
         order: list[int] = []

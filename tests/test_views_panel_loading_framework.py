@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from datetime import timedelta
 
 import pytest
 
 from repro.aggregation.parameters import AggregationParameters
 from repro.errors import ViewError
-from repro.live.events import OfferWithdrawn
+from repro.live.events import OfferUpdated, OfferWithdrawn
 from repro.session import FlexSession
 from repro.views.aggregation_panel import AggregationPanel, AggregationPanelView
 from repro.views.framework import ViewKind, VisualAnalysisFramework
@@ -145,6 +146,45 @@ class TestLoadingFollowsTheSession:
         session.replay()  # the scenario stream again, from an emptied engine
         assert len(framework.loading.load_entity(entity)) == len(offers)
         session.close()
+
+
+class TestMaterializedTabSelection:
+    """A materialized tab keeps the analyst's selection across commits."""
+
+    @pytest.fixture
+    def session(self, scenario):
+        with FlexSession(scenario, engine="live") as session:
+            yield session
+
+    @staticmethod
+    def _open(session):
+        tab = session.framework().open_materialized_tab(
+            session.offers().aggregate(session.parameters)
+        )
+        chosen, other, *_ = [offer for offer in tab.offers if offer.is_aggregate]
+        return tab, chosen, other
+
+    def test_unrelated_commit_keeps_the_selection(self, session):
+        tab, chosen, other = self._open(session)
+        tab.selection.select([chosen.id])
+        member = tab.source.result.constituents_of(other.id)[0]
+        revised = replace(member, price_per_kwh=member.price_per_kwh + 0.5)
+        session.ingest(OfferUpdated(member.creation_time, revised))
+        session.commit()
+        changed, removed = tab.sync()
+        assert other.id in {offer.id for offer in changed}
+        assert chosen.id not in {offer.id for offer in changed} | set(removed)
+        assert tab.selection.selected_ids == {chosen.id}
+
+    def test_withdrawal_drops_the_retired_aggregate(self, session):
+        tab, chosen, other = self._open(session)
+        tab.selection.select([chosen.id, other.id])
+        for member in tab.source.result.constituents_of(chosen.id):
+            session.ingest(OfferWithdrawn(member.assignment_deadline, member.id))
+        session.commit()
+        _, removed = tab.sync()
+        assert chosen.id in removed
+        assert tab.selection.selected_ids == {other.id}
 
 
 class TestFramework:
