@@ -8,10 +8,10 @@ Run with::
 The script registers two standing specs over a live session — a raw regional
 selection and a full aggregation — then streams a mutated/withdrawn event
 stream through the engine and shows that the views stay current without a
-single re-query: per-commit maintenance touches only the dirty cells, commits
-that never intersect a view cost it a version bump, and the result is
-bit-identical to a from-scratch ``session.query(spec)`` at any point you
-care to check.  The finale opens a dashboard tab over one view and shows
+single re-query: per-commit maintenance tests only the offers the commit
+touched, commits that never intersect a view cost it a version bump, and
+the result is bit-identical to a from-scratch ``session.query(spec)`` at any
+point you care to check.  The finale opens a dashboard tab over one view and shows
 the identity-diff redraw: after a commit that touched one aggregate, the
 tab's ``sync()`` reports exactly the changed offers, nothing else.
 """

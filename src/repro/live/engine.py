@@ -146,6 +146,12 @@ class CommitResult:
     chunks_reaggregated: int = 0
     #: Chunks in dirty cells reused untouched (the chunk ledger's savings).
     chunks_skipped: int = 0
+    #: Every offer id an event named since the previous commit, mapped to the
+    #: offer's committed version, or to ``None`` once it is no longer live
+    #: (passthrough aggregates included).  Readers derive their whole delta
+    #: from this one map: an answer can only change if it held a touched id
+    #: or a touched offer now matches it.
+    touched: dict[int, FlexOffer | None] = field(default_factory=dict)
 
     @property
     def changed_ids(self) -> tuple[int, ...]:
@@ -205,6 +211,9 @@ class LiveAggregationEngine:
         self._dirty: dict[GroupKey, _CellDirt] = {}
         self._dirty_passthrough: set[int] = set()
         self._removed_passthrough: dict[int, FlexOffer] = {}
+        #: Ids the events applied since the last commit named (the source of
+        #: :attr:`CommitResult.touched`).
+        self._named: set[int] = set()
         #: Committed aggregation output per cell.
         self._outputs: dict[GroupKey, list[FlexOffer]] = {}
         self._constituents: dict[int, list[FlexOffer]] = {}
@@ -216,12 +225,14 @@ class LiveAggregationEngine:
         self._pending_events = 0
         self._commit_count = 0
         #: Called with every :class:`CommitResult` right after the commit is
-        #: final (sequence assigned, hub notified) and *before* control
-        #: returns to the committer — on whatever thread committed.  This is
-        #: the one hook that sees every commit path: session ingest/commit,
-        #: direct replay-driven commits, and the async worker's background
-        #: commits.  The session backends hang snapshot publication and
-        #: cumulative chunk accounting here (see :mod:`repro.readpath`).
+        #: final (sequence assigned) and *before* the hub is notified — on
+        #: whatever thread committed.  This is the one hook that sees every
+        #: commit path: session ingest/commit, direct replay-driven commits,
+        #: and the async worker's background commits.  The session backends
+        #: hang snapshot publication and cumulative chunk accounting here
+        #: (see :mod:`repro.readpath`), so a subscriber already reads the
+        #: commit it is notified of, and a subscriber that raises cannot
+        #: keep the read path from seeing it.
         self.commit_listener: "Callable[[CommitResult], None] | None" = None
 
     # ------------------------------------------------------------------
@@ -313,15 +324,20 @@ class LiveAggregationEngine:
     def apply(self, event: OfferEvent) -> CommitResult | None:
         """Apply one event; returns a commit result when micro-batching fired."""
         if isinstance(event, OfferAdded):
-            self._insert(event.offer)
+            handle, argument = self._insert, event.offer
         elif isinstance(event, OfferUpdated):
-            self._update(event.offer)
+            handle, argument = self._update, event.offer
         elif isinstance(event, OfferWithdrawn):
-            self._remove(event.offer_id)
+            handle, argument = self._remove, event.offer_id
         elif isinstance(event, OfferStateChanged):
-            self._change_state(event)
+            handle, argument = self._change_state, event
         else:
             raise LiveEngineError(f"unknown event type {type(event).__name__}")
+        # Named before the handler runs, so an event that fails half-way is
+        # still reported; naming an unchanged offer only costs a reader a
+        # conservative invalidation.
+        self._named.add(event.subject_id)
+        handle(argument)
         self._pending_events += 1
         if self.micro_batch_size and self._pending_events >= self.micro_batch_size:
             return self.commit()
@@ -449,6 +465,12 @@ class LiveAggregationEngine:
             # drop it.
             changed_ids = {offer.id for offer in changed}
             removed = [offer for offer in removed if offer.id not in changed_ids]
+            offers, passthrough = self._offers, self._passthrough
+            touched = {
+                offer_id: offers.get(offer_id) or passthrough.get(offer_id)
+                for offer_id in self._named
+            }
+            self._named.clear()
             self._commit_count += 1
             result = CommitResult(
                 sequence=self._commit_count,
@@ -459,7 +481,14 @@ class LiveAggregationEngine:
                 elapsed_seconds=time.perf_counter() - started,
                 chunks_reaggregated=stats.reaggregated,
                 chunks_skipped=stats.skipped,
+                touched=touched,
             )
+            # Inside the commit span on purpose: the listener is the read
+            # path's snapshot publication + cache advance, causally part of
+            # this commit — its spans belong in this trace.  It runs before
+            # the hub, so subscribers read the commit they are told about.
+            if self.commit_listener is not None:
+                self.commit_listener(result)
             if self.hub is not None:
                 if _OBS.enabled:
                     publish_started = time.perf_counter()
@@ -468,11 +497,6 @@ class LiveAggregationEngine:
                     _PUBLISH_SECONDS.observe(time.perf_counter() - publish_started)
                 else:
                     self.hub.publish(result)
-            # Inside the commit span on purpose: the listener is the read
-            # path's snapshot publication + cache advance, causally part of
-            # this commit — its spans belong in this trace.
-            if self.commit_listener is not None:
-                self.commit_listener(result)
         if _OBS.enabled:
             _COMMITS.inc()
             _COMMIT_SECONDS.observe(time.perf_counter() - started)

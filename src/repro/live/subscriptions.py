@@ -2,16 +2,17 @@
 
 After every :meth:`~repro.live.engine.LiveAggregationEngine.commit`, the
 :class:`SubscriptionHub` fans the commit result out to registered listeners.
-A subscription can narrow its interest to grid cells or regions so a view
-showing one region is only woken when one of *its* aggregates changed — the
-push-based counterpart of the tool's "reload the warehouse and redraw"
-workflow.
+A subscription narrows its interest with a predicate over output offers, so
+a view showing one region is only woken when one of *its* aggregates changed
+— the push-based counterpart of the tool's "reload the warehouse and redraw"
+workflow.  The hub runs after the engine's commit listener (the read path),
+so a listener always reads the commit it is notified of.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.errors import LiveEngineError
 from repro.flexoffer.model import FlexOffer
@@ -44,17 +45,14 @@ Listener = Callable[[CommitNotification], None]
 class Subscription:
     """One registered listener with its interest filter.
 
-    Interest is the conjunction of the built-in region/aggregate filters and
-    the optional ``predicate`` — the hook the session layer uses to subscribe
-    arbitrary ``QuerySpec`` predicates without duplicating the mirror
-    bookkeeping below.
+    Interest is the optional ``predicate`` over output offers — the hook the
+    session layer uses to subscribe arbitrary ``QuerySpec`` predicates
+    without duplicating the mirror bookkeeping below.
     """
 
     name: str
     listener: Listener
-    regions: frozenset[str] | None = None
-    only_aggregates: bool = False
-    #: Extra interest predicate over the output offer (``None`` = no-op).
+    #: Interest predicate over the output offer (``None`` = every offer).
     predicate: Callable[[FlexOffer], bool] | None = None
     #: Deliver empty notifications too (heartbeat listeners want every commit).
     deliver_empty: bool = False
@@ -64,13 +62,7 @@ class Subscription:
     mirrored: set[int] = field(default_factory=set, repr=False)
 
     def _interested(self, offer: FlexOffer) -> bool:
-        if self.only_aggregates and not offer.is_aggregate:
-            return False
-        if self.regions is not None and offer.region not in self.regions:
-            return False
-        if self.predicate is not None and not self.predicate(offer):
-            return False
-        return True
+        return self.predicate is None or self.predicate(offer)
 
     def slice_of(self, commit: CommitResult) -> CommitNotification:
         """The commit narrowed to this subscription's interest.
@@ -109,8 +101,6 @@ class SubscriptionHub:
         self,
         listener: Listener,
         name: str = "",
-        regions: Iterable[str] | None = None,
-        only_aggregates: bool = False,
         predicate: Callable[[FlexOffer], bool] | None = None,
         deliver_empty: bool = False,
     ) -> Subscription:
@@ -120,8 +110,6 @@ class SubscriptionHub:
         subscription = Subscription(
             name=name or f"subscription-{len(self._subscriptions) + 1}",
             listener=listener,
-            regions=frozenset(regions) if regions is not None else None,
-            only_aggregates=only_aggregates,
             predicate=predicate,
             deliver_empty=deliver_empty,
         )
@@ -154,16 +142,29 @@ class SubscriptionHub:
         return subscription
 
     def publish(self, commit: CommitResult) -> int:
-        """Notify interested listeners of one commit; returns how many were."""
+        """Notify interested listeners of one commit; returns how many were.
+
+        A listener that raises does not silence the ones after it: every
+        subscription is notified first, then the first error re-raises to
+        the committer.  The commit itself is final and already readable by
+        then (the engine runs its commit listener before the hub).
+        """
         self.published_commits += 1
         notified = 0
+        error: Exception | None = None
         for subscription in list(self._subscriptions):
             notification = subscription.slice_of(commit)
             if len(notification) == 0 and not subscription.deliver_empty:
                 continue
-            subscription.listener(notification)
+            try:
+                subscription.listener(notification)
+            except Exception as exc:  # re-raised once every listener ran
+                error = error or exc
+                continue
             subscription.notified += 1
             notified += 1
+        if error is not None:
+            raise error
         return notified
 
 

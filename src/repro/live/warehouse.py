@@ -134,26 +134,6 @@ class LiveWarehouse:
                     "energy_type": offer.energy_type,
                 }
             )
-        if offer.district and offer.district not in self._geo_ids:
-            # An unseen district would otherwise store geo_id=0 and silently
-            # drop out of every region/city/district-filtered query.
-            geography = self.schema.table("dim_geography")
-            geo_id = max(self._geo_ids.values(), default=0) + 1
-            self._geo_ids[offer.district] = geo_id
-            geography.append(
-                {
-                    "geo_id": geo_id,
-                    "district": offer.district,
-                    "city": offer.city,
-                    "region": offer.region,
-                    "country": "",
-                    "latitude": 0.0,
-                    "longitude": 0.0,
-                }
-            )
-            # The repository caches the geo lookup; a new row invalidates it.
-            if hasattr(self.repository, "_geo_cache"):
-                del self.repository._geo_cache
 
     def upsert_offer(self, offer: FlexOffer) -> None:
         """Insert or replace one raw offer's fact and slice rows.

@@ -5,11 +5,12 @@ commit publishes an immutable :class:`AggregateSnapshot` (version = the
 commit sequence, structure shared with the previous version where the commit
 skipped), a :class:`SnapshotManager` retains a bounded, pinnable ring of
 them, and a :class:`ResultCache` memoizes ``ResultSet``s keyed on frozen
-spec + version with invalidation driven by the commits' own dirty-cell
-bookkeeping.  ``FlexSession.query()`` routes through the latest snapshot by
-default, making reads lock-free while the live and async engines commit
-underneath; :mod:`repro.readpath.checker` proves it — recorded concurrent
-histories are verified for atomicity (no torn commits) and monotonic reads.
+spec + version with offer-exact invalidation driven by the offers each
+commit names (``CommitResult.touched``).  ``FlexSession.query()`` routes
+through the latest snapshot by default, making reads lock-free while the
+live and async engines commit underneath; :mod:`repro.readpath.checker`
+proves it — recorded concurrent histories are verified for atomicity (no
+torn commits) and monotonic reads.
 """
 
 from repro.readpath.cache import ResultCache

@@ -5,20 +5,19 @@ valid for exactly one snapshot version at a time.  On every published commit
 the cache *advances*: entries provably untouched by the commit are carried to
 the new version (they stay hits), everything else is invalidated.
 
-Invalidation is driven by the same dirty bookkeeping the engines already
-maintain — no second change-tracking system:
+Invalidation reads the one delta every commit carries,
+:attr:`~repro.live.engine.CommitResult.touched` — each offer id an event
+named, mapped to its committed version (``None`` once withdrawn).  The rule
+is offer-exact: an entry is dropped if and only if
 
-* a commit's ``dirty_cells`` name every grid cell whose membership or
-  content changed; an entry whose matched ids intersect the *previous*
-  members of a dirty cell saw an offer change or leave;
-* a *new* member of a dirty cell that matches the entry's spec means an
-  offer entered the entry's result;
-* changed/removed passthrough aggregates are checked the same two ways.
+* it held a touched id (the offer changed or left), or
+* a touched offer's committed version matches its spec (an offer entered).
 
-Anything else cannot alter the entry's selection, and aggregation is a
-deterministic function of the selection — so carrying the entry is sound.
-An entry over untouched cells therefore survives arbitrarily many commits as
-a cache hit, which is what makes the concurrent read path pay off.
+No other offer changed, so the entry's selection is the same set of the same
+offers, and a result is a deterministic function of its selection — carrying
+the entry is sound.  An entry whose offers no event named therefore survives
+arbitrarily many commits as a cache hit, which is what makes the concurrent
+read path pay off.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ class _CacheEntry:
         self.version = version
         self.result = result
         #: Ids the spec matched (pre-limit, passthroughs included) — the
-        #: entry's read set, intersected against commit dirt on advance.
+        #: entry's read set, intersected with each commit's touched ids.
         self.ids = ids
 
 
@@ -139,62 +138,37 @@ class ResultCache:
             self._version = version
             _CACHE_ENTRIES.set(0)
 
-    def advance(
-        self,
-        previous: "AggregateSnapshot",
-        snapshot: "AggregateSnapshot",
-        result: "CommitResult",
-    ) -> None:
-        """Move to ``snapshot.version``: carry untouched entries, drop the rest."""
+    def advance(self, snapshot: "AggregateSnapshot", result: "CommitResult") -> None:
+        """Move to ``snapshot.version``: carry untouched entries, drop the rest.
+
+        ``result`` is the commit that produced ``snapshot``; its ``touched``
+        map decides every entry with the offer-exact rule above.
+        """
         if not _OBS.enabled:
-            self._advance(previous, snapshot, result)
+            self._advance(snapshot, result)
             return
         started = time.perf_counter()
         with _TRACER.span("readpath.cache.advance"):
-            scanned = self._advance(previous, snapshot, result)
+            scanned = self._advance(snapshot, result)
         _CACHE_ADVANCE_SECONDS.observe(time.perf_counter() - started)
         _CACHE_ADVANCE_SCANNED.observe(scanned)
 
-    def _advance(
-        self,
-        previous: "AggregateSnapshot",
-        snapshot: "AggregateSnapshot",
-        result: "CommitResult",
-    ) -> int:
+    def _advance(self, snapshot: "AggregateSnapshot", result: "CommitResult") -> int:
         """The scan itself; returns how many entries it examined."""
         with self._lock:
             self._version = snapshot.version
             if not self._entries:
                 return 0
             scanned = len(self._entries)
-            dirty_prev_ids: set[int] = set()
-            dirty_new: list = []
-            for cell in result.dirty_cells:
-                for offer in previous.offers_by_cell.get(cell, ()):
-                    dirty_prev_ids.add(offer.id)
-                dirty_new.extend(snapshot.offers_by_cell.get(cell, ()))
-            passthrough_changed = [
-                offer for offer in result.changed if offer.id in snapshot.passthrough
-            ]
-            passthrough_removed_ids = [
-                offer.id for offer in result.removed if offer.id in previous.passthrough
-            ]
+            touched = result.touched.keys()
+            live = [offer for offer in result.touched.values() if offer is not None]
             grid = snapshot.grid
             survivors: "OrderedDict[QuerySpec, _CacheEntry]" = OrderedDict()
             dropped = 0
             for spec, entry in self._entries.items():
-                invalid = (
-                    not dirty_prev_ids.isdisjoint(entry.ids)
-                    or any(spec.matches(offer, grid) for offer in dirty_new)
-                    or any(
-                        offer.id in entry.ids or spec.matches(offer, grid)
-                        for offer in passthrough_changed
-                    )
-                    or any(
-                        offer_id in entry.ids for offer_id in passthrough_removed_ids
-                    )
-                )
-                if invalid:
+                if not touched.isdisjoint(entry.ids) or any(
+                    spec.matches(offer, grid) for offer in live
+                ):
                     dropped += 1
                     continue
                 entry.version = snapshot.version

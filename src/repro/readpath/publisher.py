@@ -84,7 +84,7 @@ class ReadPath:
         else:
             snapshot = AggregateSnapshot.advance(previous, engine, result)
             self.manager.publish(snapshot)
-            self.cache.advance(previous, snapshot, result)
+            self.cache.advance(snapshot, result)
         if recording:
             _SNAPSHOT_BUILD_SECONDS.observe(time.perf_counter() - started)
         _SNAPSHOT_VERSION.set(snapshot.version)

@@ -307,8 +307,8 @@ class SnapshotReader:
 
     Satisfies the three calls :func:`repro.session.query.execute` makes —
     ``select``, ``aggregate``, ``name`` — and records the matched offer ids
-    on the way through, which is exactly what the result cache needs to know
-    for dirty-driven invalidation.  One instance per query, so recording is
+    on the way through, which is exactly what the result cache tests each
+    commit's touched ids against.  One instance per query, so recording is
     thread-safe without locks.
     """
 

@@ -2,12 +2,11 @@
 
 ``session.materialize(spec, name=...)`` registers a spec whose result the
 session keeps *fresh* instead of re-running it: the view subscribes to the
-live backend's :class:`~repro.live.subscriptions.SubscriptionHub` (the same
-spec-filtered subscription ``session.subscribe`` uses, with
+live backend's :class:`~repro.live.subscriptions.SubscriptionHub` (with
 ``deliver_empty=True`` so no commit can slip past unnoticed) and applies each
 commit's insert/update/withdraw deltas to its held rows and aggregate
-profiles.  The cost of keeping a view current therefore tracks the commit's
-dirty membership — the paper's incremental-visualization claim — not the
+profiles.  The cost of keeping a view current therefore tracks the offers
+the commit touched — the paper's incremental-visualization claim — not the
 population size.
 
 A view whose spec *is* the engine's own aggregation (``QuerySpec(parameters=
@@ -21,13 +20,17 @@ engine (attach, :meth:`MaterializedView.refresh`, engine swap, replay
 reset) — the same test :meth:`AggregateSnapshot.aggregate
 <repro.readpath.snapshot.AggregateSnapshot.aggregate>` applies to queries.
 
-Every other spec is maintained from the same dirty bookkeeping the read path
-trusts (see :mod:`repro.readpath.cache`): a commit's ``dirty_cells`` name
-every grid cell whose membership changed, so the view re-reads exactly those
-cells' surviving members from the committed engine state, diffs them against
-its mirror, and re-aggregates only the spec-level groups whose membership
-moved.  Commits that touch none of the view's rows only advance its
-``version`` — the analogue of a cache carry.
+Every other spec is maintained from the one delta the read path trusts too
+(see :mod:`repro.readpath.cache`): a commit's
+:attr:`~repro.live.engine.CommitResult.touched` map names each offer an event
+touched, with its committed version (``None`` once withdrawn).  A view row
+is affected if and only if it held a touched id or a touched offer now
+matches the spec, so the view tests exactly those offers against its held
+rows and re-aggregates only the spec-level groups whose membership moved.
+Passthrough aggregates are rows like any other; they join no group and
+follow the group outputs in id order, the batch pipeline's layout.  Commits
+that touch none of the view's rows only advance its ``version`` — the
+analogue of a cache carry.
 
 Version stamping is consistent with the read path: an applied commit stamps
 the view (and its :class:`~repro.session.spec.ResultSet`) with the commit's
@@ -113,7 +116,8 @@ class MaterializedView:
     holds the engine's committed output objects and ids (an unchanged chunk
     keeps its object from commit to commit) and :attr:`last_delta` is the
     commit's own changed/removed outputs; every other spec is maintained
-    from its own mirror of rows and spec-level groups.
+    from its own mirror of rows and spec-level groups, updated from each
+    commit's ``touched`` offers alone.
     """
 
     def __init__(self, spec: QuerySpec, name: str, grid) -> None:
@@ -123,14 +127,11 @@ class MaterializedView:
         self._lock = threading.Lock()
         self._backend: "LiveEngine | None" = None
         self._subscription: "Subscription | None" = None
-        #: Matching raw rows by id — the view's held selection (pre-limit).
+        #: Matching rows by id, passthrough aggregates included — the view's
+        #: held selection (pre-limit).
         self._rows: dict[int, "FlexOffer"] = {}
-        #: Matching row ids per engine grid cell (the delta-application index).
-        self._cell_rows: dict[Any, set[int]] = {}
-        #: Matching passthrough aggregates by id (reconciled wholesale; tiny).
-        self._passthrough: dict[int, "FlexOffer"] = {}
-        #: For aggregation specs: matching row ids per *spec* group key, the
-        #: committed output offers per group and their provenance.
+        #: For aggregation specs: matching raw row ids per *spec* group key,
+        #: the committed output offers per group and their provenance.
         self._groups: dict[GroupKey, set[int]] = {}
         self._outputs: dict[GroupKey, list["FlexOffer"]] = {}
         self._constituents: dict[GroupKey, dict[int, list["FlexOffer"]]] = {}
@@ -186,13 +187,10 @@ class MaterializedView:
 
     def _wire(self, backend: "LiveEngine") -> None:
         self._backend = backend
-        grid = self.grid
-        spec = self.spec
+        # No predicate: the view reads the commit's touched offers, never the
+        # hub's slice, and every commit must move its version.
         self._subscription = backend.hub.subscribe(
-            self._on_commit,
-            name=f"materialize:{self.name}",
-            predicate=lambda offer: spec.matches(offer, grid),
-            deliver_empty=True,
+            self._on_commit, name=f"materialize:{self.name}", deliver_empty=True
         )
         self._reseed()
 
@@ -284,8 +282,6 @@ class MaterializedView:
         grid = self.grid
         with self._lock:
             self._rows.clear()
-            self._cell_rows.clear()
-            self._passthrough = {}
             self._groups.clear()
             self._outputs.clear()
             self._constituents.clear()
@@ -293,29 +289,14 @@ class MaterializedView:
             if self._follows_engine:
                 self._finish(state, state.commit_count, engine_name=backend.name)
                 return
-            for cell in state.cells():
-                matching = [
-                    offer
-                    for offer in state.cell_members(cell)
-                    if spec.matches(offer, grid)
-                ]
-                if not matching:
-                    continue
-                self._cell_rows[cell] = {offer.id for offer in matching}
-                for offer in matching:
+            for offer in state.offers():
+                if spec.matches(offer, grid):
                     self._rows[offer.id] = offer
-            self._passthrough = {
-                offer.id: offer
-                for offer in state.passthrough_offers()
-                if spec.matches(offer, grid)
-            }
-            if self._maintains_groups():
-                for offer in self._rows.values():
-                    self._groups.setdefault(
-                        group_key(offer, spec.parameters), set()
-                    ).add(offer.id)
-                for key in list(self._groups):
-                    self._recompute_group(key)
+                    key = self._group_of(offer)
+                    if key is not None:
+                        self._groups.setdefault(key, set()).add(offer.id)
+            for key in list(self._groups):
+                self._recompute_group(key)
             self._finish(state, state.commit_count, engine_name=backend.name)
 
     # ------------------------------------------------------------------
@@ -337,7 +318,7 @@ class MaterializedView:
             _STALENESS.set(self.staleness)
 
     def _apply(self, commit: "CommitResult") -> bool:
-        """Apply one commit's deltas to the held rows; returns whether any row moved."""
+        """Apply one commit's touched offers to the held rows; returns whether any moved."""
         backend = self._backend
         if backend is None:  # a racing detach; nothing to maintain
             return False
@@ -347,82 +328,53 @@ class MaterializedView:
         with self._lock:
             if self._follows_engine:
                 return self._follow(commit, state, backend.name)
+            rows = self._rows
+            groups = self._groups
             changed_groups: set[GroupKey] = set()
-            inserted: list[int] = []
+            changed: list[int] = []
             removed: list[int] = []
-            for cell in commit.dirty_cells:
-                old_ids = self._cell_rows.pop(cell, set())
-                matching = {
-                    offer.id: offer
-                    for offer in state.cell_members(cell)
-                    if spec.matches(offer, grid)
-                }
-                if matching:
-                    self._cell_rows[cell] = set(matching)
-                for offer_id in old_ids - matching.keys():
-                    old = self._rows.pop(offer_id)
+            for offer_id, offer in commit.touched.items():
+                if offer is not None and not spec.matches(offer, grid):
+                    offer = None
+                old = rows.get(offer_id)
+                if old is offer:
+                    continue  # outside the spec before and after, or unchanged
+                old_key = self._group_of(old)
+                new_key = self._group_of(offer)
+                if old_key is not None:
+                    groups[old_key].discard(offer_id)
+                    changed_groups.add(old_key)
+                if offer is None:
+                    del rows[offer_id]
+                else:
+                    rows[offer_id] = offer
+                if new_key is not None:
+                    groups.setdefault(new_key, set()).add(offer_id)
+                    changed_groups.add(new_key)
+                # A row without a group is an output itself.
+                if offer is not None and new_key is None:
+                    changed.append(offer_id)
+                elif old is not None and old_key is None:
                     removed.append(offer_id)
-                    self._drop_from_group(old)
-                    changed_groups.update(self._group_of(old))
-                for offer_id, offer in matching.items():
-                    old = self._rows.get(offer_id)
-                    if old is offer:
-                        continue  # untouched member of a dirty cell
-                    self._rows[offer_id] = offer
-                    inserted.append(offer_id)
-                    if old is not None:
-                        self._drop_from_group(old)
-                        changed_groups.update(self._group_of(old))
-                    self._add_to_group(offer)
-                    changed_groups.update(self._group_of(offer))
-            # Passthrough aggregates carry no cell structure: reconcile the
-            # (tiny) population wholesale, exactly like the snapshot builder.
-            current = {
-                offer.id: offer
-                for offer in state.passthrough_offers()
-                if spec.matches(offer, grid)
-            }
-            passthrough_moved = current.keys() != self._passthrough.keys() or any(
-                current[offer_id] is not self._passthrough[offer_id]
-                for offer_id in current
-            )
-            pass_removed = [i for i in self._passthrough if i not in current]
-            pass_changed = [
-                i
-                for i, offer in current.items()
-                if self._passthrough.get(i) is not offer
-            ]
-            if passthrough_moved:
-                self._passthrough = current
-            if not (inserted or removed or passthrough_moved):
+            if not (changed_groups or changed or removed):
                 # Provably untouched: only the version moves (a cache carry).
                 self._carry(commit.sequence)
                 return False
-            output_changed: list[int] = []
-            output_removed: list[int] = []
-            if self._maintains_groups():
-                for key in changed_groups:
-                    old_out, new_out = self._recompute_group(key)
-                    new_by_id = {offer.id: offer for offer in new_out}
-                    for offer in old_out:
-                        if offer.id not in new_by_id:
-                            output_removed.append(offer.id)
-                    for offer_id, offer in new_by_id.items():
-                        previous = next(
-                            (o for o in old_out if o.id == offer_id), None
-                        )
-                        if previous is None or previous != offer:
-                            output_changed.append(offer_id)
-                output_changed.extend(pass_changed)
-                output_removed.extend(pass_removed)
-            else:
-                output_changed = inserted + pass_changed
-                output_removed = removed + pass_removed
+            for key in changed_groups:
+                old_out, new_out = self._recompute_group(key)
+                new_by_id = {offer.id: offer for offer in new_out}
+                for offer in old_out:
+                    if offer.id not in new_by_id:
+                        removed.append(offer.id)
+                old_by_id = {offer.id: offer for offer in old_out}
+                for offer_id, offer in new_by_id.items():
+                    if old_by_id.get(offer_id) != offer:
+                        changed.append(offer_id)
             self._finish(state, commit.sequence, engine_name=backend.name)
             self.last_delta = MaterializedDelta(
                 version=commit.sequence,
-                changed_ids=tuple(output_changed),
-                removed_ids=tuple(output_removed),
+                changed_ids=tuple(changed),
+                removed_ids=tuple(removed),
             )
             return True
 
@@ -457,25 +409,15 @@ class MaterializedView:
     def _maintains_groups(self) -> bool:
         return self.spec.parameters is not None and self.spec.limit is None
 
-    def _group_of(self, offer: "FlexOffer") -> tuple[GroupKey, ...]:
-        if not self._maintains_groups():
-            return ()
-        return (group_key(offer, self.spec.parameters),)
+    def _group_of(self, offer: "FlexOffer | None") -> GroupKey | None:
+        """The spec-level group a held row joins (``None``: it is an output itself).
 
-    def _add_to_group(self, offer: "FlexOffer") -> None:
-        if self._maintains_groups():
-            self._groups.setdefault(
-                group_key(offer, self.spec.parameters), set()
-            ).add(offer.id)
-
-    def _drop_from_group(self, offer: "FlexOffer") -> None:
-        if self._maintains_groups():
-            key = group_key(offer, self.spec.parameters)
-            members = self._groups.get(key)
-            if members is not None:
-                members.discard(offer.id)
-                if not members:
-                    del self._groups[key]
+        Passthrough aggregates never join a group, exactly as in the batch
+        pipeline; nor does any row of a spec without group maintenance.
+        """
+        if offer is None or offer.is_aggregate or not self._maintains_groups():
+            return None
+        return group_key(offer, self.spec.parameters)
 
     def _recompute_group(
         self, key: GroupKey
@@ -497,6 +439,7 @@ class MaterializedView:
             key=lambda offer: offer.id,
         )
         if not members:
+            self._groups.pop(key, None)
             return old, []
         outputs: list["FlexOffer"] = []
         constituents: dict[int, list["FlexOffer"]] = {}
@@ -525,10 +468,7 @@ class MaterializedView:
     ) -> None:
         """Rebuild the :class:`ResultSet` envelope from the mirror (or the engine)."""
         spec = self.spec
-        passthrough = [self._passthrough[i] for i in sorted(self._passthrough)]
-        selected = sorted(
-            list(self._rows.values()) + passthrough, key=lambda offer: offer.id
-        )
+        selected = sorted(self._rows.values(), key=lambda offer: offer.id)
         matched = len(selected)
         constituents: dict[int, list["FlexOffer"]] = {}
         if self._follows_engine:  # the mirror is empty: serve the engine's outputs
@@ -557,7 +497,8 @@ class MaterializedView:
             offers = []
             for key in sorted(self._outputs):
                 offers.extend(self._outputs[key])
-            offers.extend(passthrough)
+            # The batch pipeline's layout: group outputs, then passthroughs.
+            offers.extend(offer for offer in selected if offer.is_aggregate)
             for per_group in self._constituents.values():
                 for aggregate_id, group in per_group.items():
                     constituents[aggregate_id] = list(group)

@@ -153,12 +153,14 @@ def restore_engine_state(engine, state: EngineState) -> None:
     engine._committed_passthrough.clear()
     engine._cells.clear()
     engine._cell_of.clear()
-    # The chunk-granular dirty ledger restores *clean*: the snapshot describes
-    # a committed state, so the first post-restore commit must re-aggregate
-    # only what the replayed tail actually perturbs — never the whole grid.
+    # The chunk-granular dirty ledger and the named-id ledger restore
+    # *clean*: the snapshot describes a committed state, so the first
+    # post-restore commit must re-aggregate only what the replayed tail
+    # actually perturbs — never the whole grid — and name only its offers.
     engine._dirty.clear()
     engine._dirty_passthrough.clear()
     engine._removed_passthrough.clear()
+    engine._named.clear()
     engine._outputs.clear()
     engine._constituents.clear()
     engine._aggregate_ids.clear()

@@ -152,7 +152,7 @@ def load_flex_offer(
         {
             "offer_id": offer.id,
             "prosumer_id": offer.prosumer_id,
-            "geo_id": geo_ids.get(offer.district, 0),
+            "geo_id": _geo_id(schema, offer, geo_ids),
             "grid_node": offer.grid_node,
             "energy_type": offer.energy_type,
             "prosumer_type": offer.prosumer_type,
@@ -189,6 +189,36 @@ def load_flex_offer(
                 "scheduled_energy": scheduled,
             }
         )
+
+
+def _geo_id(schema: StarSchema, offer: FlexOffer, geo_ids: dict[str, int]) -> int:
+    """The geography row of ``offer``, added when its district is not a known one.
+
+    An offer from a district outside the loaded geography — streamed in
+    later, or an aggregate whose members span districts (``"mixed"`` under
+    the region they share) — gets a row for its own (region, city,
+    district), so geography filters find it as :meth:`QuerySpec.matches
+    <repro.session.spec.QuerySpec.matches>` does instead of losing it to
+    ``geo_id`` 0.
+    """
+    geo_id = geo_ids.get(offer.district)
+    if geo_id is not None or not offer.district:
+        return geo_id or 0
+    key = f"{offer.region}|{offer.city}|{offer.district}"
+    if key not in geo_ids:
+        geo_ids[key] = max(geo_ids.values(), default=0) + 1
+        schema.table("dim_geography").append(
+            {
+                "geo_id": geo_ids[key],
+                "district": offer.district,
+                "city": offer.city,
+                "region": offer.region,
+                "country": "",
+                "latitude": 0.0,
+                "longitude": 0.0,
+            }
+        )
+    return geo_ids[key]
 
 
 def geography_ids(schema: StarSchema) -> dict[str, int]:

@@ -195,20 +195,22 @@ class FlexOfferRepository:
         ``by_id`` maps geo_id -> dimension row (the row-match path);
         ``region``/``city``/``district`` each map an attribute value -> the
         set of geo ids carrying it (the pushdown path).  Rebuilt from scratch
-        whenever the live warehouse appends a geography row (it deletes
-        ``_geo_cache``).
+        whenever the geography dimension gained rows (the loader appends one
+        per offer geography it has not seen; rows are never deleted).
         """
-        if not hasattr(self, "_geo_cache"):
+        table = self.schema.table("dim_geography")
+        cached = getattr(self, "_geo_cache", None)
+        if cached is None or len(cached["by_id"]) != len(table):
             by_id: dict[int, dict[str, Any]] = {}
             reverse: dict[str, dict[Any, set[int]]] = {
                 column: {} for _, column in GEO_FILTERS
             }
-            for row in self.schema.table("dim_geography").rows():
+            for row in table.rows():
                 by_id[row["geo_id"]] = row
                 for _, column in GEO_FILTERS:
                     reverse[column].setdefault(row[column], set()).add(row["geo_id"])
-            self._geo_cache = {"by_id": by_id, **reverse}
-        return self._geo_cache
+            self._geo_cache = cached = {"by_id": by_id, **reverse}
+        return cached
 
     def _plan_positions(self, fact, query: FlexOfferFilter) -> list[int] | None:
         """Candidate row positions from the hash indexes, or ``None`` to scan.

@@ -125,6 +125,9 @@ class TestCli:
         assert main([*argv, "--engine", engine]) == 0
         lines = capsys.readouterr().out.splitlines()
         population = next(line for line in lines if line.startswith("final live offers"))
+        # The demo commits in micro-batches: views see carries and notifications.
+        commits = next(line for line in lines if line.startswith("commits"))
+        assert int(commits.split(":")[1]) > 1
         header = next(index for index, line in enumerate(lines) if line.startswith("view "))
         # One row per view: name, version, rows, deltas, skipped, stale, ms, fresh.
         rows = {line.split()[0]: line.split() for line in lines[header + 2 :]}

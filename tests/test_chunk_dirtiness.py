@@ -7,6 +7,12 @@ while staying bit-identical to the batch pipeline.  Covered: targeted
 single-offer mutations (price and state), chunk-boundary shifts on insert
 and withdraw, the ``max_group_size=0`` unlimited case, and multi-mutation
 commits counting the union of their chunks.
+
+The same ledger names each commit's offers in ``CommitResult.touched``, the
+one delta the result cache and the materialized views read: exactly the
+subject ids of the events since the previous commit, each mapped to the
+engine's current offer or to ``None`` once it is gone — also across
+micro-batch commits and a checkpoint restore.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from repro.aggregation.parameters import AggregationParameters
 from repro.live.engine import LiveAggregationEngine, canonical_form
 from repro.live.events import OfferAdded, OfferStateChanged, OfferUpdated, OfferWithdrawn
 from repro.flexoffer.model import FlexOfferState
+from repro.store.state import capture_engine_state, restore_engine_state
 from tests.conftest import make_offer
 
 #: One grid cell, chunked: 64 members in chunks of 4 -> 16 chunks.
@@ -208,3 +215,127 @@ def test_clean_commit_touches_nothing():
     assert result.chunks_reaggregated == 0
     assert result.chunks_skipped == 0
     assert result.dirty_cells == ()
+
+
+# ----------------------------------------------------------------------
+# The touched map: every commit names exactly the offers its events named
+# ----------------------------------------------------------------------
+ADD, REVISE, MIGRATE, STATE, WITHDRAW, ADD_WITHDRAW, PASSTHROUGH, COMMIT = range(8)
+
+_touch_ops = st.lists(
+    st.tuples(
+        st.sampled_from(
+            (ADD, ADD, REVISE, MIGRATE, STATE, WITHDRAW, ADD_WITHDRAW, PASSTHROUGH, COMMIT)
+        ),
+        st.integers(min_value=0, max_value=10_000),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+class _TouchScript:
+    """Drives one engine through an op script, checking every commit's ``touched``."""
+
+    def __init__(self, engine: LiveAggregationEngine, next_id: int = 1) -> None:
+        self.engine = engine
+        self.next_id = next_id
+        self.next_passthrough = 500_000  # below the engine's id_offset
+        self.named: set[int] = set()
+
+    def _apply(self, event) -> None:
+        self.named.add(event.subject_id)
+        result = self.engine.apply(event)
+        if result is not None:  # a micro-batch commit fired
+            self.check(result)
+
+    def commit(self) -> None:
+        self.check(self.engine.commit())
+
+    def check(self, result) -> None:
+        assert set(result.touched) == self.named
+        live = {offer.id for offer in self.engine.offers()}
+        for offer_id, offer in result.touched.items():
+            if offer is None:
+                assert offer_id not in live
+            else:
+                assert offer is self.engine.offer(offer_id)
+        self.named = set()
+
+    def run(self, op: int, selector: int) -> None:
+        engine = self.engine
+        live = sorted(offer.id for offer in engine.offers())
+        raw = [offer_id for offer_id in live if engine.cell_of(offer_id) is not None]
+        if op == COMMIT:
+            self.commit()
+        elif op in (ADD, ADD_WITHDRAW) or not live:
+            offer = make_offer(offer_id=self.next_id, earliest_start=40 + selector % 3 * 20)
+            self.next_id += 1
+            self._apply(OfferAdded(offer.creation_time, offer))
+            if op == ADD_WITHDRAW:
+                self._apply(OfferWithdrawn(offer.assignment_deadline, offer.id))
+        elif op == PASSTHROUGH:
+            offer = replace(
+                make_offer(offer_id=self.next_passthrough, earliest_start=40),
+                is_aggregate=True,
+                constituent_ids=(7, 8),
+            )
+            self.next_passthrough += 1
+            self._apply(OfferAdded(offer.creation_time, offer))
+        elif op in (REVISE, MIGRATE) and raw:
+            current = engine.offer(raw[selector % len(raw)])
+            shift = 20 if op == MIGRATE else 0  # a new start-time cell
+            revised = replace(
+                current,
+                price_per_kwh=current.price_per_kwh + 1.0,
+                earliest_start_slot=current.earliest_start_slot + shift,
+                latest_start_slot=current.latest_start_slot + shift,
+            )
+            self._apply(OfferUpdated(current.creation_time, revised))
+        elif op == WITHDRAW:
+            target = engine.offer(live[selector % len(live)])
+            self._apply(OfferWithdrawn(target.assignment_deadline, target.id))
+        else:  # STATE (or a revision with no raw offer left)
+            target = engine.offer(live[selector % len(live)])
+            state = (FlexOfferState.ACCEPTED, FlexOfferState.REJECTED)[selector % 2]
+            self._apply(OfferStateChanged(target.creation_time, target.id, state))
+
+
+@given(ops=_touch_ops, micro_batch_size=st.sampled_from((0, 3)))
+@settings(deadline=None)
+def test_touched_names_exactly_the_events_subjects(ops, micro_batch_size):
+    """Adds, revisions in place and across cells, state changes, withdrawals,
+    add-then-withdraw, passthroughs and micro-batch commits."""
+    engine = LiveAggregationEngine(
+        AggregationParameters(max_group_size=CHUNK), micro_batch_size=micro_batch_size
+    )
+    script = _TouchScript(engine)
+    for op, selector in ops:
+        script.run(op, selector)
+    script.commit()
+    assert_batch_identical(engine)
+
+
+@given(head=_touch_ops, junk=_touch_ops, tail=_touch_ops)
+@settings(deadline=None)
+def test_first_commit_after_restore_names_only_the_tail(head, junk, tail):
+    """Ids named before a restore never leak into the restored engine's commits."""
+    parameters = AggregationParameters(max_group_size=CHUNK)
+    source = _TouchScript(LiveAggregationEngine(parameters))
+    for op, selector in head:
+        source.run(op, selector)
+    source.commit()
+    state = capture_engine_state(source.engine)
+    # The target holds uncommitted events of its own; the restore drops them.
+    target = _TouchScript(LiveAggregationEngine(parameters), next_id=source.next_id)
+    target.next_passthrough = source.next_passthrough
+    for op, selector in junk:
+        if op != COMMIT:
+            target.run(op, selector)
+    restore_engine_state(target.engine, state)
+    target.named = set()
+    for op, selector in tail:
+        if op != COMMIT:
+            target.run(op, selector)
+    target.commit()
+    assert_batch_identical(target.engine)

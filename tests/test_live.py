@@ -312,24 +312,28 @@ class TestSubscriptions:
         engine.apply(_added(make_offer(offer_id=2, earliest_start=80, region="Zealand")))
         return engine.commit()
 
+    @staticmethod
+    def _in_capital(offer) -> bool:
+        return offer.region == "Capital"
+
     def test_region_filter(self):
         hub = SubscriptionHub()
         collector = ChangeCollector()
-        hub.subscribe(collector, regions=["Capital"])
+        hub.subscribe(collector, predicate=self._in_capital)
         self._commit_with_two_regions(hub)
         assert {offer.region for offer in collector.offers.values()} == {"Capital"}
 
     def test_only_aggregates_filter(self):
         hub = SubscriptionHub()
         collector = ChangeCollector()
-        hub.subscribe(collector, only_aggregates=True)
+        hub.subscribe(collector, predicate=lambda offer: offer.is_aggregate)
         self._commit_with_two_regions(hub)  # two singleton (raw) outputs only
         assert collector.offers == {} and collector.notifications == []
 
     def test_foreign_region_changes_do_not_wake_subscriber(self):
         hub = SubscriptionHub()
         collector = ChangeCollector()
-        subscription = hub.subscribe(collector, regions=["Capital"])
+        subscription = hub.subscribe(collector, predicate=self._in_capital)
         engine = LiveAggregationEngine(hub=hub)
         engine.apply(_added(make_offer(offer_id=1, earliest_start=40, region="Zealand")))
         engine.commit()
@@ -341,7 +345,7 @@ class TestSubscriptions:
         # subscriber must drop it, not keep mirroring the stale variant.
         hub = SubscriptionHub()
         collector = ChangeCollector()
-        hub.subscribe(collector, regions=["Capital"])
+        hub.subscribe(collector, predicate=self._in_capital)
         engine = LiveAggregationEngine(hub=hub)
         engine.apply(_added(make_offer(offer_id=1, earliest_start=40, region="Capital")))
         engine.apply(_added(make_offer(offer_id=2, earliest_start=41, region="Capital")))
@@ -350,6 +354,32 @@ class TestSubscriptions:
         engine.apply(_added(make_offer(offer_id=3, earliest_start=40, region="Zealand")))
         engine.commit()
         assert collector.offers == {}  # mixed-region aggregate was dropped
+
+    def test_raising_listener_does_not_silence_later_ones(self):
+        # The read path (the engine's commit listener) sees the commit before
+        # any subscriber runs, and a subscriber that raises neither hides the
+        # commit from it nor from the subscribers registered after it.
+        hub = SubscriptionHub()
+
+        def explode(notification):
+            raise RuntimeError("listener failed")
+
+        hub.subscribe(explode)
+        collector = ChangeCollector()
+        hub.subscribe(collector)
+        engine = LiveAggregationEngine(hub=hub)
+        published = []
+        engine.commit_listener = published.append
+        engine.apply(_added(make_offer(offer_id=1)))
+        with pytest.raises(RuntimeError, match="listener failed"):
+            engine.commit()
+        assert [result.sequence for result in published] == [1]
+        assert len(collector.notifications) == 1 and 1 in collector.offers
+        engine.apply(_added(make_offer(offer_id=2, earliest_start=80)))
+        with pytest.raises(RuntimeError, match="listener failed"):
+            engine.commit()
+        assert [result.sequence for result in published] == [1, 2]
+        assert set(collector.offers) == {1, 2}
 
     def test_unsubscribe(self):
         hub = SubscriptionHub()

@@ -6,7 +6,14 @@ purely from commit deltas through the hub — is equivalent to a from-scratch
 with the batch pipeline as the final oracle (the four-engine pattern of
 ``tests/test_differential_engines.py``).  Raw specs must agree on exact ids,
 aggregation specs bit-for-bit on profiles (ids modulo canonical form), and
-the view's ``version`` must track the read path's snapshot versions.
+the view's ``version`` must track the read path's snapshot versions.  The
+result cache reads the same commit deltas, so every probe also holds a
+cached ``session.query(spec)`` to the uncached reference, and the streams
+carry passthrough aggregates through their whole lifecycle.
+
+Also here: the commit order — the read path publishes a commit before any
+subscriber is notified of it, and a subscriber that raises desyncs neither
+the read path nor the views registered after it.
 
 Also here: the regression tests for standing state across ``use_engine()``
 swaps — before this fix every engine switch silently orphaned hub
@@ -24,6 +31,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.aggregation.aggregate import aggregate, aggregate_group
 from repro.datagen.scenarios import ScenarioConfig, generate_scenario
 from repro.errors import SessionError
 from repro.flexoffer.model import FlexOfferState
@@ -33,6 +41,7 @@ from repro.live.events import (
     OfferStateChanged,
     OfferUpdated,
     OfferWithdrawn,
+    apply_transition,
 )
 from repro.live.replay import scenario_event_stream
 from repro.session import FlexSession, QuerySpec
@@ -51,6 +60,57 @@ def _mutated_events(scenario, seed: int = 5):
         scenario, update_fraction=0.3, withdraw_fraction=0.2, seed=seed
     )
     return list(stream.replay_order())
+
+
+def _passthrough_events(scenario, count: int = 8) -> list:
+    """Batch aggregates fed in as passthroughs, then state-changed, revised
+    across regions and withdrawn.
+
+    Their ids stay below the engine's ``id_offset``: an input id at or above
+    it raises the engine's allocator, and a later passthrough would then
+    collide with an id the engine allocated.
+    """
+    batch = aggregate(sorted(scenario.flex_offers, key=lambda offer: offer.id))
+    # Priced apart from the engine's own aggregates of the same offers, so
+    # the provenance check never confuses the two under canonical form.
+    fed = [
+        replace(offer, id=900_001 + index, price_per_kwh=offer.price_per_kwh + 0.5)
+        for index, offer in enumerate(batch.aggregates[:count])
+    ]
+    events: list = [OfferAdded(offer.creation_time, offer) for offer in fed]
+    for index, offer in enumerate(fed[:5]):
+        state = FlexOfferState.REJECTED if index == 1 else FlexOfferState.ACCEPTED
+        events.append(OfferStateChanged(offer.creation_time, offer.id, state))
+    # A revision across regions moves the whole geography, to that of an
+    # offer living in the other region.
+    homes = {offer.region: offer for offer in scenario.flex_offers}
+    for offer in fed[1:7:2]:
+        home = homes["North Jutland" if offer.region == "Capital" else "Capital"]
+        revised = replace(
+            offer,
+            region=home.region,
+            city=home.city,
+            district=home.district,
+            grid_node=home.grid_node,
+            price_per_kwh=offer.price_per_kwh + 1.0,
+        )
+        events.append(OfferUpdated(offer.creation_time, revised))
+    for offer in fed[1::3]:
+        events.append(
+            OfferWithdrawn(offer.assignment_deadline + timedelta(minutes=15), offer.id)
+        )
+    return events
+
+
+def _with_passthroughs(scenario) -> list:
+    """The mutated stream with the passthrough lifecycle spread evenly through it."""
+    events = _mutated_events(scenario)
+    extra = _passthrough_events(scenario)
+    stride = max(1, len(events) // (len(extra) + 1))
+    # Highest position first, so earlier insertion points stay where they are.
+    for index in range(len(extra), 0, -1):
+        events.insert(min(index * stride, len(events)), extra[index - 1])
+    return events
 
 
 def _retuned(session: FlexSession):
@@ -114,6 +174,18 @@ def _check_view(session: FlexSession, view) -> None:
     )
     assert held.version == view.version
     assert view.staleness == 0
+    # The cache and the view consume the same commit deltas: a cached read
+    # must equal the uncached reference as exactly as the view does.
+    cached = session.query(view.spec)
+    assert expect.matches(cached), (
+        f"cached read of {view.spec.describe()!r} diverged at v{cached.version}"
+    )
+    _assert_same_provenance(cached, expect, view.name)
+    if view.spec.parameters is None:
+        assert [o.id for o in cached.offers] == [o.id for o in expect.offers], (
+            f"cached read of {view.name!r}: raw ids diverged"
+        )
+    assert cached.version == readpath.manager.latest_version
 
 
 # ----------------------------------------------------------------------
@@ -121,13 +193,14 @@ def _check_view(session: FlexSession, view) -> None:
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("engine", LIVE_ENGINES)
 def test_views_match_queries_at_every_commit_point(small_scenario, engine):
-    """Mutated/withdrawn stream: maintained ≡ from-scratch after each event."""
+    """Mutated/withdrawn stream with passthroughs: maintained ≡ from-scratch
+    after each event."""
     with FlexSession(small_scenario, engine=engine, live_preload=False) as session:
         views = [
             session.materialize(spec, name=name)
             for name, spec in _standing_specs(session).items()
         ]
-        for event in _mutated_events(small_scenario):
+        for event in _with_passthroughs(small_scenario):
             session.ingest(event)
             session.engine.refresh()
             for view in views:
@@ -144,6 +217,9 @@ def test_views_match_queries_at_every_commit_point(small_scenario, engine):
                 f"view {view.name!r} diverged from the batch oracle"
             )
             _assert_same_provenance(view.result, oracle, view.name)
+        # The cached reads above were carried across commits, not just
+        # refilled at every version.
+        assert session.engine.readpath.cache.carried > 0
 
 
 def test_maintenance_is_delta_driven_not_recompute(small_scenario):
@@ -248,11 +324,29 @@ def test_state_change_refreshes_engine_own_provenance(small_scenario, engine):
 # ----------------------------------------------------------------------
 # Random interleavings (hypothesis op scripts, mirroring the engine harness)
 # ----------------------------------------------------------------------
-INSERT, MUTATE, WITHDRAW, COMMIT = range(4)
+INSERT, MUTATE, WITHDRAW, COMMIT, PASSTHROUGH, STATE = range(6)
+
+#: Two whole geographies a passthrough lives in, and is revised between.
+_GEOGRAPHIES = (
+    {
+        "region": "Capital",
+        "city": "Copenhagen",
+        "district": "Copenhagen Centrum",
+        "grid_node": "F Copenhagen Centrum",
+    },
+    {
+        "region": "Zealand",
+        "city": "Roskilde",
+        "district": "Roskilde Centrum",
+        "grid_node": "F Roskilde Centrum",
+    },
+)
 
 _ops = st.lists(
     st.tuples(
-        st.sampled_from((INSERT, INSERT, MUTATE, MUTATE, WITHDRAW, COMMIT, COMMIT)),
+        st.sampled_from(
+            (INSERT, INSERT, MUTATE, MUTATE, WITHDRAW, COMMIT, COMMIT, PASSTHROUGH, STATE)
+        ),
         st.integers(min_value=0, max_value=10_000),
         st.integers(min_value=1, max_value=200),
     ),
@@ -265,7 +359,8 @@ _ops = st.lists(
 @given(ops=_ops)
 @settings(deadline=None, max_examples=20)
 def test_random_interleavings_keep_views_fresh(small_scenario, engine, ops):
-    """Scripted insert/mutate/withdraw interleavings: checked at every commit."""
+    """Scripted insert/mutate/withdraw/state interleavings, passthrough
+    aggregates included: checked at every commit."""
     with FlexSession(small_scenario, engine=engine, live_preload=False) as session:
         views = [
             session.materialize(QuerySpec.build(parameters=session.parameters), name="agg"),
@@ -278,13 +373,29 @@ def test_random_interleavings_keep_views_fresh(small_scenario, engine, ops):
         population: dict[int, object] = {}
         order: list[int] = []
         next_id = 1
+        next_passthrough = 500_000  # below the engine's id_offset
         for op, selector, magnitude in ops:
             if op == COMMIT:
                 session.engine.refresh()
                 for view in views:
                     _check_view(session, view)
                 continue
-            if op == INSERT or not order:
+            if op == PASSTHROUGH:
+                members = [
+                    make_offer(
+                        offer_id=index,
+                        earliest_start=36 + (selector + index) % 12,
+                        prosumer_id=selector % 5 + 1,
+                        **_GEOGRAPHIES[selector % 2],
+                    )
+                    for index in (1, 2)
+                ]
+                offer = aggregate_group(members, next_passthrough)
+                next_passthrough += 1
+                population[offer.id] = offer
+                order.append(offer.id)
+                event = OfferAdded(offer.creation_time, offer)
+            elif op == INSERT or not order:
                 offer = make_offer(
                     offer_id=next_id,
                     earliest_start=36 + selector % 12,
@@ -298,14 +409,27 @@ def test_random_interleavings_keep_views_fresh(small_scenario, engine, ops):
             elif op == MUTATE:
                 target = order[selector % len(order)]
                 current = population[target]
-                revised = replace(
-                    current,
-                    price_per_kwh=current.price_per_kwh + magnitude / 100.0,
-                    earliest_start_slot=current.earliest_start_slot + magnitude % 3,
-                    latest_start_slot=current.latest_start_slot + magnitude % 3,
-                )
+                if current.is_aggregate:  # a passthrough: revised across regions
+                    revised = replace(
+                        current,
+                        price_per_kwh=current.price_per_kwh + magnitude / 100.0,
+                        **_GEOGRAPHIES[current.region == "Capital"],
+                    )
+                else:
+                    revised = replace(
+                        current,
+                        price_per_kwh=current.price_per_kwh + magnitude / 100.0,
+                        earliest_start_slot=current.earliest_start_slot + magnitude % 3,
+                        latest_start_slot=current.latest_start_slot + magnitude % 3,
+                    )
                 population[target] = revised
                 event = OfferUpdated(current.creation_time, revised)
+            elif op == STATE:
+                target = order[selector % len(order)]
+                current = population[target]
+                state = (FlexOfferState.ACCEPTED, FlexOfferState.REJECTED)[magnitude % 2]
+                population[target] = apply_transition(current, state)
+                event = OfferStateChanged(current.creation_time, target, state)
             else:  # WITHDRAW
                 target = order.pop(selector % len(order))
                 offer = population.pop(target)
@@ -316,6 +440,89 @@ def test_random_interleavings_keep_views_fresh(small_scenario, engine, ops):
         session.engine.refresh()
         for view in views:
             _check_view(session, view)
+
+
+# ----------------------------------------------------------------------
+# Commit order: a commit is readable before anyone is notified of it
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("engine", LIVE_ENGINES)
+def test_subscribers_read_the_commit_they_are_notified_of(small_scenario, engine):
+    """Inside a callback, the notified commit is already the latest snapshot."""
+    with FlexSession(small_scenario, engine=engine, live_preload=False) as session:
+        spec = QuerySpec()
+        seen: list[tuple[int, int]] = []
+
+        def callback(notification):
+            sequence = notification.commit.sequence
+            seen.append((sequence, session.query(spec, consistency="latest").version))
+            # On async this runs on the worker thread: a flushing read there
+            # would join the worker's own queue, so only live reads through
+            # the default (read-your-writes) consistency too.
+            if engine == "live":
+                seen.append((sequence, session.query(spec).version))
+
+        session.subscribe(spec, callback)
+        for index, event in enumerate(_mutated_events(small_scenario), start=1):
+            session.ingest(event)
+            if index % 10 == 0:
+                session.commit()
+        session.engine.refresh()
+        assert len(seen) > 1
+        assert all(sequence == version for sequence, version in seen), seen
+
+
+def _commit_on_caller(session: FlexSession, events) -> None:
+    """Apply ``events`` and commit them on this thread.
+
+    On ``async`` a subscriber's error raised on the worker poisons the
+    engine, and every later barrier re-raises it.  Applying to the inner
+    engine under the commit lock and committing through the barrier keeps
+    the commit, and the error, on the caller's thread, as on ``live``.
+    """
+    backend = session.engine
+    inner = backend._state_engine
+    with backend._quiescent():
+        for event in events:
+            inner.apply(event)
+    backend.engine.commit()
+
+
+@pytest.mark.parametrize("engine", LIVE_ENGINES)
+def test_raising_subscriber_desyncs_neither_reads_nor_later_views(
+    small_scenario, engine
+):
+    """A raising callback neither hides its commit from the read path nor
+    from a view registered after it, so later reads serve no stale offer."""
+    with FlexSession(small_scenario, engine=engine) as session:
+        spec = QuerySpec.build(region="Capital")
+        session.query(spec)  # a cached entry the failing commit must drop
+
+        def explode(notification):
+            raise RuntimeError("subscriber failed")
+
+        failing = session.subscribe(QuerySpec(), explode, name="explode")
+        view = session.materialize(spec, name="capital")
+        offers = [offer for offer in session.engine.offers() if not offer.is_aggregate]
+        ours = next(offer for offer in offers if offer.region == "Capital")
+        theirs = next(offer for offer in offers if offer.region != "Capital")
+        revised = replace(ours, price_per_kwh=ours.price_per_kwh + 5.0)
+        with pytest.raises(RuntimeError, match="subscriber failed"):
+            _commit_on_caller(session, [OfferUpdated(ours.creation_time, revised)])
+        session.unsubscribe(failing)
+        # A later commit that touches only another region.
+        _commit_on_caller(
+            session,
+            [
+                OfferUpdated(
+                    theirs.creation_time,
+                    replace(theirs, price_per_kwh=theirs.price_per_kwh + 1.0),
+                )
+            ],
+        )
+        served = {offer.id: offer for offer in session.query(spec).offers}
+        assert served[ours.id] == revised
+        assert {offer.id: offer for offer in view.result.offers}[ours.id] == revised
+        _check_view(session, view)
 
 
 # ----------------------------------------------------------------------

@@ -5,9 +5,10 @@ Three contracts from ISSUE 7:
 * **Versioned reads rebuild exactly** — ``query(at_version=v)`` is equivalent
   to the batch pipeline rebuilt over the population that was committed at
   version ``v``, for every live-family engine.
-* **Cache invalidation is cell-exact** — a commit touching only cells outside
-  a cached entry's read set carries the entry (same object, a hit); a commit
-  touching its cells drops it.
+* **Cache invalidation is offer-exact** — a commit whose events named none
+  of a cached entry's offers, and brought in no offer matching its spec,
+  carries the entry (same object, a hit); a commit touching one of them
+  drops it.
 * **The ring is bounded but pin-safe** — eviction keeps ``retain`` versions,
   never the latest or a pinned one; pins release their excess on exit.
 """
@@ -228,8 +229,8 @@ def test_withdraw_from_fully_skipped_chunk_invalidates_entry(small_scenario):
     retires its singleton chunk alone — the surviving chunks are untouched,
     so the commit reports ``chunks_reaggregated == 0`` — yet the entry's
     matched set contained id 5, so carrying it would serve a withdrawn offer
-    at the new version.  The invalidation scan builds its dirty-id set from
-    the *previous* snapshot's cell members (which still held id 5), which is
+    at the new version.  The commit's ``touched`` map names id 5 (mapped to
+    ``None``) however few chunks re-aggregated, and the entry held id 5 —
     exactly what makes this sound; this test pins that behaviour.
     """
     from repro.aggregation.parameters import AggregationParameters
