@@ -21,18 +21,12 @@ tolerance (property-tested in ``tests/test_aggregation.py``).
 
 :func:`profile_bounds` dispatches: numpy when it is importable and the group
 is big enough to amortize the array round-trip, the scalar loops otherwise —
-so environments without numpy lose nothing but speed.  Tests pin a path with
-:func:`force_kernel`.
-
-The crossover point is machine-dependent: ``NUMPY_MIN_SLOTS`` is the shipped
-default, and :func:`calibrate` replaces it with a measured value — it times
-both kernels over a synthetic slot ladder on *this* interpreter/BLAS/CPU
-combination and installs the smallest group size where numpy actually wins as
-a cached override (:func:`effective_min_slots` is what dispatch reads).
+so environments without numpy lose nothing but speed.  "Big enough" is the
+constant :data:`NUMPY_MIN_SLOTS`.  Tests pin a path with :func:`force_kernel`.
 
 Dispatch is observable: :mod:`repro.obs` counts and times every call per
 path (``repro.aggregation.kernel.{numpy,scalar}.*``), which is where the
-calibration profile and the ``flexviz stats`` kernel rows come from.
+``flexviz stats`` kernel rows come from.
 """
 
 from __future__ import annotations
@@ -55,13 +49,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Minimum total profile pieces in a group before the numpy path pays for
 #: the Python->array round-trip (tiny groups stay on the scalar loops).
-#: This is the *shipped default*; :func:`calibrate` measures the real
-#: crossover of the running machine and overrides it (see
-#: :func:`effective_min_slots`).
 NUMPY_MIN_SLOTS = 128
-
-#: The calibrated override (``None`` = use :data:`NUMPY_MIN_SLOTS`).
-_calibrated_min_slots: int | None = None
 
 #: Test hook: ``None`` auto-dispatches, ``"numpy"``/``"scalar"`` pin a path.
 _forced: str | None = None
@@ -90,10 +78,6 @@ _KERNEL_SECONDS = {
         "repro.aggregation.kernel.scalar.seconds", "scalar profile-summation latency"
     ),
 }
-_MIN_SLOTS_GAUGE = _OBS.gauge(
-    "repro.aggregation.kernel.min_slots",
-    "effective numpy dispatch threshold (calibrated or default)",
-)
 
 
 def numpy_available() -> bool:
@@ -196,27 +180,13 @@ def profile_bounds_numpy(
     return min_energy.tolist(), max_energy.tolist()
 
 
-def effective_min_slots() -> int:
-    """The numpy dispatch threshold in force (calibrated override or default)."""
-    return _calibrated_min_slots if _calibrated_min_slots is not None else NUMPY_MIN_SLOTS
-
-
-def set_min_slots(value: int | None) -> None:
-    """Install (or, with ``None``, clear) the calibrated dispatch threshold."""
-    global _calibrated_min_slots
-    if value is not None and value < 1:
-        raise AggregationError("the numpy dispatch threshold must be >= 1")
-    _calibrated_min_slots = value
-    _MIN_SLOTS_GAUGE.set(effective_min_slots())
-
-
 def profile_bounds(
     group: Sequence["FlexOffer"], offsets: Sequence[int], length: int
 ) -> tuple[list[float], list[float]]:
     """Dispatch to the numpy kernel or the scalar loops (identical outputs).
 
     Auto mode picks numpy when it is importable and the group carries at
-    least :func:`effective_min_slots` profile pieces; tiny groups stay
+    least :data:`NUMPY_MIN_SLOTS` profile pieces; tiny groups stay
     scalar — the array round-trip would cost more than the loops it replaces.
     """
     global _last_used
@@ -227,7 +197,7 @@ def profile_bounds(
     else:
         use_numpy = (
             _np is not None
-            and sum(len(offer.profile) for offer in group) >= effective_min_slots()
+            and sum(len(offer.profile) for offer in group) >= NUMPY_MIN_SLOTS
         )
     path = "numpy" if use_numpy else "scalar"
     implementation = profile_bounds_numpy if use_numpy else profile_bounds_scalar
@@ -240,90 +210,3 @@ def profile_bounds(
     _KERNEL_CALLS[path].inc()
     return result
 
-
-# ----------------------------------------------------------------------
-# Calibration: measure the scalar/numpy crossover on this machine
-# ----------------------------------------------------------------------
-class _ProbeOffer:
-    """The minimal offer the kernels need: a frozen profile tuple."""
-
-    __slots__ = ("profile",)
-
-    def __init__(self, profile) -> None:
-        self.profile = profile
-
-
-def _probe_group(total_slots: int, pieces_per_offer: int = 16):
-    """A synthetic group carrying ``total_slots`` single-slot profile pieces.
-
-    Profiles are distinct per offer (values vary) so the numpy path's
-    expansion cache behaves as in real populations: warm after the first
-    pass over a group, per distinct profile.
-    """
-    from repro.flexoffer.model import ProfileSlice
-
-    offers = []
-    count = max(1, total_slots // pieces_per_offer)
-    for index in range(count):
-        profile = tuple(
-            ProfileSlice(
-                min_energy=0.1 + 0.01 * ((index + piece) % 7),
-                max_energy=1.0 + 0.01 * ((index + piece) % 11),
-                duration_slots=1,
-            )
-            for piece in range(pieces_per_offer)
-        )
-        offers.append(_ProbeOffer(profile))
-    offsets = [0] * len(offers)
-    return offers, offsets, pieces_per_offer
-
-
-def calibrate(
-    ladder: Sequence[int] = (16, 32, 64, 128, 256, 512, 1024),
-    repeats: int = 5,
-    install: bool = True,
-) -> int:
-    """Measure the scalar/numpy crossover and cache it as the dispatch threshold.
-
-    For each candidate group size on ``ladder`` (total profile pieces), both
-    kernels run ``repeats`` times over the same synthetic group — warmed
-    first, so the numpy path's profile-expansion cache is in its steady state,
-    exactly as it is for the live engines' repeated re-aggregations.  The
-    crossover is the smallest ladder rung where the numpy median beats the
-    scalar median; one rung past the end means numpy never won (the override
-    then disables numpy dispatch for realistic group sizes rather than
-    guessing).  With ``install=True`` (default) the result replaces the fixed
-    :data:`NUMPY_MIN_SLOTS` via :func:`set_min_slots`; the return value is
-    the measured threshold either way.
-
-    Without numpy there is nothing to cross over: the current effective
-    threshold is returned unchanged.
-    """
-    if _np is None:
-        return effective_min_slots()
-    if repeats < 1:
-        raise AggregationError("repeats must be >= 1")
-    crossover: int | None = None
-    for total_slots in sorted(ladder):
-        group, offsets, length = _probe_group(total_slots)
-        timings: dict[str, float] = {}
-        for mode in ("scalar", "numpy"):
-            with force_kernel(mode):
-                profile_bounds(group, offsets, length)  # warm caches untimed
-                samples = []
-                for _ in range(repeats):
-                    started = time.perf_counter()
-                    profile_bounds(group, offsets, length)
-                    samples.append(time.perf_counter() - started)
-            samples.sort()
-            timings[mode] = samples[len(samples) // 2]
-        if timings["numpy"] <= timings["scalar"]:
-            crossover = total_slots
-            break
-    if crossover is None:
-        # Numpy never won on the ladder: push the threshold past the largest
-        # rung so realistic groups stay on the (faster-here) scalar loops.
-        crossover = max(ladder) * 2
-    if install:
-        set_min_slots(crossover)
-    return crossover

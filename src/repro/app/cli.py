@@ -205,11 +205,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--withdraw", type=float, default=0.05, help="fraction of offers withdrawn"
     )
     stats.add_argument(
-        "--calibrate",
-        action="store_true",
-        help="measure the scalar/numpy kernel crossover first and dispatch with it",
-    )
-    stats.add_argument(
         "--export-jsonl", metavar="PATH", help="dump every metric and span as JSON lines"
     )
     stats.add_argument(
@@ -628,11 +623,6 @@ def _command_stats(args: argparse.Namespace) -> int:
         obs.set_sampler(obs.Sampler(default_rate=args.sample))
         print(f"trace sampling        : head-sampling roots 1-in-{args.sample}")
     try:
-        if args.calibrate:
-            from repro.aggregation import kernel
-
-            threshold = kernel.calibrate()
-            print(f"kernel calibration    : numpy dispatch at >= {threshold} profile pieces")
         session = _make_session(
             args, engine=args.engine, micro_batch_size=args.batch_size, live_preload=False
         )

@@ -115,28 +115,25 @@ class SegmentStore:
             self._next_sequence = last_sequence + 1
 
     def _repair_torn_tail(self, path: Path) -> None:
-        """Drop a partially written final line left by a crash mid-append.
+        """Drop the unterminated bytes a crash mid-append left at the end.
 
         Only the *final* line of the *active* segment can legitimately be
-        torn (appends go nowhere else; compaction renames atomically), and
-        the torn event was never acknowledged, so truncating it — atomically,
-        keeping every complete line — lets the log reopen and reissue its
-        sequence number.  A malformed line anywhere else is real corruption
-        and still raises on read.
+        torn (appends go nowhere else; compaction renames atomically).  A
+        record is written once its newline is, so bytes after the last
+        newline belong to an append that never completed, even when they
+        parse as a whole record.  Truncating them atomically lets the log
+        reopen, reissue their sequence numbers and append on a fresh line.
+        A malformed line anywhere else is real corruption and still raises
+        on read.
         """
-        raw = path.read_text(encoding="utf-8")
-        lines = [line for line in raw.split("\n") if line.strip()]
-        if not lines:
+        raw = path.read_bytes()
+        terminated = raw.rfind(b"\n") + 1
+        if terminated == len(raw):
             return
-        try:
-            json.loads(lines[-1])
-        except ValueError:
-            self._drop_index(path)
-            staged = path.with_suffix(".jsonl.tmp")
-            staged.write_text(
-                "".join(line + "\n" for line in lines[:-1]), encoding="utf-8"
-            )
-            os.replace(staged, path)
+        self._drop_index(path)
+        staged = path.with_suffix(".jsonl.tmp")
+        staged.write_bytes(raw[:terminated])
+        os.replace(staged, path)
 
     # ------------------------------------------------------------------
     # Layout

@@ -53,12 +53,6 @@ _DATETIME_COLUMNS = {"timestamp", "creation_time", "acceptance_deadline", "assig
 _NULLABLE_COLUMNS = {"scheduled_start_slot", "scheduled_energy"}
 
 
-def _coerce(column: str, text: str) -> Any:
-    """Coerce one stored cell (the single-cell face of :func:`_column_coercer`)."""
-    coercer = _column_coercer(column)
-    return coercer(text) if coercer is not None else text
-
-
 def _column_coercer(column: str) -> Callable[[str], Any] | None:
     """A per-column coercion function, or ``None`` for plain string columns.
 

@@ -20,12 +20,6 @@ from repro.flexoffer.model import FlexOffer
 from repro.flexoffer.serialization import flex_offer_from_dict
 from repro.timeseries.grid import TimeGrid
 from repro.warehouse.schema import StarSchema
-from repro.warehouse.table import numpy_enabled
-
-try:  # Optional dependency: the planner intersects with sets without it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised in the no-numpy CI leg
-    _np = None
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; load_series imports the
     # numpy-native TimeSeries lazily at call time.
@@ -220,9 +214,8 @@ class FlexOfferRepository:
         filters (the filters are conjunctive), so e.g. ``states + grid_nodes``
         examines only rows satisfying both.  Geography filters participate by
         resolving their values to geo ids through the dimension and hitting
-        the fact table's ``geo_id`` index.  With numpy available the
-        intersection runs through ``np.intersect1d`` over int64 position
-        arrays; the set-based fallback produces the identical sorted result.
+        the fact table's ``geo_id`` index.  The result is sorted and free of
+        duplicates, so rows load in physical order.
         """
         groups: list[list[int]] = []
         for column, attribute in PLANNABLE_FILTERS:
@@ -246,15 +239,6 @@ class FlexOfferRepository:
                 groups.append(hits)
         if not groups:
             return None
-        if numpy_enabled():
-            # np.intersect1d returns sorted unique positions — the same
-            # normal form as the set-based fallback's ``sorted(set & ...)``.
-            result = _np.unique(_np.asarray(groups[0], dtype=_np.int64))
-            for hits in groups[1:]:
-                if result.size == 0:
-                    break
-                result = _np.intersect1d(result, _np.asarray(hits, dtype=_np.int64))
-            return result.tolist()
         positions = set(groups[0])
         for hits in groups[1:]:
             positions &= set(hits)

@@ -106,53 +106,6 @@ FACT_TABLES: dict[str, list[str]] = {
 
 FACT_TABLES["fact_flexoffer_aggregate"] = list(FACT_TABLES["fact_flexoffer"])
 
-#: Column dtypes per table (:data:`~repro.warehouse.table.COLUMN_DTYPES` keys).
-#: Declared columns are numpy-array-backed when numpy is available; everything
-#: else (strings, datetimes, nullable columns like ``scheduled_start_slot``)
-#: stays a plain Python list.  A declared column that ever receives a
-#: non-conforming cell silently demotes to a list, so these are hints, not
-#: constraints — see the demotion contract in :mod:`repro.warehouse.table`.
-_FACT_FLEXOFFER_DTYPES: dict[str, str] = {
-    "offer_id": "int64",
-    "prosumer_id": "int64",
-    "geo_id": "int64",
-    "earliest_start_slot": "int64",
-    "latest_start_slot": "int64",
-    "profile_slots": "int64",
-    "time_flexibility_slots": "int64",
-    "min_total_energy": "float64",
-    "max_total_energy": "float64",
-    "scheduled_energy": "float64",
-    "price_per_kwh": "float64",
-    "is_aggregate": "bool",
-}
-
-COLUMN_TYPES: dict[str, dict[str, str]] = {
-    "dim_time": {
-        "slot": "int64",
-        "year": "int64",
-        "month": "int64",
-        "day": "int64",
-        "hour": "int64",
-        "minute": "int64",
-        "weekday": "int64",
-    },
-    "dim_geography": {"geo_id": "int64", "latitude": "float64", "longitude": "float64"},
-    "dim_grid_node": {"latitude": "float64", "longitude": "float64"},
-    "dim_energy_type": {"renewable": "bool"},
-    "dim_prosumer": {"prosumer_id": "int64"},
-    "dim_legal_entity": {"entity_id": "int64"},
-    "fact_flexoffer": dict(_FACT_FLEXOFFER_DTYPES),
-    "fact_flexoffer_aggregate": dict(_FACT_FLEXOFFER_DTYPES),
-    "fact_timeseries": {"slot": "int64", "value": "float64"},
-    "fact_flexoffer_slice": {
-        "offer_id": "int64",
-        "slice_index": "int64",
-        "min_energy": "float64",
-        "max_energy": "float64",
-    },
-}
-
 
 @dataclass
 class StarSchema:
@@ -165,7 +118,7 @@ class StarSchema:
         """Create a schema with every table declared but no rows."""
         tables = {}
         for name, columns in {**DIMENSION_TABLES, **FACT_TABLES}.items():
-            tables[name] = Table(name, columns, dtypes=COLUMN_TYPES.get(name))
+            tables[name] = Table(name, columns)
         return cls(tables=tables)
 
     def table(self, name: str) -> Table:

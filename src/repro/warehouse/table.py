@@ -5,171 +5,25 @@ MIRABEL DW star schema.  Offline, this reproduction stores the same schema in
 memory: each :class:`Table` keeps named columns, supports appending rows,
 predicate filtering, projection, sorting and simple aggregation, and
 round-trips through CSV.  The goal is fidelity of the access pattern
-(dimensional filtering and grouping) — but the storage layer now has to hold
-100k+ flex-offers (ROADMAP's scale item), so columns are *typed*.
+(dimensional filtering and grouping).
 
-A column declared with a dtype (``"int64"``, ``"float64"`` or ``"bool"``) is
-backed by a growable numpy array (:class:`ColumnArray`) instead of a Python
-list.  Predicate evaluation over typed columns is vectorized: ``where``
-becomes a conjunction of boolean masks, ``where_in`` an ``np.isin``,
-``where_between`` a range mask, tombstone compaction a single fancy-index
-pass.  Everything else — indexes, tombstones, row dictionaries — is
-unchanged.
-
-**Bit-identity is part of the contract** (mirroring
-:mod:`repro.aggregation.kernel`'s dual-path design): list storage is the
-specification, arrays are an internal representation.  A typed column only
-holds cells whose array round-trip is exact (``type(cell)`` is exactly the
-dtype's Python type and, for ``int64``, the value is in range); any other
-cell *demotes* the column back to a plain list on the spot.  Reads always
-return plain Python values (``ColumnArray`` indexing/iteration go through
-``.item()``/``.tolist()``), so callers cannot observe numpy scalars.  When
-numpy is absent — or a test pins the scalar path with :func:`force_backend`
-— every column is a list and behavior is identical, just slower.
+Every column is a plain Python list, so cells keep their Python types and
+filters keep Python equality (``7 == 7.0``, ``0 == False``).  Equality
+lookups go through hash indexes where one is declared; everything else is a
+scan.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from contextlib import contextmanager
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import UnknownColumnError, WarehouseError
 
-try:  # Optional dependency: every path falls back to plain lists.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised in the no-numpy CI leg
-    _np = None
-
-#: Declarable column dtypes -> the exact Python type a cell must have to be
-#: storable in the typed array.  The check is strict on purpose (no int→float
-#: coercion): only cells whose array round-trip is bit-identical go in.
-COLUMN_DTYPES: dict[str, type] = {"int64": int, "float64": float, "bool": bool}
-
-_INT64_MIN = -(2**63)
-_INT64_MAX = 2**63 - 1
-
-#: Test hook: ``None`` auto-dispatches, ``"numpy"``/``"scalar"`` pin a path.
-_forced: str | None = None
-
-
-def numpy_enabled() -> bool:
-    """True when typed columns may use numpy arrays (importable, not pinned off)."""
-    if _forced == "scalar":
-        return False
-    if _forced == "numpy" and _np is None:
-        raise WarehouseError("numpy backend forced but numpy is not importable")
-    return _np is not None
-
-
-@contextmanager
-def force_backend(mode: str | None) -> Iterator[None]:
-    """Pin the column backend to ``"numpy"`` or ``"scalar"`` within the block.
-
-    Tables *created* under ``"scalar"`` store every column as a list; tables
-    that already hold arrays keep them but stop taking vectorized paths, so
-    both representations can be differenced against each other in tests.
-    """
-    global _forced
-    if mode not in (None, "numpy", "scalar"):
-        raise WarehouseError(f"unknown table backend {mode!r}")
-    previous = _forced
-    _forced = mode
-    try:
-        yield
-    finally:
-        _forced = previous
-
-
-class _DemotionRequired(Exception):
-    """Internal: a cell does not fit its column's dtype; fall back to a list."""
-
-
-def _fits(dtype: str, value: Any) -> bool:
-    """True when ``value`` round-trips exactly through an array of ``dtype``."""
-    if type(value) is not COLUMN_DTYPES[dtype]:
-        return False
-    if dtype == "int64":
-        return _INT64_MIN <= value <= _INT64_MAX
-    return True
-
-
-class ColumnArray:
-    """A growable typed numpy column that reads back as plain Python values.
-
-    Appends amortize O(1) via capacity doubling.  ``__getitem__``/``__iter__``
-    convert through ``.item()``/``.tolist()`` so no numpy scalar ever leaks to
-    a caller; :attr:`array` exposes the live slice for vectorized operators.
-    A cell that does not fit the dtype raises :class:`_DemotionRequired`,
-    which :class:`Table` answers by converting the column back to a list.
-    """
-
-    __slots__ = ("dtype", "_buffer", "_size")
-
-    def __init__(self, dtype: str, values: Any = None) -> None:
-        if dtype not in COLUMN_DTYPES:
-            raise WarehouseError(f"unknown column dtype {dtype!r}")
-        self.dtype = dtype
-        if values is None:
-            self._buffer = _np.empty(0, dtype=dtype)
-            self._size = 0
-        else:
-            self._buffer = _np.array(values, dtype=dtype)
-            self._size = len(self._buffer)
-
-    @property
-    def array(self) -> Any:
-        """The live values as a numpy array view (no copy)."""
-        return self._buffer[: self._size]
-
-    def append(self, value: Any) -> None:
-        if not _fits(self.dtype, value):
-            raise _DemotionRequired
-        if self._size == len(self._buffer):
-            grown = _np.empty(max(8, 2 * len(self._buffer)), dtype=self.dtype)
-            grown[: self._size] = self._buffer
-            self._buffer = grown
-        self._buffer[self._size] = value
-        self._size += 1
-
-    def take(self, positions: Any) -> "ColumnArray":
-        """A new column holding the given physical positions (fancy index)."""
-        index = _np.asarray(positions, dtype=_np.int64)
-        return ColumnArray(self.dtype, self.array[index])
-
-    def tolist(self) -> list[Any]:
-        return self.array.tolist()
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __getitem__(self, index: Any) -> Any:
-        if isinstance(index, slice):
-            return self.array[index].tolist()
-        return self.array[index].item()
-
-    def __setitem__(self, index: int, value: Any) -> None:
-        if not _fits(self.dtype, value):
-            raise _DemotionRequired
-        self.array[index] = value
-
-    def __iter__(self) -> Iterator[Any]:
-        return iter(self.array.tolist())
-
-    def __eq__(self, other: Any) -> Any:
-        if isinstance(other, ColumnArray):
-            return self.tolist() == other.tolist()
-        if isinstance(other, (list, tuple)):
-            return self.tolist() == list(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"ColumnArray({self.dtype}, {self.tolist()!r})"
-
 
 class Table:
-    """A columnar table with named columns, optional dtypes and hash indexes.
+    """A columnar table with named list columns and hash indexes.
 
     The table is append-mostly; :meth:`delete_where` and :meth:`set_value`
     exist for the live warehouse's event-driven updates.  Secondary indexes map a
@@ -183,12 +37,6 @@ class Table:
     physical rows, :meth:`compact` rewrites the columns — so the rewrite cost
     is amortized over the deletes that caused it.  Positions returned by
     :meth:`lookup` are *physical* and stay valid until the next compaction.
-
-    ``dtypes`` maps column names to :data:`COLUMN_DTYPES` keys; those columns
-    are array-backed when numpy is available (see the module docstring for
-    the demotion/bit-identity contract).  Tables built without dtypes — test
-    tables, :meth:`from_csv`, ``group_by``/``join`` results — behave exactly
-    as the seed's list-of-lists tables did.
     """
 
     #: Tombstones needed before an automatic compaction is even considered.
@@ -197,41 +45,16 @@ class Table:
     #: the physical rows (and the minimum above).
     COMPACT_FRACTION = 0.5
 
-    def __init__(
-        self,
-        name: str,
-        columns: Sequence[str],
-        dtypes: Mapping[str, str] | None = None,
-    ) -> None:
+    def __init__(self, name: str, columns: Sequence[str]) -> None:
         if len(set(columns)) != len(columns):
             raise WarehouseError(f"table {name!r} declares duplicate columns")
         self.name = name
         self.columns: tuple[str, ...] = tuple(columns)
-        self.dtypes: dict[str, str] = {}
-        for column, dtype in (dtypes or {}).items():
-            if dtype not in COLUMN_DTYPES:
-                raise WarehouseError(f"table {name!r}: unknown dtype {dtype!r} for {column!r}")
-            if column in self.columns:
-                self.dtypes[column] = dtype
-        self._data: dict[str, Any] = {column: self._fresh_backing(column) for column in columns}
+        self._data: dict[str, list[Any]] = {column: [] for column in columns}
         #: column -> (value -> row positions); ``None`` marks a stale index.
         self._indexes: dict[str, dict[Any, list[int]] | None] = {}
         #: Physical positions of deleted-but-not-yet-compacted rows.
         self._tombstones: set[int] = set()
-
-    def _fresh_backing(self, column: str) -> Any:
-        dtype = self.dtypes.get(column)
-        if dtype is not None and numpy_enabled():
-            return ColumnArray(dtype)
-        return []
-
-    def _demote(self, column: str) -> list[Any]:
-        """Convert one typed column back to a plain list (value did not fit)."""
-        backing = self._data[column]
-        if isinstance(backing, ColumnArray):
-            backing = backing.tolist()
-            self._data[column] = backing
-        return backing
 
     # ------------------------------------------------------------------
     # Mutation
@@ -245,10 +68,7 @@ class Table:
         if missing:
             raise UnknownColumnError(f"row for table {self.name!r} misses columns {missing}")
         for column in self.columns:
-            try:
-                self._data[column].append(row[column])
-            except _DemotionRequired:
-                self._demote(column).append(row[column])
+            self._data[column].append(row[column])
         position = self._physical_len() - 1
         for column, index in self._indexes.items():
             if index is not None:
@@ -264,9 +84,8 @@ class Table:
 
         Every declared column must be present and all columns equal-length.
         The CSV loader uses this to skip per-row dict building and index
-        upkeep entirely; indexes rebuild lazily on the next lookup.  A typed
-        column's values are adopted as an array when every cell fits, and
-        kept as a list otherwise.
+        upkeep entirely; indexes rebuild lazily on the next lookup.  Each
+        column is copied into a fresh list, so the caller keeps its own.
         """
         missing = [column for column in self.columns if column not in data]
         if missing:
@@ -274,20 +93,10 @@ class Table:
         lengths = {len(data[column]) for column in self.columns}
         if len(lengths) > 1:
             raise WarehouseError(f"bulk load for table {self.name!r} has ragged columns")
-        self._data = {column: self._adopt_column(column, data[column]) for column in self.columns}
+        self._data = {column: list(data[column]) for column in self.columns}
         self._tombstones.clear()
         for indexed in self._indexes:
             self._indexes[indexed] = None
-
-    def _adopt_column(self, column: str, values: Any) -> Any:
-        """Typed-array backing when possible, a plain list otherwise."""
-        values = list(values)
-        dtype = self.dtypes.get(column)
-        if dtype is None or not numpy_enabled():
-            return values
-        if all(_fits(dtype, value) for value in values):
-            return ColumnArray(dtype, _np.array(values, dtype=dtype))
-        return values
 
     def delete_where(self, column: str, value: Any) -> int:
         """Tombstone all rows whose ``column`` equals ``value``; returns the count.
@@ -318,27 +127,15 @@ class Table:
     def compact(self) -> int:
         """Physically drop tombstoned rows; returns how many were removed.
 
-        Typed columns compact in one fancy-index pass over the keep mask;
-        list columns rebuild by comprehension.  Indexes are invalidated
-        (rebuilt lazily on the next lookup) because every physical position
-        after the first tombstone shifts.
+        Every column is rebuilt by one comprehension over its list.  Indexes
+        are invalidated (rebuilt lazily on the next lookup) because every
+        physical position after the first tombstone shifts.
         """
         if not self._tombstones:
             return 0
         removed = len(self._tombstones)
-        if numpy_enabled() and any(isinstance(b, ColumnArray) for b in self._data.values()):
-            keep = _np.ones(self._physical_len(), dtype=bool)
-            keep[list(self._tombstones)] = False
-            positions = _np.nonzero(keep)[0]
-            survivors = positions.tolist()
-            for name, backing in self._data.items():
-                if isinstance(backing, ColumnArray):
-                    self._data[name] = backing.take(positions)
-                else:
-                    self._data[name] = [backing[i] for i in survivors]
-        else:
-            for name, values in self._data.items():
-                self._data[name] = [v for i, v in enumerate(values) if i not in self._tombstones]
+        for name, values in self._data.items():
+            self._data[name] = [v for i, v in enumerate(values) if i not in self._tombstones]
         self._tombstones.clear()
         for indexed in self._indexes:
             self._indexes[indexed] = None
@@ -350,10 +147,7 @@ class Table:
             raise UnknownColumnError(f"table {self.name!r} has no column {column!r}")
         if not 0 <= position < self._physical_len():
             raise WarehouseError(f"row index {position} out of range for table {self.name!r}")
-        try:
-            self._data[column][position] = value
-        except _DemotionRequired:
-            self._demote(column)[position] = value
+        self._data[column][position] = value
         self.invalidate_index(column)
 
     # ------------------------------------------------------------------
@@ -388,11 +182,10 @@ class Table:
     def lookup(self, column: str, value: Any) -> list[int]:
         """Physical positions of the *live* rows whose ``column`` equals ``value``.
 
-        A dict hit when ``column`` is indexed; otherwise a vectorized equality
-        scan on typed columns, a linear Python scan on the rest (the fallback
-        keeps the method usable on any column).  Tombstoned rows are skipped
-        either way — incrementally maintained indexes may still hold their
-        positions, so index hits are filtered against the tombstone set.
+        A dict hit when ``column`` is indexed; otherwise a linear scan (the
+        fallback keeps the method usable on any column).  Tombstoned rows are
+        skipped either way — incrementally maintained indexes may still hold
+        their positions, so index hits are filtered against the tombstone set.
         """
         if column not in self._data:
             raise UnknownColumnError(f"table {self.name!r} has no column {column!r}")
@@ -401,15 +194,9 @@ class Table:
             if not self._tombstones:
                 return list(hits)
             return [p for p in hits if p not in self._tombstones]
-        backing = self._data[column]
-        if isinstance(backing, ColumnArray) and numpy_enabled() and _fits(backing.dtype, value):
-            hits = _np.nonzero(backing.array == value)[0].tolist()
-            if not self._tombstones:
-                return hits
-            return [p for p in hits if p not in self._tombstones]
         return [
             i
-            for i, v in enumerate(backing)
+            for i, v in enumerate(self._data[column])
             if v == value and i not in self._tombstones
         ]
 
@@ -429,14 +216,12 @@ class Table:
             if position not in self._tombstones:
                 yield position
 
-    def column(self, name: str) -> Any:
-        """The *physical* backing of one column (the live storage; do not mutate).
+    def column(self, name: str) -> list[Any]:
+        """The *physical* list of one column (the live storage; do not mutate).
 
-        A plain list for untyped/demoted columns, a :class:`ColumnArray` for
-        typed ones — both index and iterate as plain Python values, and
-        positions from :meth:`lookup` index into them directly.  When the
-        table holds tombstones the backing still contains the dead rows'
-        values — full iterations should use :meth:`values` (or :meth:`rows`).
+        Positions from :meth:`lookup` index into it directly.  When the table
+        holds tombstones the list still contains the dead rows' values — full
+        iterations should use :meth:`values` (or :meth:`rows`).
         """
         if name not in self._data:
             raise UnknownColumnError(f"table {self.name!r} has no column {name!r}")
@@ -465,30 +250,16 @@ class Table:
     # Relational-style operations (each returns a new table)
     # ------------------------------------------------------------------
     def _subset(self, positions: Sequence[int], columns: Sequence[str] | None = None) -> "Table":
-        """Bulk-build a new table from physical positions (dtype-preserving).
+        """Bulk-build a new table from physical positions.
 
-        Typed columns copy via one fancy-index pass instead of per-row
-        appends; list columns copy by comprehension and stay lists.
+        Each column is copied by one comprehension instead of per-row appends.
         """
         columns = tuple(columns if columns is not None else self.columns)
-        dtypes = {c: self.dtypes[c] for c in columns if c in self.dtypes}
-        result = Table(self.name, columns, dtypes=dtypes)
-        index = None
-        if numpy_enabled() and any(isinstance(self._data[c], ColumnArray) for c in columns):
-            index = _np.asarray(list(positions), dtype=_np.int64)
+        result = Table(self.name, columns)
         for column in columns:
             backing = self._data[column]
-            if isinstance(backing, ColumnArray) and index is not None:
-                result._data[column] = backing.take(index)
-            else:
-                result._data[column] = [backing[p] for p in positions]
+            result._data[column] = [backing[p] for p in positions]
         return result
-
-    def _mask_to_positions(self, mask: Any) -> list[int]:
-        """Live physical positions from a boolean mask over physical rows."""
-        if self._tombstones:
-            mask[list(self._tombstones)] = False
-        return _np.nonzero(mask)[0].tolist()
 
     def filter(self, predicate: Callable[[dict[str, Any]], bool]) -> "Table":
         """Return a new table with the rows for which ``predicate`` is true."""
@@ -498,25 +269,12 @@ class Table:
     def where(self, **equals: Any) -> "Table":
         """Return rows whose columns equal the given values (conjunction).
 
-        When every constrained column is array-backed the conjunction is one
-        boolean-mask pass; when one is indexed, only the candidate rows from
+        When one constrained column is indexed, only the candidate rows from
         the index are examined; otherwise the full table is scanned.
         """
         for column in equals:
             if column not in self._data:
                 raise UnknownColumnError(f"table {self.name!r} has no column {column!r}")
-        if (
-            equals
-            and numpy_enabled()
-            and all(
-                isinstance(self._data[c], ColumnArray) and _fits(self._data[c].dtype, v)
-                for c, v in equals.items()
-            )
-        ):
-            mask = _np.ones(self._physical_len(), dtype=bool)
-            for column, value in equals.items():
-                mask &= self._data[column].array == value
-            return self._subset(self._mask_to_positions(mask))
         indexed = next((column for column in equals if column in self._indexes), None)
         if indexed is not None:
             positions = []
@@ -534,33 +292,12 @@ class Table:
         allowed = set(values)
         if column not in self._data:
             raise UnknownColumnError(f"table {self.name!r} has no column {column!r}")
-        backing = self._data[column]
-        if (
-            isinstance(backing, ColumnArray)
-            and numpy_enabled()
-            and all(_fits(backing.dtype, v) for v in allowed)
-        ):
-            if not allowed:
-                return self._subset([])
-            candidates = _np.array(list(allowed), dtype=backing.dtype)
-            mask = _np.isin(backing.array, candidates)
-            return self._subset(self._mask_to_positions(mask))
         return self.filter(lambda row: row[column] in allowed)
 
     def where_between(self, column: str, low: Any, high: Any) -> "Table":
         """Return rows whose ``column`` value lies in the closed interval [low, high]."""
         if column not in self._data:
             raise UnknownColumnError(f"table {self.name!r} has no column {column!r}")
-        backing = self._data[column]
-        if (
-            isinstance(backing, ColumnArray)
-            and numpy_enabled()
-            and _fits(backing.dtype, low)
-            and _fits(backing.dtype, high)
-        ):
-            arr = backing.array
-            mask = (arr >= low) & (arr <= high)
-            return self._subset(self._mask_to_positions(mask))
         return self.filter(lambda row: low <= row[column] <= high)
 
     def select(self, columns: Sequence[str]) -> "Table":
@@ -575,17 +312,7 @@ class Table:
         if column not in self._data:
             raise UnknownColumnError(f"table {self.name!r} has no column {column!r}")
         backing = self._data[column]
-        live = list(self.live_positions())
-        if (
-            isinstance(backing, ColumnArray)
-            and numpy_enabled()
-            and not reverse
-            and not (backing.dtype == "float64" and bool(_np.isnan(backing.array).any()))
-        ):
-            sub = backing.array[_np.asarray(live, dtype=_np.int64)]
-            order = _np.argsort(sub, kind="stable").tolist()
-            return self._subset([live[i] for i in order])
-        order = sorted(live, key=lambda i: backing[i], reverse=reverse)
+        order = sorted(self.live_positions(), key=lambda i: backing[i], reverse=reverse)
         return self._subset(order)
 
     def group_by(

@@ -18,12 +18,6 @@ from io import StringIO
 import pytest
 
 from repro import obs
-from repro.aggregation.kernel import (
-    NUMPY_MIN_SLOTS,
-    calibrate,
-    effective_min_slots,
-    set_min_slots,
-)
 from repro.errors import ObservabilityError
 from repro.live.asynccommit import AsyncCommitEngine
 from repro.live.engine import LiveAggregationEngine, canonical_form
@@ -368,23 +362,6 @@ def test_summary_reports_engine_depth_figures(scenario):
     batch = FlexSession(scenario, engine="batch")
     assert "queue_depth" not in batch.summary()
     batch.close()
-
-
-# ----------------------------------------------------------------------
-# Kernel-threshold calibration (the adaptive NUMPY_MIN_SLOTS satellite)
-# ----------------------------------------------------------------------
-def test_calibrate_returns_and_installs_a_threshold():
-    try:
-        threshold = calibrate(ladder=(16, 64), repeats=1, install=False)
-        assert threshold >= 1
-        assert effective_min_slots() == NUMPY_MIN_SLOTS  # install=False
-        set_min_slots(threshold)
-        assert effective_min_slots() == threshold
-        with pytest.raises(Exception):
-            set_min_slots(0)
-    finally:
-        set_min_slots(None)
-    assert effective_min_slots() == NUMPY_MIN_SLOTS
 
 
 # ----------------------------------------------------------------------

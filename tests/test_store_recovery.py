@@ -297,20 +297,35 @@ class TestSegmentStore:
         assert _canonical_state(session) == ref_state
         session.close()
 
-    def test_torn_final_line_repaired_on_reopen(self, tmp_path):
-        """A crash mid-append leaves a partial last line; reopening truncates
-        it and reissues its sequence number instead of refusing the log."""
+    @pytest.mark.parametrize(
+        "tear, survivors",
+        [
+            # The crash cut a record short: the final line is not JSON.
+            pytest.param(
+                lambda raw: raw + b'{"seq": 10, "event": {"type": "ad', 10, id="partial_line"
+            ),
+            # The crash fell between a complete record and its newline.
+            pytest.param(lambda raw: raw[:-1], 9, id="newline_lost"),
+        ],
+    )
+    def test_torn_final_line_repaired_on_reopen(self, tmp_path, tear, survivors):
+        """A crash mid-append leaves bytes after the last newline; reopening
+        truncates them and reissues their sequence number instead of refusing
+        the log or appending onto the torn line."""
         store = SegmentStore(tmp_path, segment_size=100)
-        events = self._events(10)
-        store.extend(events)
+        events = self._events(12)
+        store.extend(events[:10])
         active = store.segments()[-1]
-        with open(active, "a", encoding="utf-8") as handle:
-            handle.write('{"seq": 10, "event": {"type": "ad')  # torn write
+        active.write_bytes(tear(active.read_bytes()))
         reopened = SegmentStore(tmp_path, segment_size=100)
-        assert reopened.next_sequence == 10
-        assert len(list(reopened.events())) == 10
+        assert reopened.next_sequence == survivors
+        assert len(list(reopened.events())) == survivors
         # The reissued sequence lands where the torn record would have.
-        assert reopened.append(self._events(11)[10]) == 10
+        assert reopened.append(events[survivors]) == survivors
+        reopened.append(events[survivors + 1])
+        again = SegmentStore(tmp_path, segment_size=100)
+        assert [sequence for sequence, _ in again.records()] == list(range(survivors + 2))
+        assert len(list(again.events())) == survivors + 2
 
     def test_mid_file_corruption_still_raises(self, tmp_path):
         store = SegmentStore(tmp_path, segment_size=100)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import UnknownColumnError, WarehouseError
-from repro.warehouse.table import ColumnArray, Table, force_backend, numpy_enabled
+from repro.warehouse.table import Table
 
 
 @pytest.fixture
@@ -18,6 +18,17 @@ def people() -> Table:
             {"name": "cia", "city": "Aalborg", "age": 40},
             {"name": "dan", "city": "Odense", "age": 35},
         ]
+    )
+    return table
+
+
+def _numbers() -> Table:
+    """Int, float and bool columns, as the star schema's fact tables hold them."""
+    table = Table("facts", ["offer_id", "energy", "flag"])
+    # ``i * 7 % 20`` permutes 0..19, so the energies arrive out of order and
+    # span one- and two-digit values (a text sort would misplace 10.5).
+    table.extend(
+        {"offer_id": i, "energy": (i * 7 % 20) * 0.75, "flag": i % 2 == 0} for i in range(20)
     )
     return table
 
@@ -58,6 +69,10 @@ class TestBasics:
 class TestFiltering:
     def test_where_equality(self, people):
         assert len(people.where(city="Aalborg")) == 2
+        # Python equality holds across numeric types: 7.0 matches 7, 0 matches False.
+        numbers = _numbers()
+        assert [row["offer_id"] for row in numbers.where(offer_id=7.0).rows()] == [7]
+        assert len(numbers.where(flag=0)) == 10
 
     def test_where_unknown_column(self, people):
         with pytest.raises(UnknownColumnError):
@@ -68,6 +83,7 @@ class TestFiltering:
 
     def test_where_between(self, people):
         assert len(people.where_between("age", 30, 40)) == 3
+        assert len(_numbers().where_between("energy", 1.0, 3.0)) == 3
 
     def test_filter_predicate(self, people):
         assert len(people.filter(lambda row: row["age"] > 30)) == 2
@@ -90,6 +106,7 @@ class TestProjectionAndSort:
 
     def test_sort_by(self, people):
         assert people.sort_by("age").column("age") == [25, 30, 35, 40]
+        assert _numbers().sort_by("energy").column("energy") == [i * 0.75 for i in range(20)]
 
     def test_sort_by_descending(self, people):
         assert people.sort_by("age", reverse=True).column("age")[0] == 40
@@ -150,6 +167,13 @@ class TestIndexesAndMutation:
         people.lookup("city", "Aalborg")  # force the lazy build
         people.append({"name": "eve", "city": "Aalborg", "age": 22})
         assert people.lookup("city", "Aalborg") == [0, 2, 4]
+        # A bulk load replaces every column, None cells included, and the
+        # index rebuilds from the new contents.
+        people.install_columns(
+            {"name": ["fay", "gus"], "city": ["Odense", "Aalborg"], "age": [None, 50]}
+        )
+        assert people.lookup("city", "Aalborg") == [1]
+        assert people.column("age") == [None, 50]
 
     def test_where_uses_index_and_agrees_with_scan(self, people):
         expected = [row["name"] for row in people.where(city="Aalborg", age=40).rows()]
@@ -227,112 +251,3 @@ class TestCsv:
         with pytest.raises(WarehouseError):
             Table.from_csv("x", "")
 
-
-def _typed_table() -> Table:
-    table = Table(
-        "facts",
-        ["offer_id", "energy", "flag", "label"],
-        dtypes={"offer_id": "int64", "energy": "float64", "flag": "bool"},
-    )
-    table.extend(
-        {"offer_id": i, "energy": i * 0.5, "flag": i % 2 == 0, "label": f"o{i}"}
-        for i in range(20)
-    )
-    return table
-
-
-class TestTypedColumns:
-    """The numpy-backed typed columns and their pure-Python fallback."""
-
-    def test_unknown_dtype_rejected(self):
-        with pytest.raises(WarehouseError):
-            Table("bad", ["a"], dtypes={"a": "complex128"})
-
-    def test_typed_reads_are_plain_python(self):
-        table = _typed_table()
-        for value in table.column("offer_id")[:3]:
-            assert type(value) is int
-        assert type(table.column("energy")[1]) is float
-        assert type(table.column("flag")[0]) is bool
-        assert table.row(2) == {"offer_id": 2, "energy": 1.0, "flag": True, "label": "o2"}
-
-    def test_typed_columns_use_arrays_when_numpy_present(self):
-        table = _typed_table()
-        if numpy_enabled():
-            assert isinstance(table.column("offer_id"), ColumnArray)
-        assert isinstance(table.column("label"), list)
-
-    def test_scalar_backend_is_bit_identical(self):
-        with force_backend("scalar"):
-            fallback = _typed_table()
-            assert not numpy_enabled()
-            assert isinstance(fallback.column("offer_id"), list)
-            scalar_rows = list(fallback.rows())
-            scalar_filtered = [
-                row["offer_id"] for row in fallback.where(flag=True).rows()
-            ]
-        table = _typed_table()
-        assert list(table.rows()) == scalar_rows
-        assert [row["offer_id"] for row in table.where(flag=True).rows()] == scalar_filtered
-
-    def test_force_backend_rejects_bad_mode(self):
-        with pytest.raises(WarehouseError):
-            with force_backend("gpu"):
-                pass
-
-    def test_non_conforming_cell_demotes_column(self):
-        table = _typed_table()
-        table.append({"offer_id": None, "energy": 0.0, "flag": False, "label": "x"})
-        assert isinstance(table.column("offer_id"), list)
-        assert table.column("offer_id")[-1] is None
-        # The other typed columns keep their backing.
-        if numpy_enabled():
-            assert isinstance(table.column("energy"), ColumnArray)
-
-    def test_set_value_demotes_on_type_change(self):
-        table = _typed_table()
-        table.set_value("energy", 3, "not-a-number")
-        assert isinstance(table.column("energy"), list)
-        assert table.column("energy")[3] == "not-a-number"
-
-    def test_vectorized_ops_match_scan(self):
-        table = _typed_table()
-        assert [r["offer_id"] for r in table.where(offer_id=7).rows()] == [7]
-        assert len(table.where_in("offer_id", [1, 5, 99])) == 2
-        assert len(table.where_between("energy", 1.0, 3.0)) == 5
-        assert table.lookup("offer_id", 13) == [13]
-        assert table.sort_by("energy").column("energy")[0] == 0.0
-
-    def test_cross_type_equality_keeps_python_semantics(self):
-        # Python's ``1 == 1.0`` and ``0 == False`` must keep holding even for
-        # array-backed columns: mismatched query types take the scan path.
-        table = _typed_table()
-        assert len(table.where(offer_id=7.0)) == 1
-        assert len(table.where(flag=0)) == 10
-
-    def test_compact_preserves_typed_backing(self):
-        table = _typed_table()
-        table.create_index("offer_id")
-        for offer_id in range(10):
-            table.delete_where("offer_id", offer_id)
-        table.compact()
-        assert list(table.values("offer_id")) == list(range(10, 20))
-        if numpy_enabled():
-            assert isinstance(table.column("offer_id"), ColumnArray)
-
-    def test_subset_preserves_dtypes(self):
-        table = _typed_table()
-        filtered = table.where_between("offer_id", 5, 15)
-        if numpy_enabled():
-            assert isinstance(filtered.column("energy"), ColumnArray)
-        assert [type(v) for v in filtered.column("offer_id")[:2]] == [int, int]
-
-    def test_install_columns_adopts_conforming_lists(self):
-        table = Table("t", ["a", "b"], dtypes={"a": "int64"})
-        table.install_columns({"a": [1, 2, 3], "b": ["x", "y", "z"]})
-        assert list(table.values("a")) == [1, 2, 3]
-        if numpy_enabled():
-            assert isinstance(table.column("a"), ColumnArray)
-        table_with_none = Table("t", ["a"], dtypes={"a": "int64"})
-        table_with_none.install_columns({"a": [1, None, 3]})
-        assert isinstance(table_with_none.column("a"), list)
