@@ -301,14 +301,19 @@ def obs_overhead(offers, rounds: int = 15, fraction: float = 0.05) -> dict:
     """Observability cost on the commit path — off, fully on, and sampled.
 
     Three identical live engines run the same revise-and-commit workload,
-    rounds interleaved so process drift lands on all equally: one commits
-    with :mod:`repro.obs` disabled, one fully enabled, one enabled under a
-    head-based 1-in-16 :class:`~repro.obs.Sampler` (the production
-    "always-on" posture: metrics stay exact, only traces are thinned).  The
-    JSON row carries two same-process, machine-independent ratios the
-    trajectory gate holds above absolute floors: ``throughput_ratio =
-    disabled_ms / enabled_ms`` (>= 90%) and ``sampled_ratio = disabled_ms /
-    sampled_ms`` (>= 95% — sampling must recover most of the tracing cost).
+    rounds interleaved so process drift lands on all equally, and each
+    round rotates which leg goes first: one commits with :mod:`repro.obs`
+    disabled, one fully enabled, one enabled under a head-based 1-in-16
+    :class:`~repro.obs.Sampler` (the production "always-on" posture: metrics
+    stay exact, only traces are thinned).  The sampled leg keeps one sampler
+    for the whole run — a fresh sampler always records its first trace, so
+    one per round would trace every commit.  ``sampled_traced_commits``
+    counts the sampled commits that did record (1 in 16, starting with the
+    first).  The JSON row carries two same-process, machine-independent
+    ratios the trajectory gate holds above absolute floors:
+    ``throughput_ratio = disabled_ms / enabled_ms`` (>= 90%) and
+    ``sampled_ratio = disabled_ms / sampled_ms`` (>= 95% — sampling must
+    recover most of the tracing cost).
     """
     from repro import obs
 
@@ -317,10 +322,14 @@ def obs_overhead(offers, rounds: int = 15, fraction: float = 0.05) -> dict:
     rngs = {mode: np.random.default_rng(11) for mode in modes}
     touched = max(1, int(len(offers) * fraction))
     timings: dict[str, list[float]] = {mode: [] for mode in modes}
+    sampler = obs.Sampler(default_rate=16)
+    tracer = obs.get_tracer()
+    sampled_traced = 0
     obs.reset()
     try:
-        for _ in range(rounds):
-            for mode in modes:
+        for round_index in range(rounds):
+            first = round_index % len(modes)
+            for mode in modes[first:] + modes[:first]:
                 engine, rng = engines[mode], rngs[mode]
                 for position in rng.choice(len(offers), size=touched, replace=False):
                     current = engine.offer(offers[position].id)
@@ -337,10 +346,13 @@ def obs_overhead(offers, rounds: int = 15, fraction: float = 0.05) -> dict:
                     obs.enable()
                 elif mode == "sampled":
                     obs.enable()
-                    obs.set_sampler(obs.Sampler(default_rate=16))
+                    obs.set_sampler(sampler)
+                    newest = tracer.finished(limit=1, name="live.commit")
                 started = time.perf_counter()
                 engine.commit()
                 timings[mode].append(time.perf_counter() - started)
+                if mode == "sampled":
+                    sampled_traced += tracer.finished(limit=1, name="live.commit") != newest
                 obs.set_sampler(None)
                 obs.disable()
     finally:
@@ -355,6 +367,7 @@ def obs_overhead(offers, rounds: int = 15, fraction: float = 0.05) -> dict:
         "disabled_commit_ms": round(disabled * 1000, 3),
         "enabled_commit_ms": round(enabled * 1000, 3),
         "sampled_commit_ms": round(sampled * 1000, 3),
+        "sampled_traced_commits": sampled_traced,
         "throughput_ratio": round(disabled / enabled, 3),
         "sampled_ratio": round(disabled / sampled, 3),
     }

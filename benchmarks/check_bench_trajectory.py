@@ -58,7 +58,7 @@ what gates are machine-independent *ratios*:
 
 * stage-share drift: once a committed baseline carries ``stage_shares``
   (each stage's fraction of the total instrumented time), the required
-  stage groups' shares must stay within ``STAGE_SHARE_TOLERANCE`` (an
+  stages' shares must stay within ``STAGE_SHARE_TOLERANCE`` (an
   absolute band of share points) of the baseline — a stage silently
   ballooning relative to its peers fails CI even when absolute wall clock
   moved with the runner.  Baselines without the section (pre-tracing) fall
@@ -107,7 +107,7 @@ OBS_FLOOR = 0.9
 #: >=95% of uninstrumented throughput.
 SAMPLED_FLOOR = 0.95
 
-#: How far a required stage group's share of total instrumented time may move
+#: How far a required stage's share of total instrumented time may move
 #: from the committed baseline, in absolute share points.  Generous on
 #: purpose: quick sweeps are short and shares jitter; the gate exists to
 #: catch a stage ballooning (or vanishing) by a workload-shape margin, not
@@ -137,43 +137,34 @@ STORM_HIT_FLOOR = 0.5
 #: one recomputation 5x is the minimum for "concurrent reads pay off".
 STORM_THROUGHPUT_FLOOR = 5.0
 
-#: Stage histograms the live sweep's instrumented replay must cover; each
-#: entry is a group of acceptable names (any one present satisfies the group).
+#: Stage histograms the live sweep's instrumented replay must cover.
 LIVE_REQUIRED_STAGES = (
-    ("repro.live.commit.seconds",),
-    (
-        "repro.aggregation.kernel.numpy.seconds",
-        "repro.aggregation.kernel.scalar.seconds",
-    ),
-    ("repro.session.query.seconds",),
+    "repro.live.commit.seconds",
+    "repro.aggregation.kernel.scalar.seconds",
+    "repro.session.query.seconds",
     # The versioned read path: snapshot publication on commit and the
     # cache-fronted read (every default-consistency query probes the cache).
-    ("repro.readpath.snapshot.build.seconds",),
-    ("repro.readpath.cache.lookup.seconds",),
+    "repro.readpath.snapshot.build.seconds",
+    "repro.readpath.cache.lookup.seconds",
 )
 
 #: Stage histograms the recovery bench's instrumented cycle must cover.
 RECOVERY_REQUIRED_STAGES = (
-    ("repro.store.checkpoint.seconds",),
-    ("repro.store.restore.seconds",),
+    "repro.store.checkpoint.seconds",
+    "repro.store.restore.seconds",
 )
 
 
 def _missing_stages(stages: dict, required) -> list[str]:
-    return [
-        " | ".join(group)
-        for group in required
-        if not any(name in stages for name in group)
-    ]
+    return [name for name in required if name not in stages]
 
 
 def _share_drift(current: dict, baseline: dict, required, label: str) -> list[str]:
-    """Gate required stage groups' share of instrumented time vs the baseline.
+    """Gate required stages' share of instrumented time vs the baseline.
 
     Relative gate with a graceful ramp: it only engages once the committed
     baseline carries a ``stage_shares`` section (pre-tracing baselines keep
-    passing on the presence-only check).  Shares are summed per group, so
-    e.g. the two kernel histograms count as one stage.
+    passing on the presence-only check).
     """
     then_shares = baseline.get("stage_shares")
     if not then_shares:
@@ -181,19 +172,19 @@ def _share_drift(current: dict, baseline: dict, required, label: str) -> list[st
         return []
     now_shares = current.get("stage_shares", {})
     failures = []
-    for group in required:
-        now = sum(float(now_shares.get(name, 0.0)) for name in group)
-        then = sum(float(then_shares.get(name, 0.0)) for name in group)
+    for name in required:
+        now = float(now_shares.get(name, 0.0))
+        then = float(then_shares.get(name, 0.0))
         drift = now - then
         flag = "DRIFT" if abs(drift) > STAGE_SHARE_TOLERANCE else "ok"
         print(
-            f"  share {group[0].removeprefix('repro.').removesuffix('.seconds'):<24}: "
+            f"  share {name.removeprefix('repro.').removesuffix('.seconds'):<24}: "
             f"{now:6.3f} (baseline {then:.3f}, drift {drift:+.3f}, "
             f"band ±{STAGE_SHARE_TOLERANCE:.2f}) {flag}"
         )
         if abs(drift) > STAGE_SHARE_TOLERANCE:
             failures.append(
-                f"{label}: stage [{' | '.join(group)}] share of instrumented time "
+                f"{label}: stage [{name}] share of instrumented time "
                 f"drifted {drift:+.3f} vs baseline (band ±{STAGE_SHARE_TOLERANCE:.2f})"
             )
     return failures
@@ -372,10 +363,10 @@ def check(current: dict, baseline: dict) -> list[str]:
     missing = _missing_stages(stages, LIVE_REQUIRED_STAGES)
     print(
         f"  obs stage coverage      : {len(stages)} stages recorded, "
-        f"{len(missing)} required group(s) missing"
+        f"{len(missing)} required missing"
     )
-    for group in missing:
-        failures.append(f"obs: no observations for required stage [{group}]")
+    for name in missing:
+        failures.append(f"obs: no observations for required stage [{name}]")
     failures.extend(_share_drift(current, baseline, LIVE_REQUIRED_STAGES, "live"))
     # Informational only: absolute wall clock, for the artifact reader.
     for engine in ("live", *REPLAY_GATED):
@@ -419,8 +410,8 @@ def check_recovery(current: dict, baseline: dict) -> list[str]:
         f"  obs store stages        : {len(stages)} recorded, "
         f"{len(missing)} required missing"
     )
-    for group in missing:
-        failures.append(f"obs: no observations for required store stage [{group}]")
+    for name in missing:
+        failures.append(f"obs: no observations for required store stage [{name}]")
     failures.extend(
         _share_drift(current, baseline, RECOVERY_REQUIRED_STAGES, "recovery")
     )

@@ -12,13 +12,7 @@ from repro.aggregation.grouping import (
     group_offers,
     reduction_ratio,
 )
-from repro.aggregation.kernel import (
-    force_kernel,
-    numpy_available,
-    profile_bounds,
-    profile_bounds_numpy,
-    profile_bounds_scalar,
-)
+from repro.aggregation.kernel import profile_bounds, profile_bounds_scalar
 from repro.aggregation.metrics import AggregationMetrics, evaluate
 from repro.aggregation.parameters import AggregationParameters
 
@@ -32,10 +26,7 @@ __all__ = [
     "chunk_group",
     "chunks_from",
     "reduction_ratio",
-    "force_kernel",
-    "numpy_available",
     "profile_bounds",
-    "profile_bounds_numpy",
     "profile_bounds_scalar",
     "aggregate",
     "aggregate_group",

@@ -21,10 +21,12 @@ from repro.flexoffer.model import Direction, FlexOffer, ProfileSlice
 
 def _common_attribute(values: Iterable[str]) -> str:
     """Return the shared attribute value or ``"mixed"`` when the group disagrees."""
-    unique = {value for value in values}
-    if len(unique) == 1:
-        return next(iter(unique))
-    return "mixed"
+    iterator = iter(values)
+    first = next(iterator)
+    for value in iterator:
+        if value != first:
+            return "mixed"
+    return first
 
 
 def aggregate_group(group: Sequence[FlexOffer], aggregate_id: int) -> FlexOffer:
@@ -48,17 +50,12 @@ def aggregate_group(group: Sequence[FlexOffer], aggregate_id: int) -> FlexOffer:
 
     anchor = min(offer.earliest_start_slot for offer in group)
     offsets = [offer.earliest_start_slot - anchor for offer in group]
-    length = max(
-        offset + offer.profile_duration_slots for offset, offer in zip(offsets, group)
-    )
-
-    # The hot loop lives in the kernel: numpy when available and worthwhile,
-    # the scalar reference otherwise — bit-identical either way.
-    min_energy, max_energy = profile_bounds(group, offsets, length)
+    # The hot loop lives in the kernel; its lists span the whole group.
+    min_energy, max_energy = profile_bounds(group, offsets)
 
     profile = tuple(
-        ProfileSlice(min_energy=min_energy[index], max_energy=max_energy[index])
-        for index in range(length)
+        ProfileSlice(min_energy=low, max_energy=high)
+        for low, high in zip(min_energy, max_energy)
     )
     time_flexibility = min(offer.time_flexibility_slots for offer in group)
 

@@ -51,8 +51,10 @@ def group_key(offer: FlexOffer, parameters: AggregationParameters) -> GroupKey:
 def chunk_group(members: Sequence[FlexOffer], max_group_size: int) -> list[list[FlexOffer]]:
     """Split one cell's members into aggregation chunks of ``max_group_size``.
 
-    ``0`` means unlimited (one chunk).  Shared by the batch grouping and the
-    live engine's per-cell commit so both paths chunk identically.
+    ``0`` means unlimited (one chunk).  Used by the batch grouping, the
+    materialized views and engine-state restore; the live engine's commit
+    cuts the same runs of its sorted member ids by index
+    (:func:`chunk_count`), so every path chunks identically.
     """
     if max_group_size and len(members) > max_group_size:
         return [
@@ -75,10 +77,9 @@ def chunk_assignment(member_ids: Sequence[int], offer_id: int, max_group_size: i
     """The chunk index ``offer_id`` occupies within a cell's sorted membership.
 
     ``member_ids`` must be the cell's member ids in ascending order — the
-    order both :func:`chunk_group` callers (batch grouping and the live
-    engine's commit) chunk in, so this is *the* mapping from a member
-    mutation to the one chunk it perturbs.  ``max_group_size == 0``
-    (unlimited) always maps to chunk 0.
+    order the batch grouping and the live engine's commit chunk in, so this
+    is *the* mapping from a member mutation to the one chunk it perturbs.
+    ``max_group_size == 0`` (unlimited) always maps to chunk 0.
     """
     if max_group_size <= 0:
         return 0

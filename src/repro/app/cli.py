@@ -23,7 +23,7 @@ unified facade over scenario, warehouse, engines and views:
   cold replay) and exits non-zero on divergence.
 * ``flexviz stats`` — replay a scenario with observability enabled, exercise
   the query and durability paths, and print the per-stage latency table
-  (commit, kernel dispatch, query, checkpoint/restore); ``--export-jsonl`` /
+  (commit, kernel, query, checkpoint/restore); ``--export-jsonl`` /
   ``--export-prom`` dump the registry through the exporters, ``--flame`` /
   ``--folded`` dump the finished spans as a Chrome ``trace_event`` JSON
   (load it in Perfetto / ``chrome://tracing``) and as folded stacks
@@ -553,18 +553,17 @@ def _command_restore(args: argparse.Namespace) -> int:
 
 
 #: Stages the latency table must cover; ``--smoke`` fails when any recorded
-#: nothing.  Kernel dispatch is one logical stage served by two histograms
-#: (numpy/scalar) — at least one of the pair must have data.
-_REQUIRED_STAGE_GROUPS: tuple[tuple[str, ...], ...] = (
-    ("repro.live.commit.seconds",),
-    ("repro.aggregation.kernel.numpy.seconds", "repro.aggregation.kernel.scalar.seconds"),
-    ("repro.session.query.seconds",),
+#: nothing.
+_REQUIRED_STAGES: tuple[str, ...] = (
+    "repro.live.commit.seconds",
+    "repro.aggregation.kernel.scalar.seconds",
+    "repro.session.query.seconds",
     # The versioned read path: snapshot publication on commit, cache-fronted
     # snapshot reads (every default-consistency query records a lookup).
-    ("repro.readpath.snapshot.build.seconds",),
-    ("repro.readpath.cache.lookup.seconds",),
-    ("repro.store.checkpoint.seconds",),
-    ("repro.store.restore.seconds",),
+    "repro.readpath.snapshot.build.seconds",
+    "repro.readpath.cache.lookup.seconds",
+    "repro.store.checkpoint.seconds",
+    "repro.store.restore.seconds",
 )
 
 
@@ -675,11 +674,7 @@ def _command_stats(args: argparse.Namespace) -> int:
             stacks = obs.write_folded(args.folded, obs.get_tracer().finished())
             print(f"wrote {stacks} folded stack lines to {args.folded}")
         if args.smoke:
-            missing = [
-                " or ".join(group)
-                for group in _REQUIRED_STAGE_GROUPS
-                if not any(name in recorded for name in group)
-            ]
+            missing = [name for name in _REQUIRED_STAGES if name not in recorded]
             if missing:
                 print(
                     "stats smoke FAILED: no observations for: " + "; ".join(missing),

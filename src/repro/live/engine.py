@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.aggregation.aggregate import aggregate_group, AggregationResult
-from repro.aggregation.grouping import GroupKey, chunk_group, chunks_from, group_key
+from repro.aggregation.grouping import GroupKey, chunk_count, chunks_from, group_key
 from repro.aggregation.parameters import AggregationParameters
 from repro.errors import LiveEngineError
 from repro.flexoffer.model import FlexOffer
@@ -543,15 +543,18 @@ class LiveAggregationEngine:
         removed: list[FlexOffer] = []
         reaggregated = 0
         skipped = 0
+        max_group_size = self.parameters.max_group_size
+        offers = self._offers
         dirty = tuple(sorted(self._dirty))
         for cell in dirty:
             old_outputs = self._outputs.get(cell, [])
             member_ids = sorted(self._cells.get(cell, ()))
-            members = [self._offers[i] for i in member_ids]
             dirty_chunks = self._dirty_chunks(cell, self._dirty[cell], member_ids)
-            chunks = chunk_group(members, self.parameters.max_group_size) if members else []
+            # Chunks are consecutive runs of the sorted ids (chunk_group's
+            # cut); only dirty chunks materialize their members.
+            size = max_group_size or len(member_ids)
             new_outputs: list[FlexOffer] = []
-            for chunk_index, group in enumerate(chunks):
+            for chunk_index in range(chunk_count(len(member_ids), max_group_size)):
                 if chunk_index not in dirty_chunks and chunk_index < len(old_outputs):
                     # Clean chunk: the stability rule guarantees its member
                     # list is exactly the committed one — reuse the output.
@@ -559,6 +562,8 @@ class LiveAggregationEngine:
                     skipped += 1
                     continue
                 reaggregated += 1
+                start = chunk_index * size
+                group = [offers[i] for i in member_ids[start : start + size]]
                 if len(group) == 1:
                     # Mirror the batch pipeline: 1-offer groups pass through raw.
                     new_outputs.append(group[0])
@@ -567,7 +572,7 @@ class LiveAggregationEngine:
                 if key not in self._aggregate_ids:
                     self._aggregate_ids[key] = self._allocate_id()
                 combined = aggregate_group(group, self._aggregate_ids[key])
-                self._constituents[combined.id] = list(group)
+                self._constituents[combined.id] = group
                 new_outputs.append(combined)
             old_by_id = {offer.id: offer for offer in old_outputs}
             new_by_id = {offer.id: offer for offer in new_outputs}

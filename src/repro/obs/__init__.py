@@ -1,6 +1,6 @@
 """``repro.obs`` — metrics, tracing spans and exporters for the whole engine.
 
-The system's hot paths (commit drains, kernel dispatch, query execution,
+The system's hot paths (commit drains, the aggregation kernel, query execution,
 checkpoint/restore) are instrumented against **one process-global registry**
 and **one tracer**, both disabled by default:
 

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import settings as hypothesis_settings
 
 from repro import obs
+from repro.aggregation.kernel import profile_bounds_scalar
 from repro.flexoffer.model import Direction, FlexOffer, ProfileSlice, Schedule
 from repro.timeseries.grid import TimeGrid
 
@@ -76,6 +77,19 @@ def make_offer(
         appliance_type=attributes.pop("appliance_type", "electric_vehicle"),
         **attributes,
     )
+
+
+def seed_loop_bounds(group, offsets) -> tuple[list[float], list[float]]:
+    """``profile_bounds`` computed by the seed loops, at the seed's length.
+
+    The independent reference the kernel tests and the differential
+    harness's batch oracle patch in for
+    ``repro.aggregation.aggregate.profile_bounds``.
+    """
+    length = max(
+        offset + offer.profile_duration_slots for offset, offer in zip(offsets, group)
+    )
+    return profile_bounds_scalar(group, offsets, length)
 
 
 @pytest.fixture

@@ -17,10 +17,13 @@ side, and checks observables only:
   commit points must reappear *identically* (same id, same profile, same
   constituents): neither the chunk-granular dirty ledger nor the async
   worker's commit cadence may disturb untouched output;
-* **cross-kernel bit-identity** — the oracle is pinned to one
-  :mod:`repro.aggregation.kernel` path while the engines run the other, so
-  any drift between the scalar and numpy kernels fails on realistic
-  workloads, not just on synthetic profiles.
+* **cross-kernel bit-identity** — the engines run the production
+  :mod:`repro.aggregation.kernel` while the batch oracle runs the seed loops
+  (``profile_bounds_scalar``, patched in around the oracle call only), so
+  any drift of the kernel from the seed arithmetic fails on realistic
+  workloads, not just on synthetic profiles.  One leg feeds varied profiles
+  — unit and multi-slot slices in either order, int-valued and signed-zero
+  bounds — so both kernel branches meet the oracle.
 
 Registered in the weekly ``HYPOTHESIS_PROFILE=extended`` CI run.
 """
@@ -30,6 +33,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import replace
 from datetime import timedelta
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -37,12 +41,12 @@ from hypothesis import strategies as st
 
 from repro.aggregation.aggregate import aggregate
 from repro.aggregation.grouping import group_key
-from repro.aggregation.kernel import force_kernel, numpy_available
 from repro.aggregation.parameters import AggregationParameters
+from repro.flexoffer.model import ProfileSlice
 from repro.live.asynccommit import AsyncCommitEngine
 from repro.live.engine import LiveAggregationEngine, canonical_form
 from repro.live.events import OfferAdded, OfferUpdated, OfferWithdrawn
-from tests.conftest import make_offer
+from tests.conftest import make_offer, seed_loop_bounds
 
 #: Interleaved op codes the random scripts are built from.
 INSERT, MUTATE, MIGRATE, WITHDRAW, COMMIT, FLUSH = range(6)
@@ -74,8 +78,28 @@ def _canonical(offers) -> Counter:
     return Counter(canonical_form(offer) for offer in offers)
 
 
-def run_differential(ops, max_group_size, engine_kernel, oracle_kernel) -> None:
-    """Drive one random script through all engines; check at every commit."""
+#: Slice bounds the varied profiles draw from: ints, both signed zeros and
+#: floats whose sums round.
+_BOUNDS = (-0.0, 0, 0.0, 3, 0.1, 0.7, 1.3, 2.5)
+
+
+def _varied_profile(selector: int, magnitude: int) -> tuple[ProfileSlice, ...]:
+    """One to four slices, unit and multi-slot mixed, picked by an op's ints."""
+    pieces = []
+    for index in range(1 + selector % 4):
+        low = _BOUNDS[(selector // 4 + index) % len(_BOUNDS)]
+        high = low + _BOUNDS[(magnitude + index) % len(_BOUNDS)]
+        duration = 1 if (magnitude >> index) & 1 else 1 + (selector + index) % 4
+        pieces.append(ProfileSlice(low, high, duration))
+    return tuple(pieces)
+
+
+def run_differential(ops, max_group_size, varied_profiles=False) -> None:
+    """Drive one random script through all engines; check at every commit.
+
+    ``varied_profiles`` gives every inserted or mutated offer a
+    :func:`_varied_profile` in place of the shared default profile.
+    """
     parameters = AggregationParameters(max_group_size=max_group_size)
     engines = _fresh_engines(parameters)
     #: The harness's own population mirror (black-box ground truth).
@@ -87,82 +111,87 @@ def run_differential(ops, max_group_size, engine_kernel, oracle_kernel) -> None:
     previous_aggregates: dict[str, list] = {name: [] for name in engines}
     next_id = 1
     try:
-        with force_kernel(engine_kernel):
-            for op, selector, magnitude in ops:
-                if op == FLUSH:
-                    engines["async"].flush()
-                    continue
-                if op == COMMIT:
-                    for name, engine in engines.items():
-                        engine.commit()
-                        output = engine.aggregated_offers()
-                        current = {offer for offer in output if offer.is_aggregate}
-                        for prior in previous_aggregates[name]:
-                            member = population.get(prior.constituent_ids[0])
-                            if member is None:
-                                continue  # a constituent was withdrawn: touched
-                            if group_key(member, parameters) in affected_cells:
-                                continue
-                            assert prior in current, (
-                                f"{name}: untouched aggregate {prior.id} "
-                                f"(constituents {sorted(prior.constituent_ids)}) was disturbed"
-                            )
-                        previous_aggregates[name] = [
-                            offer for offer in output if offer.is_aggregate
-                        ]
-                    affected_cells.clear()
-                    continue
-                if op == INSERT or not order:
-                    offer = make_offer(
-                        offer_id=next_id,
-                        earliest_start=36 + selector % 12,
-                        time_flexibility=4 + selector % 6,
-                        prosumer_id=selector % 5 + 1,
-                    )
-                    next_id += 1
-                    population[offer.id] = offer
-                    order.append(offer.id)
-                    affected_cells.add(group_key(offer, parameters))
-                    event = OfferAdded(offer.creation_time, offer)
-                elif op in (MUTATE, MIGRATE):
-                    target = order[selector % len(order)]
-                    current = population[target]
-                    revised = replace(
-                        current, price_per_kwh=current.price_per_kwh + magnitude / 100.0
-                    )
-                    if op == MIGRATE:
-                        # Shift the start enough to change the grid cell.
-                        revised = replace(
-                            revised,
-                            earliest_start_slot=current.earliest_start_slot + magnitude,
-                            latest_start_slot=current.latest_start_slot + magnitude,
+        for op, selector, magnitude in ops:
+            if op == FLUSH:
+                engines["async"].flush()
+                continue
+            if op == COMMIT:
+                for name, engine in engines.items():
+                    engine.commit()
+                    output = engine.aggregated_offers()
+                    current = {offer for offer in output if offer.is_aggregate}
+                    for prior in previous_aggregates[name]:
+                        member = population.get(prior.constituent_ids[0])
+                        if member is None:
+                            continue  # a constituent was withdrawn: touched
+                        if group_key(member, parameters) in affected_cells:
+                            continue
+                        assert prior in current, (
+                            f"{name}: untouched aggregate {prior.id} "
+                            f"(constituents {sorted(prior.constituent_ids)}) was disturbed"
                         )
-                    population[target] = revised
-                    affected_cells.add(group_key(current, parameters))
-                    affected_cells.add(group_key(revised, parameters))
-                    event = OfferUpdated(current.creation_time, revised)
-                else:  # WITHDRAW
-                    target = order.pop(selector % len(order))
-                    offer = population.pop(target)
-                    affected_cells.add(group_key(offer, parameters))
-                    event = OfferWithdrawn(
-                        offer.assignment_deadline + timedelta(minutes=15), target
-                    )
-                for engine in engines.values():
-                    engine.apply(event)
-            # Final barrier: every engine commits and must agree with the
-            # batch oracle bit for bit, on an identical surviving population.
-            states = {}
-            surviving = None
-            for name, engine in engines.items():
-                engine.commit()
-                states[name] = _canonical(engine.aggregated_offers())
-                offers = engine.offers()
-                assert [o.id for o in offers] == sorted(population), (
-                    f"{name}: surviving population diverged from the mirror"
+                    previous_aggregates[name] = [
+                        offer for offer in output if offer.is_aggregate
+                    ]
+                affected_cells.clear()
+                continue
+            if op == INSERT or not order:
+                offer = make_offer(
+                    offer_id=next_id,
+                    earliest_start=36 + selector % 12,
+                    time_flexibility=4 + selector % 6,
+                    prosumer_id=selector % 5 + 1,
                 )
-                surviving = offers
-        with force_kernel(oracle_kernel):
+                if varied_profiles:
+                    offer = replace(offer, profile=_varied_profile(selector, magnitude))
+                next_id += 1
+                population[offer.id] = offer
+                order.append(offer.id)
+                affected_cells.add(group_key(offer, parameters))
+                event = OfferAdded(offer.creation_time, offer)
+            elif op in (MUTATE, MIGRATE):
+                target = order[selector % len(order)]
+                current = population[target]
+                revised = replace(
+                    current, price_per_kwh=current.price_per_kwh + magnitude / 100.0
+                )
+                if varied_profiles:
+                    revised = replace(revised, profile=_varied_profile(magnitude, selector))
+                if op == MIGRATE:
+                    # Shift the start enough to change the grid cell.
+                    revised = replace(
+                        revised,
+                        earliest_start_slot=current.earliest_start_slot + magnitude,
+                        latest_start_slot=current.latest_start_slot + magnitude,
+                    )
+                population[target] = revised
+                affected_cells.add(group_key(current, parameters))
+                affected_cells.add(group_key(revised, parameters))
+                event = OfferUpdated(current.creation_time, revised)
+            else:  # WITHDRAW
+                target = order.pop(selector % len(order))
+                offer = population.pop(target)
+                affected_cells.add(group_key(offer, parameters))
+                event = OfferWithdrawn(
+                    offer.assignment_deadline + timedelta(minutes=15), target
+                )
+            for engine in engines.values():
+                engine.apply(event)
+        # Final barrier: every engine commits and must agree with the
+        # batch oracle bit for bit, on an identical surviving population.
+        states = {}
+        surviving = None
+        for name, engine in engines.items():
+            engine.commit()
+            states[name] = _canonical(engine.aggregated_offers())
+            offers = engine.offers()
+            assert [o.id for o in offers] == sorted(population), (
+                f"{name}: surviving population diverged from the mirror"
+            )
+            surviving = offers
+        # The oracle alone runs the seed loops: the engines keep the
+        # production kernel.
+        with mock.patch("repro.aggregation.aggregate.profile_bounds", seed_loop_bounds):
             oracle = _canonical(aggregate(surviving, parameters, id_offset=1_000_000).offers)
         for name, state in states.items():
             assert state == oracle, f"{name} diverged from the batch oracle"
@@ -178,15 +207,11 @@ def run_differential(ops, max_group_size, engine_kernel, oracle_kernel) -> None:
 @settings(deadline=None)
 def test_random_interleavings_stay_equivalent(max_group_size, ops):
     """Random scripts: engines ≡ batch oracle, untouched output undisturbed."""
-    run_differential(ops, max_group_size, engine_kernel=None, oracle_kernel="scalar")
+    run_differential(ops, max_group_size)
 
 
-@pytest.mark.skipif(not numpy_available(), reason="numpy kernel unavailable")
-@pytest.mark.parametrize(
-    "engine_kernel,oracle_kernel", (("numpy", "scalar"), ("scalar", "numpy"))
-)
 @given(ops=_ops)
 @settings(deadline=None, max_examples=25)
-def test_cross_kernel_bit_identity(engine_kernel, oracle_kernel, ops):
-    """Engines on one kernel, oracle on the other: still bit-identical."""
-    run_differential(ops, 3, engine_kernel=engine_kernel, oracle_kernel=oracle_kernel)
+def test_cross_kernel_bit_identity(ops):
+    """Varied profiles: engines on the kernel, oracle on the seed loops, bit-identical."""
+    run_differential(ops, 3, varied_profiles=True)

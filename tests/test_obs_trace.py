@@ -220,6 +220,21 @@ def test_global_reset_drops_the_sampler(global_obs):
     assert obs.get_tracer().sampler is None
 
 
+def test_obs_overhead_sampled_leg_traces_one_commit_in_sixteen(global_obs):
+    """The benchmark's sampled leg keeps one 1-in-16 sampler across rounds:
+    17 sampled commits record the 1st and the 17th, not all 17."""
+    pytest.importorskip("numpy", exc_type=ImportError)
+    from benchmarks.bench_live_engine import obs_overhead
+    from tests.conftest import make_offer
+
+    offers = [
+        make_offer(offer_id=i, earliest_start=40 + i % 8, time_flexibility=4 + i % 3)
+        for i in range(1, 41)
+    ]
+    assert obs_overhead(offers, rounds=17)["sampled_traced_commits"] == 2
+    assert obs_overhead(offers, rounds=16)["sampled_traced_commits"] == 1
+
+
 # ----------------------------------------------------------------------
 # Enable/disable flip safety
 # ----------------------------------------------------------------------
