@@ -21,9 +21,10 @@ side, and checks observables only:
   :mod:`repro.aggregation.kernel` while the batch oracle runs the seed loops
   (``profile_bounds_scalar``, patched in around the oracle call only), so
   any drift of the kernel from the seed arithmetic fails on realistic
-  workloads, not just on synthetic profiles.  One leg feeds varied profiles
-  — unit and multi-slot slices in either order, int-valued and signed-zero
-  bounds — so both kernel branches meet the oracle.
+  workloads, not just on synthetic profiles.  The cross-kernel leg feeds
+  varied profiles — unit and multi-slot slices in either order, int-valued
+  and signed-zero bounds — so both kernel branches meet the oracle, and
+  also runs mirrored: engines on the seed loops, oracle on the kernel.
 
 Registered in the weekly ``HYPOTHESIS_PROFILE=extended`` CI run.
 """
@@ -31,6 +32,7 @@ Registered in the weekly ``HYPOTHESIS_PROFILE=extended`` CI run.
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import replace
 from datetime import timedelta
 from unittest import mock
@@ -94,11 +96,20 @@ def _varied_profile(selector: int, magnitude: int) -> tuple[ProfileSlice, ...]:
     return tuple(pieces)
 
 
-def run_differential(ops, max_group_size, varied_profiles=False) -> None:
+def _on_seed_loops():
+    """Route ``aggregate_group``'s profile summation to the seed loops."""
+    return mock.patch("repro.aggregation.aggregate.profile_bounds", seed_loop_bounds)
+
+
+def run_differential(
+    ops, max_group_size, varied_profiles=False, engines_on_seed_loops=False
+) -> None:
     """Drive one random script through all engines; check at every commit.
 
     ``varied_profiles`` gives every inserted or mutated offer a
-    :func:`_varied_profile` in place of the shared default profile.
+    :func:`_varied_profile` in place of the shared default profile.  The
+    batch oracle runs on the seed loops and the engines on the production
+    kernel; ``engines_on_seed_loops`` swaps the two.
     """
     parameters = AggregationParameters(max_group_size=max_group_size)
     engines = _fresh_engines(parameters)
@@ -110,88 +121,93 @@ def run_differential(ops, max_group_size, varied_profiles=False) -> None:
     #: Aggregates each engine reported at its previous commit point.
     previous_aggregates: dict[str, list] = {name: [] for name in engines}
     next_id = 1
+    engine_kernel, oracle_kernel = (
+        (_on_seed_loops(), nullcontext())
+        if engines_on_seed_loops
+        else (nullcontext(), _on_seed_loops())
+    )
     try:
-        for op, selector, magnitude in ops:
-            if op == FLUSH:
-                engines["async"].flush()
-                continue
-            if op == COMMIT:
-                for name, engine in engines.items():
-                    engine.commit()
-                    output = engine.aggregated_offers()
-                    current = {offer for offer in output if offer.is_aggregate}
-                    for prior in previous_aggregates[name]:
-                        member = population.get(prior.constituent_ids[0])
-                        if member is None:
-                            continue  # a constituent was withdrawn: touched
-                        if group_key(member, parameters) in affected_cells:
-                            continue
-                        assert prior in current, (
-                            f"{name}: untouched aggregate {prior.id} "
-                            f"(constituents {sorted(prior.constituent_ids)}) was disturbed"
-                        )
-                    previous_aggregates[name] = [
-                        offer for offer in output if offer.is_aggregate
-                    ]
-                affected_cells.clear()
-                continue
-            if op == INSERT or not order:
-                offer = make_offer(
-                    offer_id=next_id,
-                    earliest_start=36 + selector % 12,
-                    time_flexibility=4 + selector % 6,
-                    prosumer_id=selector % 5 + 1,
-                )
-                if varied_profiles:
-                    offer = replace(offer, profile=_varied_profile(selector, magnitude))
-                next_id += 1
-                population[offer.id] = offer
-                order.append(offer.id)
-                affected_cells.add(group_key(offer, parameters))
-                event = OfferAdded(offer.creation_time, offer)
-            elif op in (MUTATE, MIGRATE):
-                target = order[selector % len(order)]
-                current = population[target]
-                revised = replace(
-                    current, price_per_kwh=current.price_per_kwh + magnitude / 100.0
-                )
-                if varied_profiles:
-                    revised = replace(revised, profile=_varied_profile(magnitude, selector))
-                if op == MIGRATE:
-                    # Shift the start enough to change the grid cell.
-                    revised = replace(
-                        revised,
-                        earliest_start_slot=current.earliest_start_slot + magnitude,
-                        latest_start_slot=current.latest_start_slot + magnitude,
+        with engine_kernel:
+            for op, selector, magnitude in ops:
+                if op == FLUSH:
+                    engines["async"].flush()
+                    continue
+                if op == COMMIT:
+                    for name, engine in engines.items():
+                        engine.commit()
+                        output = engine.aggregated_offers()
+                        current = {offer for offer in output if offer.is_aggregate}
+                        for prior in previous_aggregates[name]:
+                            member = population.get(prior.constituent_ids[0])
+                            if member is None:
+                                continue  # a constituent was withdrawn: touched
+                            if group_key(member, parameters) in affected_cells:
+                                continue
+                            assert prior in current, (
+                                f"{name}: untouched aggregate {prior.id} "
+                                f"(constituents {sorted(prior.constituent_ids)}) was disturbed"
+                            )
+                        previous_aggregates[name] = [
+                            offer for offer in output if offer.is_aggregate
+                        ]
+                    affected_cells.clear()
+                    continue
+                if op == INSERT or not order:
+                    offer = make_offer(
+                        offer_id=next_id,
+                        earliest_start=36 + selector % 12,
+                        time_flexibility=4 + selector % 6,
+                        prosumer_id=selector % 5 + 1,
                     )
-                population[target] = revised
-                affected_cells.add(group_key(current, parameters))
-                affected_cells.add(group_key(revised, parameters))
-                event = OfferUpdated(current.creation_time, revised)
-            else:  # WITHDRAW
-                target = order.pop(selector % len(order))
-                offer = population.pop(target)
-                affected_cells.add(group_key(offer, parameters))
-                event = OfferWithdrawn(
-                    offer.assignment_deadline + timedelta(minutes=15), target
+                    if varied_profiles:
+                        offer = replace(offer, profile=_varied_profile(selector, magnitude))
+                    next_id += 1
+                    population[offer.id] = offer
+                    order.append(offer.id)
+                    affected_cells.add(group_key(offer, parameters))
+                    event = OfferAdded(offer.creation_time, offer)
+                elif op in (MUTATE, MIGRATE):
+                    target = order[selector % len(order)]
+                    current = population[target]
+                    revised = replace(
+                        current, price_per_kwh=current.price_per_kwh + magnitude / 100.0
+                    )
+                    if varied_profiles:
+                        revised = replace(revised, profile=_varied_profile(magnitude, selector))
+                    if op == MIGRATE:
+                        # Shift the start enough to change the grid cell.
+                        revised = replace(
+                            revised,
+                            earliest_start_slot=current.earliest_start_slot + magnitude,
+                            latest_start_slot=current.latest_start_slot + magnitude,
+                        )
+                    population[target] = revised
+                    affected_cells.add(group_key(current, parameters))
+                    affected_cells.add(group_key(revised, parameters))
+                    event = OfferUpdated(current.creation_time, revised)
+                else:  # WITHDRAW
+                    target = order.pop(selector % len(order))
+                    offer = population.pop(target)
+                    affected_cells.add(group_key(offer, parameters))
+                    event = OfferWithdrawn(
+                        offer.assignment_deadline + timedelta(minutes=15), target
+                    )
+                for engine in engines.values():
+                    engine.apply(event)
+            # Final barrier: every engine commits and must agree with the
+            # batch oracle bit for bit, on an identical surviving population.
+            states = {}
+            surviving = None
+            for name, engine in engines.items():
+                engine.commit()
+                states[name] = _canonical(engine.aggregated_offers())
+                offers = engine.offers()
+                assert [o.id for o in offers] == sorted(population), (
+                    f"{name}: surviving population diverged from the mirror"
                 )
-            for engine in engines.values():
-                engine.apply(event)
-        # Final barrier: every engine commits and must agree with the
-        # batch oracle bit for bit, on an identical surviving population.
-        states = {}
-        surviving = None
-        for name, engine in engines.items():
-            engine.commit()
-            states[name] = _canonical(engine.aggregated_offers())
-            offers = engine.offers()
-            assert [o.id for o in offers] == sorted(population), (
-                f"{name}: surviving population diverged from the mirror"
-            )
-            surviving = offers
-        # The oracle alone runs the seed loops: the engines keep the
-        # production kernel.
-        with mock.patch("repro.aggregation.aggregate.profile_bounds", seed_loop_bounds):
+                surviving = offers
+        # The oracle and the engines never share a kernel.
+        with oracle_kernel:
             oracle = _canonical(aggregate(surviving, parameters, id_offset=1_000_000).offers)
         for name, state in states.items():
             assert state == oracle, f"{name} diverged from the batch oracle"
@@ -210,8 +226,15 @@ def test_random_interleavings_stay_equivalent(max_group_size, ops):
     run_differential(ops, max_group_size)
 
 
+#: Ids read engines-oracle.  They keep the names they had when the fast path
+#: was a numpy kernel, as ``TestKernel``'s bit-identity tests do: "numpy" is
+#: now the production kernel and "scalar" the seed loops.
+@pytest.mark.parametrize(
+    "engines_on_seed_loops",
+    (pytest.param(False, id="numpy-scalar"), pytest.param(True, id="scalar-numpy")),
+)
 @given(ops=_ops)
 @settings(deadline=None, max_examples=25)
-def test_cross_kernel_bit_identity(ops):
-    """Varied profiles: engines on the kernel, oracle on the seed loops, bit-identical."""
-    run_differential(ops, 3, varied_profiles=True)
+def test_cross_kernel_bit_identity(engines_on_seed_loops, ops):
+    """Varied profiles, engines and oracle on different kernels: bit-identical."""
+    run_differential(ops, 3, varied_profiles=True, engines_on_seed_loops=engines_on_seed_loops)
