@@ -49,7 +49,7 @@ what gates are machine-independent *ratios*:
   stay above the absolute ``OBS_FLOOR`` (0.9 — instrumentation may cost at
   most 10% of commit throughput; same-engine same-process ratio, so an
   absolute floor is safe), the head-sampled posture (1-in-16 traces,
-  metrics untouched) must recover most of that cost (``sampled_ratio``
+  stage histograms exact) must recover most of that cost (``sampled_ratio``
   against the absolute ``SAMPLED_FLOOR``, 0.95), and the per-stage latency
   breakdown must keep covering the required stages (commit, kernel, query
   in the live summary; checkpoint and restore in the recovery summary) —

@@ -9,7 +9,7 @@ The script streams a scenario through the async engine with observability
 on, one ``ingest.batch`` span per batch of events.  The engine's background
 worker commits those events on its own thread, yet its commits land in the
 trace of the ingest that handed them over, linked by ids.  The tour then
-demonstrates the head-based sampler (traces thin out, metrics stay exact)
+demonstrates the head-based sampler (traces thin out, stage histograms stay exact)
 and writes the three trace artifacts — a JSONL dump, a Chrome
 ``trace_event`` file for Perfetto/``chrome://tracing`` and a folded-stack
 file for speedscope/``flamegraph.pl`` — into ``examples/output/``.

@@ -19,9 +19,11 @@ against them on raw bits.
 ``0.0`` and add the offers' shares offer-major, slice by slice, so every
 output slot sees the same IEEE-754 additions in the same order.
 
-:mod:`repro.obs` counts and times every call
-(``repro.aggregation.kernel.scalar.*``), which is where the ``flexviz
-stats`` kernel row comes from.
+:mod:`repro.obs` times calls into ``repro.aggregation.kernel.scalar.seconds``,
+which is where the ``flexviz stats`` kernel row comes from.  The kernel runs
+below every stage boundary (one call per re-aggregated chunk), so it is a
+probe, not a span, and it records only where a span would keep its record:
+never inside a sampled-out trace.  It is the one instrument sampling thins.
 """
 
 from __future__ import annotations
@@ -29,19 +31,17 @@ from __future__ import annotations
 import time
 from typing import Sequence, TYPE_CHECKING
 
-from repro.obs import get_registry
+from repro.obs import get_registry, get_tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.flexoffer.model import FlexOffer
 
 # ----------------------------------------------------------------------
-# Observability: call count and latency (disabled-mode cost is one
-# attribute check inside profile_bounds; see repro.obs).
+# Observability: per-call latency (disabled-mode cost is one attribute
+# check inside profile_bounds; see repro.obs).
 # ----------------------------------------------------------------------
 _OBS = get_registry()
-_KERNEL_CALLS = _OBS.counter(
-    "repro.aggregation.kernel.scalar.calls", "profile_bounds calls"
-)
+_TRACER = get_tracer()
 _KERNEL_SECONDS = _OBS.histogram(
     "repro.aggregation.kernel.scalar.seconds", "profile-summation latency"
 )
@@ -97,10 +97,9 @@ def profile_bounds(
     (``max(offset + profile_duration_slots)``), bit-identical to
     :func:`profile_bounds_scalar` over that length.
     """
-    if not _OBS.enabled:
+    if not _OBS.enabled or _TRACER.muted():
         return _unit_slice_bounds(group, offsets)
     started = time.perf_counter()
     result = _unit_slice_bounds(group, offsets)
     _KERNEL_SECONDS.observe(time.perf_counter() - started)
-    _KERNEL_CALLS.inc()
     return result

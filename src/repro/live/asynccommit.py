@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import queue
 import threading
-import time
 from typing import Iterable
 
 from repro.aggregation.aggregate import AggregationResult
@@ -43,8 +42,9 @@ from repro.obs.metrics import COUNT_BUCKETS
 _STOP = object()
 
 # ----------------------------------------------------------------------
-# Observability: queue depth and worker-side commit cadence.  The worker
-# thread traces its commits on its own thread-local span stack.
+# Observability: queue depth and worker-side commit cadence.  Each inner
+# commit is a ``live.async.worker.commit`` span; the worker thread traces
+# its commits on its own thread-local span stack.
 # ----------------------------------------------------------------------
 _OBS = get_registry()
 _TRACER = get_tracer()
@@ -55,10 +55,6 @@ _DRAIN_BATCH_EVENTS = _OBS.histogram(
     "repro.live.async.drain_batch.events",
     "events applied between worker commits",
     COUNT_BUCKETS,
-)
-_WORKER_COMMIT_SECONDS = _OBS.histogram(
-    "repro.live.async.worker.commit.seconds",
-    "worker-side commit latency",
 )
 
 
@@ -154,20 +150,17 @@ class AsyncCommitEngine:
     def _commit_inner(self) -> CommitResult:
         """One logged inner commit (callers hold the lock).
 
-        Instrumented as ``async.commit``.  A commit running on the worker
-        thread attaches to the trace context the producer handed off at
-        enqueue time (when there was one); barrier commits run on the
-        caller's thread and nest there naturally.
+        Instrumented as the ``live.async.worker.commit`` span.  A commit
+        running on the worker thread attaches to the trace context the
+        producer handed off at enqueue time (when there was one); barrier
+        commits run on the caller's thread and nest there naturally.
         """
-        started = time.perf_counter() if _OBS.enabled else 0.0
         handoff = None
         if threading.current_thread() is self._worker:
             handoff, self._ingest_context = self._ingest_context, None
         with _TRACER.attach(handoff):
-            with _TRACER.span("async.commit"):
+            with _TRACER.span("live.async.worker.commit"):
                 result = self.inner.commit()
-        if _OBS.enabled:
-            _WORKER_COMMIT_SECONDS.observe(time.perf_counter() - started)
         self._commit_log.append(result)
         self._last_commit = result
         self._total_commits += 1

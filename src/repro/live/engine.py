@@ -45,23 +45,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 
 # ----------------------------------------------------------------------
-# Observability: commit-path metrics and spans (disabled-mode cost is a
-# single attribute check per commit; see repro.obs).
+# Observability: the commit stages are spans (each times itself into its
+# repro.<stage>.seconds histogram); the chunk split and batch size ride
+# counters and a count histogram.  See repro.obs.
 # ----------------------------------------------------------------------
 _OBS = get_registry()
 _TRACER = get_tracer()
-_COMMITS = _OBS.counter("repro.live.commit.count", "engine commits performed")
-_COMMIT_SECONDS = _OBS.histogram(
-    "repro.live.commit.seconds", "end-to-end commit latency (drain + publish)"
-)
 _COMMIT_EVENTS = _OBS.histogram(
     "repro.live.commit.events", "events drained per commit", COUNT_BUCKETS
-)
-_DRAIN_SECONDS = _OBS.histogram(
-    "repro.live.commit.drain.seconds", "dirty-ledger drain latency per commit"
-)
-_PUBLISH_SECONDS = _OBS.histogram(
-    "repro.live.commit.publish.seconds", "subscription-hub publish latency"
 )
 _CHUNKS_REAGGREGATED = _OBS.counter(
     "repro.live.chunks.reaggregated", "chunks whose aggregate was recomputed"
@@ -443,22 +434,17 @@ class LiveAggregationEngine:
         The cost is proportional to the dirty membership, not the population:
         clean cells keep their committed output objects untouched.
 
-        Instrumented: the drain is a ``live.commit.drain`` span, its latency
-        lands in ``repro.live.commit.drain.seconds``, and the chunk split
-        feeds the reaggregated/skipped counters.
+        Instrumented: the commit and its drain and publish are spans
+        (``live.commit``, ``live.commit.drain``, ``live.commit.publish``),
+        and the chunk split feeds the reaggregated/skipped counters.
         """
         started = time.perf_counter()
         events_applied = self._pending_events
         with _TRACER.span("live.commit"):
-            if _OBS.enabled:
-                drain_started = time.perf_counter()
-                with _TRACER.span("live.commit.drain"):
-                    dirty, changed, removed, stats = self._drain()
-                _DRAIN_SECONDS.observe(time.perf_counter() - drain_started)
-                _CHUNKS_REAGGREGATED.inc(stats.reaggregated)
-                _CHUNKS_SKIPPED.inc(stats.skipped)
-            else:
+            with _TRACER.span("live.commit.drain"):
                 dirty, changed, removed, stats = self._drain()
+            _CHUNKS_REAGGREGATED.inc(stats.reaggregated)
+            _CHUNKS_SKIPPED.inc(stats.skipped)
             # A raw offer migrating between cells in one commit leaves its old
             # cell (removed) and enters its new one (changed); it is still
             # live, so it must not be reported as removed or mirrors would
@@ -490,17 +476,9 @@ class LiveAggregationEngine:
             if self.commit_listener is not None:
                 self.commit_listener(result)
             if self.hub is not None:
-                if _OBS.enabled:
-                    publish_started = time.perf_counter()
-                    with _TRACER.span("live.commit.publish"):
-                        self.hub.publish(result)
-                    _PUBLISH_SECONDS.observe(time.perf_counter() - publish_started)
-                else:
+                with _TRACER.span("live.commit.publish"):
                     self.hub.publish(result)
-        if _OBS.enabled:
-            _COMMITS.inc()
-            _COMMIT_SECONDS.observe(time.perf_counter() - started)
-            _COMMIT_EVENTS.observe(events_applied)
+        _COMMIT_EVENTS.observe(events_applied)
         return result
 
     def _dirty_chunks(

@@ -11,6 +11,13 @@ and **one tracer**, both disabled by default:
 >>> obs.get_tracer().finished(limit=10)   # the most recent spans
 >>> print(obs.to_prometheus_text(obs.get_registry()))
 
+**One timer per stage.**  A stage is one span, ``with
+get_tracer().span("live.commit"):``, and the span is the stage's only clock:
+every call observes ``repro.live.commit.seconds``, sampled or not.  No
+instrumented module reads a clock for observability beside its spans; the
+aggregation kernel's probe (which runs below every stage boundary) and the
+segment-log tail generator (which cannot hold a span) are the two exceptions.
+
 Disabled mode costs a single attribute check per instrumented site — the
 engines produce bit-identical output either way (differential-tested), and
 the CI bench trajectory gates the enabled-mode commit-throughput overhead.
@@ -112,9 +119,11 @@ def enabled() -> bool:
 def set_sampler(sampler: "Sampler | None") -> None:
     """Install (or remove, with ``None``) the head-based trace sampler.
 
-    Sampling gates only the span log: a sampled-out operation still records
-    every histogram and counter, so metrics stay exact while always-on
-    tracing stays cheap.
+    Sampling gates only the span log: a sampled-out operation still times
+    every stage into its histogram and bumps every counter, so metrics stay
+    exact while always-on tracing stays cheap.  The one exception is the
+    aggregation kernel's per-call probe, which is muted inside a sampled-out
+    trace.
     """
     _TRACER.set_sampler(sampler)
 

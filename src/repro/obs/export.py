@@ -25,14 +25,7 @@ import os
 from pathlib import Path
 from typing import Any, Iterable, Sequence, TextIO
 
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    instrument_key,
-    render_labels,
-)
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.trace import SpanRecord, Tracer
 
 
@@ -58,34 +51,24 @@ def prometheus_name(name: str) -> str:
 def to_prometheus_text(registry: MetricsRegistry) -> str:
     """The whole registry in the Prometheus text exposition format.
 
-    Labeled series (``{worker="3"}``) share their base name's ``# HELP`` /
-    ``# TYPE`` header with the unlabeled series, as Prometheus expects —
-    labels appear only on the sample lines (merged with ``le`` for
-    histogram buckets).
+    Every instrument is one unlabeled series; the only label the output
+    carries is ``le`` on a histogram's cumulative ``_bucket`` lines.
     """
     lines: list[str] = []
-    described: set[str] = set()
     for instrument in registry.instruments():
         name = prometheus_name(instrument.name)
-        if name not in described:
-            if instrument.help:
-                lines.append(f"# HELP {name} {instrument.help}")
-            lines.append(f"# TYPE {name} {instrument.kind}")
-            described.add(name)
-        label_body = render_labels(instrument.labels)
-        suffix = f"{{{label_body}}}" if label_body else ""
+        if instrument.help:
+            lines.append(f"# HELP {name} {instrument.help}")
+        lines.append(f"# TYPE {name} {instrument.kind}")
         if isinstance(instrument, (Counter, Gauge)):
-            lines.append(f"{name}{suffix} {_format_value(instrument.value)}")
+            lines.append(f"{name} {_format_value(instrument.value)}")
         elif isinstance(instrument, Histogram):
-            prefix = f"{label_body}," if label_body else ""
             cumulative = instrument.cumulative_counts()
             for boundary, count in zip(instrument.boundaries, cumulative):
-                lines.append(
-                    f'{name}_bucket{{{prefix}le="{_format_value(boundary)}"}} {count}'
-                )
-            lines.append(f'{name}_bucket{{{prefix}le="+Inf"}} {instrument.count}')
-            lines.append(f"{name}_sum{suffix} {_format_value(instrument.sum)}")
-            lines.append(f"{name}_count{suffix} {instrument.count}")
+                lines.append(f'{name}_bucket{{le="{_format_value(boundary)}"}} {count}')
+            lines.append(f'{name}_bucket{{le="+Inf"}} {instrument.count}')
+            lines.append(f"{name}_sum {_format_value(instrument.sum)}")
+            lines.append(f"{name}_count {instrument.count}")
     return "\n".join(lines) + "\n" if lines else ""
 
 
@@ -197,7 +180,7 @@ def read_jsonl_export(
         payload = json.loads(row)
         record = payload.pop("record", None)
         if record == "metric":
-            metrics[instrument_key(payload["name"], payload.get("labels"))] = payload
+            metrics[payload["name"]] = payload
         elif record == "span":
             spans.append(SpanRecord.from_dict(payload))
     return metrics, spans

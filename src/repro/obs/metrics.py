@@ -6,10 +6,14 @@ demand and cached by name, so any module can say
 ``get_registry().counter("x")`` and always receive the same object — the hot
 paths bind instruments once at import time and never pay the lookup again.
 
+An instrument is one unlabeled series: the name is the whole identity.
+Stage latencies are not declared here at all — each
+:meth:`~repro.obs.trace.Tracer.span` owns its ``repro.<stage>.seconds``
+histogram, so instrumented code never reads a clock of its own.
+
 **Disabled is the default, and disabled is cheap.**  A registry starts with
 ``enabled = False``; every instrument mutator early-returns on that single
-attribute check, and instrumented code that needs a clock guards its
-``perf_counter()`` calls behind the same check.  Enabling observability is a
+attribute check, and so does the span factory.  Enabling observability is a
 runtime switch (:meth:`MetricsRegistry.enable`), not a rebuild — the
 instrumented-vs-uninstrumented differential test in ``tests/test_obs.py``
 proves the switch never changes engine outputs, and the benchmark trajectory
@@ -76,69 +80,19 @@ COUNT_BUCKETS: tuple[float, ...] = (
 )
 
 
-def escape_label_value(value: str) -> str:
-    """Escape one label value per the Prometheus text exposition format.
-
-    Backslash, double quote and newline are the three characters the format
-    reserves inside a quoted label value; each maps to a distinct two-byte
-    sequence, so the escaping is injective and :func:`instrument_key` stays
-    round-trippable (two different raw values can never collide on one key,
-    and the JSONL export re-derives identical keys from the raw labels).
-    """
-    return (
-        str(value).replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-    )
-
-
-def render_labels(labels: dict[str, str] | None) -> str:
-    """Labels as the canonical ``k="v"`` list (sorted; empty string for none).
-
-    Values are escaped for the Prometheus text format — a value carrying a
-    quote, backslash or newline must not break the exposition line (or the
-    instrument key derived from it).
-    """
-    if not labels:
-        return ""
-    return ",".join(
-        f'{key}="{escape_label_value(value)}"' for key, value in sorted(labels.items())
-    )
-
-
-def instrument_key(name: str, labels: dict[str, str] | None) -> str:
-    """The registry cache key: the name, plus ``{k="v"}`` when labeled.
-
-    Labeled instruments are independent series sharing a base name —
-    ``name{worker="3"}`` next to the unlabeled
-    total — exactly how the Prometheus exporter will emit them.
-    """
-    rendered = render_labels(labels)
-    return f"{name}{{{rendered}}}" if rendered else name
-
-
 class Counter:
     """A monotonically increasing total (events applied, chunks skipped...)."""
 
-    __slots__ = ("name", "help", "labels", "_registry", "_lock", "_value")
+    __slots__ = ("name", "help", "_registry", "_lock", "_value")
 
     kind = "counter"
 
-    def __init__(
-        self,
-        name: str,
-        help: str,
-        registry: "MetricsRegistry",
-        labels: dict[str, str] | None = None,
-    ) -> None:
+    def __init__(self, name: str, help: str, registry: "MetricsRegistry") -> None:
         self.name = name
         self.help = help
-        self.labels = dict(labels) if labels else {}
         self._registry = registry
         self._lock = threading.Lock()
         self._value = 0.0
-
-    @property
-    def key(self) -> str:
-        return instrument_key(self.name, self.labels)
 
     def inc(self, amount: float = 1.0) -> None:
         """Add ``amount`` (no-op while the registry is disabled)."""
@@ -158,15 +112,12 @@ class Counter:
             self._value = 0.0
 
     def snapshot(self) -> dict[str, Any]:
-        snap: dict[str, Any] = {
+        return {
             "name": self.name,
             "kind": self.kind,
             "help": self.help,
             "value": self._value,
         }
-        if self.labels:
-            snap["labels"] = dict(self.labels)
-        return snap
 
 
 class Gauge:
@@ -177,26 +128,15 @@ class Gauge:
     backlog figures stay truthful even with observability off.
     """
 
-    __slots__ = ("name", "help", "labels", "_registry", "_value")
+    __slots__ = ("name", "help", "_registry", "_value")
 
     kind = "gauge"
 
-    def __init__(
-        self,
-        name: str,
-        help: str,
-        registry: "MetricsRegistry",
-        labels: dict[str, str] | None = None,
-    ) -> None:
+    def __init__(self, name: str, help: str, registry: "MetricsRegistry") -> None:
         self.name = name
         self.help = help
-        self.labels = dict(labels) if labels else {}
         self._registry = registry
         self._value = 0.0
-
-    @property
-    def key(self) -> str:
-        return instrument_key(self.name, self.labels)
 
     def track(self, value: float) -> None:
         """Hot-path set: one attribute check, then a plain store."""
@@ -216,15 +156,12 @@ class Gauge:
         self._value = 0.0
 
     def snapshot(self) -> dict[str, Any]:
-        snap: dict[str, Any] = {
+        return {
             "name": self.name,
             "kind": self.kind,
             "help": self.help,
             "value": self._value,
         }
-        if self.labels:
-            snap["labels"] = dict(self.labels)
-        return snap
 
 
 class Histogram:
@@ -241,7 +178,6 @@ class Histogram:
     __slots__ = (
         "name",
         "help",
-        "labels",
         "boundaries",
         "_registry",
         "_lock",
@@ -260,7 +196,6 @@ class Histogram:
         help: str,
         registry: "MetricsRegistry",
         boundaries: Sequence[float] = LATENCY_BUCKETS,
-        labels: dict[str, str] | None = None,
     ) -> None:
         bounds = tuple(float(b) for b in boundaries)
         if not bounds:
@@ -271,7 +206,6 @@ class Histogram:
             )
         self.name = name
         self.help = help
-        self.labels = dict(labels) if labels else {}
         self.boundaries = bounds
         self._registry = registry
         self._lock = threading.Lock()
@@ -360,12 +294,8 @@ class Histogram:
             self._min = float("inf")
             self._max = float("-inf")
 
-    @property
-    def key(self) -> str:
-        return instrument_key(self.name, self.labels)
-
     def snapshot(self) -> dict[str, Any]:
-        snap: dict[str, Any] = {
+        return {
             "name": self.name,
             "kind": self.kind,
             "help": self.help,
@@ -376,9 +306,6 @@ class Histogram:
             "min": self._min if self._count else 0.0,
             "max": self._max if self._count else 0.0,
         }
-        if self.labels:
-            snap["labels"] = dict(self.labels)
-        return snap
 
 
 Instrument = Counter | Gauge | Histogram
@@ -411,41 +338,33 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # Instrument factories (idempotent by name)
     # ------------------------------------------------------------------
-    def _get(self, key: str, kind: type, factory) -> Instrument:
+    def _get(self, name: str, kind: type, factory) -> Instrument:
         with self._lock:
-            existing = self._instruments.get(key)
+            existing = self._instruments.get(name)
             if existing is not None:
                 if not isinstance(existing, kind):
                     raise ObservabilityError(
-                        f"metric {key!r} is a {existing.kind}, not a {kind.kind}"
+                        f"metric {name!r} is a {existing.kind}, not a {kind.kind}"
                     )
                 return existing
             instrument = factory()
-            self._instruments[key] = instrument
+            self._instruments[name] = instrument
             return instrument
 
-    def counter(
-        self, name: str, help: str = "", labels: dict[str, str] | None = None
-    ) -> Counter:
-        key = instrument_key(name, labels)
-        return self._get(key, Counter, lambda: Counter(name, help, self, labels))
+    def counter(self, name: str, help: str = "") -> Counter:
+        return self._get(name, Counter, lambda: Counter(name, help, self))
 
-    def gauge(
-        self, name: str, help: str = "", labels: dict[str, str] | None = None
-    ) -> Gauge:
-        key = instrument_key(name, labels)
-        return self._get(key, Gauge, lambda: Gauge(name, help, self, labels))
+    def gauge(self, name: str, help: str = "") -> Gauge:
+        return self._get(name, Gauge, lambda: Gauge(name, help, self))
 
     def histogram(
         self,
         name: str,
         help: str = "",
         boundaries: Sequence[float] = LATENCY_BUCKETS,
-        labels: dict[str, str] | None = None,
     ) -> Histogram:
-        key = instrument_key(name, labels)
         instrument = self._get(
-            key, Histogram, lambda: Histogram(name, help, self, boundaries, labels)
+            name, Histogram, lambda: Histogram(name, help, self, boundaries)
         )
         if tuple(float(b) for b in boundaries) != instrument.boundaries:
             raise ObservabilityError(
@@ -456,23 +375,19 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
-    def get(
-        self, name: str, labels: dict[str, str] | None = None
-    ) -> Instrument | None:
+    def get(self, name: str) -> Instrument | None:
         """The instrument registered under ``name`` (``None`` when absent)."""
-        return self._instruments.get(instrument_key(name, labels))
+        return self._instruments.get(name)
 
     def instruments(self) -> list[Instrument]:
-        """Every registered instrument, sorted by key (labeled series after
-        their unlabeled base name)."""
+        """Every registered instrument, sorted by name."""
         with self._lock:
-            return [self._instruments[key] for key in sorted(self._instruments)]
+            return [self._instruments[name] for name in sorted(self._instruments)]
 
     def snapshot(self) -> dict[str, dict[str, Any]]:
-        """Every instrument's state as plain data, keyed by instrument key
-        (the name, suffixed with ``{k="v"}`` for labeled series)."""
+        """Every instrument's state as plain data, keyed by name."""
         return {
-            instrument.key: instrument.snapshot() for instrument in self.instruments()
+            instrument.name: instrument.snapshot() for instrument in self.instruments()
         }
 
     def reset(self, names: Iterable[str] | None = None) -> None:

@@ -8,6 +8,13 @@ mints the trace id), so the finished-span log reconstructs the call tree of a
 commit (drain → kernel → publish) *by ids*, not by names — two sibling
 spans of the same stage stay distinguishable.
 
+**A span is its stage's only clock.**  It reads ``perf_counter`` once on
+entry and once on exit, and every call observes the stage histogram
+``repro.<name>.seconds`` in the tracer's registry (created on first use).
+Instrumented code therefore times a stage by opening its span and nothing
+else; the ``flexviz stats`` table and the bench stage shares read those
+histograms.
+
 Crossing threads is **explicit**: the thread that owns an operation captures
 a :class:`TraceContext` (``tracer.context()``) and the worker thread installs
 it (``with tracer.attach(context):``) before opening its spans — the async
@@ -18,17 +25,20 @@ buffer shared by the process.
 
 Always-on production tracing goes through a head-based :class:`Sampler`: the
 decision is taken once, at the root span, per root-stage name (trace 1-in-N
-commits but every checkpoint), and children inherit it — a sampled-out
-operation opens no spans at all.  Sampling gates *only* the span log; the
-metrics registry is untouched, so histograms and counters stay exact.
+commits but every checkpoint), and children inherit it.  Sampling decides
+*only* whether a span's :class:`SpanRecord` is kept: a sampled-out span still
+times its stage and observes its histogram, so stage histograms (and every
+counter) stay exact.  The one instrument sampling thins is the aggregation
+kernel's probe, which runs below every stage boundary and asks
+:meth:`Tracer.muted` before it records.
 
 The fast path mirrors the metrics registry: while the registry is disabled
 :meth:`Tracer.span` hands back a shared per-thread no-op context manager —
-one attribute check, one thread-local load, no clock read.  The no-op still
-counts its nesting depth, which is what makes enable/disable flips safe for
-in-flight stacks: a child opened after ``obs.enable()`` inside an operation
-whose root was a no-op is suppressed instead of being recorded as an orphan
-root of a trace that never existed.
+one attribute check, one thread-local load, no clock read, no observation.
+The no-op still counts its nesting depth, which is what makes enable/disable
+flips safe for in-flight stacks: a child opened after ``obs.enable()`` inside
+an operation whose root was a no-op times its stage but is not recorded as an
+orphan root of a trace that never existed.
 """
 
 from __future__ import annotations
@@ -41,7 +51,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import ObservabilityError
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry
 
 #: How many finished spans the ring buffer retains (oldest evicted first).
 SPAN_BUFFER = 4096
@@ -200,13 +210,13 @@ _NOOP = _NoopSpan()
 
 
 class _MutedSpan:
-    """The per-thread no-op span: records nothing but counts its nesting.
+    """The per-thread no-op span: times nothing but counts its nesting.
 
-    Handed out while the registry is disabled, inside a sampled-out trace,
-    or under an attached non-recording context.  The depth counter is what
-    keeps transitions safe: as long as any muted frame is open on a thread,
-    newly opened spans stay muted — flipping ``obs.enable()`` mid-operation
-    cannot graft orphan children onto a parent that never recorded.
+    Handed out while the registry is disabled and under an attached
+    non-recording context.  The depth counter is what keeps transitions
+    safe: as long as any muted frame is open on a thread, newly opened spans
+    stay unrecorded — flipping ``obs.enable()`` mid-operation cannot graft
+    orphan children onto a parent that never recorded.
     """
 
     __slots__ = ("_state",)
@@ -237,19 +247,57 @@ class _ThreadState:
         self.mute = _MutedSpan(self)
 
 
+class _UnrecordedSpan:
+    """A span of a sampled-out (or otherwise muted) operation.
+
+    It times its stage and observes the stage histogram like any span, but
+    keeps no record.  It counts the thread's mute depth like the no-op, so
+    everything nested in it stays unrecorded too.
+    """
+
+    __slots__ = ("_state", "_histogram", "_started")
+
+    def __init__(self, state: "_ThreadState", histogram: Histogram) -> None:
+        self._state = state
+        self._histogram = histogram
+        self._started = 0.0
+
+    def __enter__(self) -> "_UnrecordedSpan":
+        self._state.muted += 1
+        self._started = time.perf_counter()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._histogram.observe(time.perf_counter() - self._started)
+        if self._state.muted:
+            self._state.muted -= 1
+        return None
+
+
 class _Span:
-    """One live span; records itself into the tracer on exit.
+    """One live, recorded span; observes its histogram and logs itself on exit.
 
     Exceptions propagate untouched — the span still closes (its duration then
     covers the raising region), so a failing commit leaves a trace instead of
     a hole.
     """
 
-    __slots__ = ("_tracer", "name", "trace_id", "span_id", "parent_id", "parent_name", "depth", "_started")
+    __slots__ = (
+        "_tracer",
+        "_histogram",
+        "name",
+        "trace_id",
+        "span_id",
+        "parent_id",
+        "parent_name",
+        "depth",
+        "_started",
+    )
 
     def __init__(
         self,
         tracer: "Tracer",
+        histogram: Histogram,
         name: str,
         trace_id: int,
         parent_id: int | None,
@@ -257,6 +305,7 @@ class _Span:
         depth: int,
     ) -> None:
         self._tracer = tracer
+        self._histogram = histogram
         self.name = name
         self.trace_id = trace_id
         self.span_id = next(_IDS)
@@ -272,6 +321,7 @@ class _Span:
 
     def __exit__(self, *exc_info) -> None:
         duration = time.perf_counter() - self._started
+        self._histogram.observe(duration)
         self._tracer._pop(self, duration)
         return None
 
@@ -311,6 +361,8 @@ class Tracer:
         self._registry = registry
         self._local = threading.local()
         self._sampler: Sampler | None = None
+        #: Stage name → its ``repro.<name>.seconds`` histogram.
+        self._histograms: dict[str, Histogram] = {}
         # deque appends are atomic under the GIL; maxlen gives the ring.
         self._finished: deque[SpanRecord] = deque(maxlen=buffer)
 
@@ -333,16 +385,28 @@ class Tracer:
     # ------------------------------------------------------------------
     # The span factory (the hot entry point)
     # ------------------------------------------------------------------
-    def span(self, name: str) -> "_Span | _MutedSpan":
-        """A context manager timing ``name``; muted while disabled/unsampled."""
+    def span(self, name: str) -> "_Span | _UnrecordedSpan | _MutedSpan":
+        """A context manager timing stage ``name`` into ``repro.<name>.seconds``.
+
+        Recorded as a :class:`SpanRecord` unless the trace is sampled out;
+        the shared no-op while the registry is disabled.
+        """
         state = self._state()
-        if not self._registry.enabled or state.muted:
+        if not self._registry.enabled:
             return state.mute
+        histogram = self._histograms.get(name)
+        if histogram is None:
+            histogram = self._histograms[name] = self._registry.histogram(
+                f"repro.{name}.seconds", f"seconds spent in the {name} stage"
+            )
+        if state.muted:
+            return _UnrecordedSpan(state, histogram)
         stack = state.stack
         if stack:
             parent = stack[-1]
             return _Span(
                 self,
+                histogram,
                 name,
                 trace_id=parent.trace_id,
                 parent_id=parent.span_id,
@@ -352,8 +416,18 @@ class Tracer:
         # A root span: the head-based sampling decision happens here, once
         # per trace; a sampled-out root mutes everything underneath it.
         if self._sampler is not None and not self._sampler.sample(name):
-            return state.mute
-        return _Span(self, name, trace_id=next(_IDS), parent_id=None, parent_name=None, depth=0)
+            return _UnrecordedSpan(state, histogram)
+        return _Span(
+            self, histogram, name, trace_id=next(_IDS), parent_id=None, parent_name=None, depth=0
+        )
+
+    def muted(self) -> bool:
+        """Whether a span opened on this thread now would keep no record.
+
+        True inside a sampled-out trace (and under a muted frame); sub-stage
+        probes that are not spans themselves check it to thin with the trace.
+        """
+        return self._state().muted > 0
 
     # ------------------------------------------------------------------
     # Explicit cross-thread handoff

@@ -23,7 +23,6 @@ read path pay off.
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Any
 
@@ -43,10 +42,6 @@ _CACHE_INVALIDATIONS = _OBS.counter(
     "repro.readpath.cache.invalidations", "entries dropped by commit invalidation"
 )
 _CACHE_ENTRIES = _OBS.gauge("repro.readpath.cache.entries", "live result-cache entries")
-_CACHE_ADVANCE_SECONDS = _OBS.histogram(
-    "repro.readpath.cache.advance.seconds",
-    "per-commit cache advance latency (the invalidation scan)",
-)
 _CACHE_ADVANCE_SCANNED = _OBS.histogram(
     "repro.readpath.cache.advance.scanned", "entries examined per advance", COUNT_BUCKETS
 )
@@ -101,12 +96,10 @@ class ResultCache:
             if entry is not None and entry.version == version:
                 self._entries.move_to_end(spec)
                 self.hits += 1
-                if _OBS.enabled:
-                    _CACHE_HITS.inc()
+                _CACHE_HITS.inc()
                 return entry.result
             self.misses += 1
-        if _OBS.enabled:
-            _CACHE_MISSES.inc()
+        _CACHE_MISSES.inc()
         return None
 
     def put(
@@ -144,22 +137,11 @@ class ResultCache:
         ``result`` is the commit that produced ``snapshot``; its ``touched``
         map decides every entry with the offer-exact rule above.
         """
-        if not _OBS.enabled:
-            self._advance(snapshot, result)
-            return
-        started = time.perf_counter()
-        with _TRACER.span("readpath.cache.advance"):
-            scanned = self._advance(snapshot, result)
-        _CACHE_ADVANCE_SECONDS.observe(time.perf_counter() - started)
-        _CACHE_ADVANCE_SCANNED.observe(scanned)
-
-    def _advance(self, snapshot: "AggregateSnapshot", result: "CommitResult") -> int:
-        """The scan itself; returns how many entries it examined."""
-        with self._lock:
+        with _TRACER.span("readpath.cache.advance"), self._lock:
             self._version = snapshot.version
+            _CACHE_ADVANCE_SCANNED.observe(len(self._entries))
             if not self._entries:
-                return 0
-            scanned = len(self._entries)
+                return
             touched = result.touched.keys()
             live = [offer for offer in result.touched.values() if offer is not None]
             grid = snapshot.grid
@@ -180,10 +162,8 @@ class ResultCache:
             self._entries = survivors
             self.invalidations += dropped
             self.carried += len(survivors)
-            if _OBS.enabled and dropped:
-                _CACHE_INVALIDATIONS.inc(dropped)
+            _CACHE_INVALIDATIONS.inc(dropped)
             _CACHE_ENTRIES.set(len(survivors))
-            return scanned
 
     # ------------------------------------------------------------------
     # Introspection

@@ -14,7 +14,6 @@ released.
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Iterator
@@ -33,9 +32,6 @@ _SNAPSHOT_PINS = _OBS.counter(
 )
 _SNAPSHOT_EVICTIONS = _OBS.counter(
     "repro.readpath.snapshot.evictions", "snapshot versions evicted from the ring"
-)
-_PIN_SECONDS = _OBS.histogram(
-    "repro.readpath.pin.seconds", "how long readers hold snapshot pins"
 )
 
 
@@ -126,16 +122,14 @@ class SnapshotManager:
                 raise ReadPathError(f"cannot pin unknown snapshot version {version}")
             self._pins[version] = self._pins.get(version, 0) + 1
         _SNAPSHOT_PINS.inc()
-        started = time.perf_counter()
         try:
-            # The span covers the reader's whole pinned section.  Safe despite
-            # this being a generator: ``contextmanager`` enters and exits it
-            # synchronously on the with-block's own thread.
+            # The span covers the reader's whole pinned section (how long
+            # the pin is held).  Safe despite this being a generator:
+            # ``contextmanager`` enters and exits it synchronously on the
+            # with-block's own thread.
             with _TRACER.span("readpath.pin"):
                 yield snapshot
         finally:
-            if _OBS.enabled:
-                _PIN_SECONDS.observe(time.perf_counter() - started)
             with self._lock:
                 remaining = self._pins.get(version, 1) - 1
                 if remaining <= 0:

@@ -10,10 +10,9 @@ lock-free with respect to commits.
 
 from __future__ import annotations
 
-import time
 from typing import TYPE_CHECKING
 
-from repro.obs import get_registry
+from repro.obs import get_registry, get_tracer
 from repro.readpath.cache import ResultCache
 from repro.readpath.manager import SnapshotManager
 from repro.readpath.snapshot import AggregateSnapshot, SnapshotReader
@@ -25,14 +24,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.session.spec import QuerySpec, ResultSet
     from repro.timeseries.grid import TimeGrid
 
-_OBS = get_registry()
-_SNAPSHOT_BUILD_SECONDS = _OBS.histogram(
-    "repro.readpath.snapshot.build.seconds", "per-commit snapshot build latency"
-)
-_CACHE_LOOKUP_SECONDS = _OBS.histogram(
-    "repro.readpath.cache.lookup.seconds", "result-cache probe latency"
-)
-_SNAPSHOT_VERSION = _OBS.gauge(
+_TRACER = get_tracer()
+_SNAPSHOT_VERSION = get_registry().gauge(
     "repro.readpath.snapshot.version", "latest published snapshot version"
 )
 
@@ -72,21 +65,18 @@ class ReadPath:
 
     def on_commit(self, engine, result: "CommitResult") -> AggregateSnapshot:
         """Publish the post-commit version (delta over the previous snapshot)."""
-        recording = _OBS.enabled
-        started = time.perf_counter() if recording else 0.0
-        previous = self.manager.latest()
-        if previous is None:
-            snapshot = AggregateSnapshot.capture(
-                engine, self.grid, self.name, result.sequence
-            )
-            self.manager.publish(snapshot)
-            self.cache.rebase(snapshot.version)
-        else:
-            snapshot = AggregateSnapshot.advance(previous, engine, result)
-            self.manager.publish(snapshot)
-            self.cache.advance(snapshot, result)
-        if recording:
-            _SNAPSHOT_BUILD_SECONDS.observe(time.perf_counter() - started)
+        with _TRACER.span("readpath.snapshot.build"):
+            previous = self.manager.latest()
+            if previous is None:
+                snapshot = AggregateSnapshot.capture(
+                    engine, self.grid, self.name, result.sequence
+                )
+                self.manager.publish(snapshot)
+                self.cache.rebase(snapshot.version)
+            else:
+                snapshot = AggregateSnapshot.advance(previous, engine, result)
+                self.manager.publish(snapshot)
+                self.cache.advance(snapshot, result)
         _SNAPSHOT_VERSION.set(snapshot.version)
         return snapshot
 
@@ -95,11 +85,8 @@ class ReadPath:
     # ------------------------------------------------------------------
     def read(self, snapshot: AggregateSnapshot, spec: "QuerySpec") -> "ResultSet":
         """Serve one spec from one snapshot version, through the cache."""
-        recording = _OBS.enabled
-        probe_started = time.perf_counter() if recording else 0.0
-        cached = self.cache.get(spec, snapshot.version)
-        if recording:
-            _CACHE_LOOKUP_SECONDS.observe(time.perf_counter() - probe_started)
+        with _TRACER.span("readpath.cache.lookup"):
+            cached = self.cache.get(spec, snapshot.version)
         if cached is not None:
             return cached
         reader = SnapshotReader(snapshot, self.name)

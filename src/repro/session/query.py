@@ -12,7 +12,6 @@ it against its hash indexes; the resulting
 
 from __future__ import annotations
 
-import time
 from datetime import datetime
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -29,22 +28,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.views.base import FlexOfferView
 
 # ----------------------------------------------------------------------
-# Observability: the query path splits into *select* (index planning +
-# scan inside the backend) and *aggregate* (the optional aggregation of
-# the selection); both phases and the scan width get their own series.
+# Observability: the ``session.query`` span splits into *select* (index
+# planning + scan inside the backend) and *aggregate* (the optional
+# aggregation of the selection); the scan width gets its own series.
 # ----------------------------------------------------------------------
 _OBS = get_registry()
 _TRACER = get_tracer()
-_QUERIES = _OBS.counter("repro.session.query.count", "queries executed")
-_QUERY_SECONDS = _OBS.histogram(
-    "repro.session.query.seconds", "end-to-end query latency"
-)
-_QUERY_SELECT_SECONDS = _OBS.histogram(
-    "repro.session.query.select.seconds", "selection (plan + scan) latency"
-)
-_QUERY_AGGREGATE_SECONDS = _OBS.histogram(
-    "repro.session.query.aggregate.seconds", "query-side aggregation latency"
-)
 _QUERY_ROWS_SCANNED = _OBS.histogram(
     "repro.session.query.rows_scanned", "rows scanned per query", COUNT_BUCKETS
 )
@@ -60,39 +49,21 @@ def execute(backend, grid, spec: QuerySpec) -> ResultSet:
     that both chunk groups identically — this is what makes result sets
     interchangeable down to aggregate profiles.
     """
-    if not _OBS.enabled:
-        return _execute(backend, grid, spec)
-    started = time.perf_counter()
     with _TRACER.span("session.query"):
-        result = _execute(backend, grid, spec)
-    _QUERY_SECONDS.observe(time.perf_counter() - started)
-    _QUERIES.inc()
-    _QUERY_ROWS_SCANNED.observe(result.scanned_rows)
-    return result
-
-
-def _execute(backend, grid, spec: QuerySpec) -> ResultSet:
-    """The query body (see :func:`execute` for the instrumented entry point)."""
-    recording = _OBS.enabled
-    select_started = time.perf_counter() if recording else 0.0
-    with _TRACER.span("session.query.select"):
-        selected, scanned = backend.select(spec)
-        selected = sorted(selected, key=lambda offer: offer.id)
-    if recording:
-        _QUERY_SELECT_SECONDS.observe(time.perf_counter() - select_started)
-    matched = len(selected)
-    if spec.limit is not None:
-        selected = selected[: spec.limit]
-    constituents: dict[int, list[FlexOffer]] = {}
-    offers = selected
-    if spec.parameters is not None:
-        aggregate_started = time.perf_counter() if recording else 0.0
-        with _TRACER.span("session.query.aggregate"):
-            result = backend.aggregate(selected, spec.parameters)
-        if recording:
-            _QUERY_AGGREGATE_SECONDS.observe(time.perf_counter() - aggregate_started)
-        offers = list(result.offers)
-        constituents = {key: list(value) for key, value in result.constituents.items()}
+        with _TRACER.span("session.query.select"):
+            selected, scanned = backend.select(spec)
+            selected = sorted(selected, key=lambda offer: offer.id)
+        matched = len(selected)
+        if spec.limit is not None:
+            selected = selected[: spec.limit]
+        constituents: dict[int, list[FlexOffer]] = {}
+        offers = selected
+        if spec.parameters is not None:
+            with _TRACER.span("session.query.aggregate"):
+                result = backend.aggregate(selected, spec.parameters)
+            offers = list(result.offers)
+            constituents = {key: list(value) for key, value in result.constituents.items()}
+    _QUERY_ROWS_SCANNED.observe(scanned)
     return ResultSet(
         offers=offers,
         spec=spec,

@@ -44,21 +44,13 @@ EVENTS_SUBDIR = "events"
 
 # ----------------------------------------------------------------------
 # Observability: the durability path is cold compared to commits, but its
-# latencies bound recovery time — each operation gets a span + histogram,
-# and the segment count rides a gauge (refreshed unconditionally; these
-# operations are rare enough that truthfulness beats the guard).
+# latencies bound recovery time — each operation is a span (timing itself
+# into its repro.<stage>.seconds histogram), and the segment count rides a
+# gauge (refreshed unconditionally; these operations are rare enough that
+# truthfulness beats the guard).
 # ----------------------------------------------------------------------
 _OBS = get_registry()
 _TRACER = get_tracer()
-_CHECKPOINT_SECONDS = _OBS.histogram(
-    "repro.store.checkpoint.seconds", "snapshot (checkpoint) latency"
-)
-_RESTORE_SECONDS = _OBS.histogram(
-    "repro.store.restore.seconds", "snapshot + log-tail restore latency"
-)
-_COMPACT_SECONDS = _OBS.histogram(
-    "repro.store.compact.seconds", "segment-log compaction latency"
-)
 _COMPACT_DROPPED = _OBS.counter(
     "repro.store.compact.dropped", "dead events dropped by compaction"
 )
@@ -119,7 +111,6 @@ class RecoveryManager:
         it defaults to the backend's own ingested-event counter, which is
         correct whenever the backend consumed exactly the recorded log.
         """
-        started = time.perf_counter() if _OBS.enabled else 0.0
         with _TRACER.span("store.checkpoint"):
             backend = _live_backend(session)
             backend.refresh()
@@ -132,8 +123,6 @@ class RecoveryManager:
                 scenario_config=session.scenario.config,
             )
             checkpoint = self.snapshots.load()
-        if _OBS.enabled:
-            _CHECKPOINT_SECONDS.observe(time.perf_counter() - started)
         _SEGMENTS_GAUGE.set(len(self.log.segments()))
         return checkpoint
 
@@ -145,15 +134,12 @@ class RecoveryManager:
         replay and a snapshot+tail restore keep working (see
         :meth:`~repro.store.segments.SegmentStore.compact`).
         """
-        started = time.perf_counter() if _OBS.enabled else 0.0
         with _TRACER.span("store.compact"):
             before = None
             if self.snapshots.exists():
                 before = self.snapshots.load().log_offset
             dropped = self.log.compact(self.log.surviving_subjects(), before=before)
-        if _OBS.enabled:
-            _COMPACT_SECONDS.observe(time.perf_counter() - started)
-            _COMPACT_DROPPED.inc(dropped)
+        _COMPACT_DROPPED.inc(dropped)
         _SEGMENTS_GAUGE.set(len(self.log.segments()))
         return dropped
 
@@ -214,8 +200,6 @@ class RecoveryManager:
                 tail_events = report.events
                 backend.note_ingested(tail_events)
         elapsed = time.perf_counter() - started
-        if _OBS.enabled:
-            _RESTORE_SECONDS.observe(elapsed)
         _SEGMENTS_GAUGE.set(len(self.log.segments()))
         self.last_restore = RestoreReport(
             engine=engine,

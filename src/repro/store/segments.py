@@ -263,17 +263,6 @@ class SegmentStore:
         earlier records away).  Returns 0 — the full parse — whenever the
         index is missing, malformed or implausible for the current file.
         """
-        if not _OBS.enabled:
-            return self._seek_offset_inner(path, from_sequence)
-        with _TRACER.span("store.segment.seek"):
-            offset = self._seek_offset_inner(path, from_sequence)
-        if offset:
-            _SEEK_HITS.inc()
-        else:
-            _SEEK_MISSES.inc()
-        return offset
-
-    def _seek_offset_inner(self, path: Path, from_sequence: int) -> int:
         try:
             raw = self._index_path(path).read_bytes()
         except OSError:
@@ -339,7 +328,12 @@ class SegmentStore:
             following = position + 1
             if following < len(paths) and self._first_sequence(paths[following]) <= from_sequence:
                 continue
-            offset = self._seek_offset(path, from_sequence) if from_sequence > 0 else 0
+            offset = 0
+            if from_sequence > 0:
+                # A span in a generator is safe here: no yield inside it.
+                with _TRACER.span("store.segment.seek"):
+                    offset = self._seek_offset(path, from_sequence)
+                (_SEEK_HITS if offset else _SEEK_MISSES).inc()
             if offset:
                 with open(path, encoding="utf-8") as handle:
                     handle.seek(offset)

@@ -347,7 +347,7 @@ class TestKernel:
     def test_profile_bounds_property_bit_identity(self):
         import struct
 
-        from hypothesis import given, settings
+        from hypothesis import example, given, settings
         from hypothesis import strategies as st
 
         from dataclasses import replace as dc_replace
@@ -370,6 +370,19 @@ class TestKernel:
             profiles=st.lists(st.lists(slices, min_size=1, max_size=6), min_size=1, max_size=8),
             starts=st.lists(st.integers(min_value=40, max_value=47), min_size=8, max_size=8),
             unit_only=st.booleans(),
+        )
+        # Two-offer groups whose only wide slice spans exactly 2 slots, wide
+        # slice first and last: the narrowest input on which a kernel that
+        # took 2-slot slices for unit slices would still be wrong.
+        @example(
+            profiles=[[(1.0, 2.0, 2), (0.5, 0.7, 1)], [(0.3, 0.4, 1)]],
+            starts=[40, 41, 40, 40, 40, 40, 40, 40],
+            unit_only=False,
+        )
+        @example(
+            profiles=[[(0.5, 0.7, 1), (1.0, 2.0, 2)], [(0.3, 0.4, 1)]],
+            starts=[40, 41, 40, 40, 40, 40, 40, 40],
+            unit_only=False,
         )
         @settings(deadline=None, max_examples=100)
         def check(profiles, starts, unit_only):

@@ -38,7 +38,7 @@ from datetime import timedelta
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.aggregation.aggregate import aggregate
@@ -234,6 +234,11 @@ def test_random_interleavings_stay_equivalent(max_group_size, ops):
     (pytest.param(False, id="numpy-scalar"), pytest.param(True, id="scalar-numpy")),
 )
 @given(ops=_ops)
+# Two-offer groups in one grid cell whose only wide slice spans exactly 2
+# slots: offer 2's profile is (2-slot, unit) in the first script, and
+# (unit, unit, 2-slot, unit) in the second (see _varied_profile).
+@example(ops=[(INSERT, 0, 5), (INSERT, 1, 6)])
+@example(ops=[(INSERT, 0, 5), (INSERT, 3, 9)])
 @settings(deadline=None, max_examples=25)
 def test_cross_kernel_bit_identity(engines_on_seed_loops, ops):
     """Varied profiles, engines and oracle on different kernels: bit-identical."""

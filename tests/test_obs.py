@@ -10,9 +10,12 @@ disabled and zeroed no matter how the test exits.
 from __future__ import annotations
 
 import json
+import math
 import re
 import threading
+import time
 from collections import Counter as TallyCounter
+from dataclasses import replace
 from io import StringIO
 
 import pytest
@@ -21,7 +24,7 @@ from repro import obs
 from repro.errors import ObservabilityError
 from repro.live.asynccommit import AsyncCommitEngine
 from repro.live.engine import LiveAggregationEngine, canonical_form
-from repro.live.events import OfferAdded
+from repro.live.events import OfferAdded, OfferUpdated
 from repro.live.replay import replay, scenario_event_stream
 from repro.obs.export import export_jsonl, read_jsonl_export, to_prometheus_text
 from repro.obs.metrics import COUNT_BUCKETS, LATENCY_BUCKETS, MetricsRegistry
@@ -230,10 +233,14 @@ def test_jsonl_export_round_trips(tmp_path, registry):
     tracer = _populated(registry)
     path = tmp_path / "dump.jsonl"
     lines = export_jsonl(path, registry, tracer)
-    assert lines == 3 + 2  # three instruments, two finished spans
+    # Three instruments, the two spans' stage histograms, two finished spans.
+    assert lines == 3 + 2 + 2
     metrics, spans = read_jsonl_export(path)
     assert metrics == registry.snapshot()
     assert spans == tracer.finished()
+    # Histograms round-trip their boundaries and per-bucket counts exactly.
+    assert metrics["repro.test.seconds"]["boundaries"] == [0.001, 0.01, 0.1]
+    assert metrics["repro.test.seconds"]["bucket_counts"] == [1, 1, 1, 1]
     # Every line is a standalone JSON document with a record discriminator.
     for row in path.read_text(encoding="utf-8").splitlines():
         assert json.loads(row)["record"] in ("metric", "span")
@@ -275,6 +282,8 @@ def test_prometheus_text_grammar_and_histogram_series(registry):
         for line in text.splitlines()
         if line.startswith("repro_test_seconds_bucket")
     ]
+    # One le-labeled line per boundary plus +Inf.
+    assert len(buckets) == 4
     assert buckets == sorted(buckets)
     assert 'le="+Inf"} 4' in text
     assert "repro_test_seconds_count 4" in text
@@ -294,7 +303,7 @@ def async_engine():
 @pytest.mark.parametrize(
     ("engine_factory", "commit_metric"),
     (
-        (LiveAggregationEngine, "repro.live.commit.count"),
+        (LiveAggregationEngine, "repro.live.commit.seconds"),
         (async_engine, "repro.live.async.worker.commit.seconds"),
     ),
 )
@@ -324,9 +333,7 @@ def test_instrumented_replay_is_bit_identical(
     assert baseline == instrumented  # exact equality, no tolerance
     # And the instrumented run actually recorded commits for this engine.
     commits = obs.get_registry().get(commit_metric)
-    assert commits is not None
-    recorded = commits.value if hasattr(commits, "value") else commits.count
-    assert recorded > 0
+    assert commits is not None and commits.count > 0
 
 
 def test_session_metrics_and_trace_surface(global_obs, scenario):
@@ -337,8 +344,8 @@ def test_session_metrics_and_trace_surface(global_obs, scenario):
     session.offers().where(state="assigned").fetch()
     obs.disable()
     metrics = session.metrics()
-    assert metrics["repro.live.commit.count"]["value"] > 0
-    assert metrics["repro.session.query.count"]["value"] >= 1
+    assert metrics["repro.live.commit.seconds"]["count"] > 0
+    assert metrics["repro.session.query.seconds"]["count"] >= 1
     spans = session.trace(name="live.commit")
     assert spans and all(span.name == "live.commit" for span in spans)
     session.close()
@@ -381,130 +388,87 @@ def test_flexviz_stats_smoke(global_obs, capsys):
 
 
 # ----------------------------------------------------------------------
-# Labeled series (the generic labeled-metric API)
+# One timer per stage: the span is the clock, sampling thins only records
 # ----------------------------------------------------------------------
-def test_labeled_instruments_are_independent_series(registry):
-    total = registry.counter("repro.test.fanout", "fan-out total")
-    shard0 = registry.counter("repro.test.fanout", "fan-out total", labels={"shard": "0"})
-    shard1 = registry.counter("repro.test.fanout", labels={"shard": "1"})
-    assert shard0 is not total and shard0 is not shard1
-    # Same (name, labels) pair returns the same instrument object.
-    assert registry.counter("repro.test.fanout", labels={"shard": "0"}) is shard0
-    assert registry.get("repro.test.fanout", {"shard": "1"}) is shard1
-    total.inc(1)
-    shard0.inc(2)
-    shard1.inc(3)
-    snapshot = registry.snapshot()
-    assert snapshot["repro.test.fanout"]["value"] == 1
-    assert "labels" not in snapshot["repro.test.fanout"]
-    assert snapshot['repro.test.fanout{shard="0"}']["value"] == 2
-    assert snapshot['repro.test.fanout{shard="0"}']["labels"] == {"shard": "0"}
-    assert snapshot['repro.test.fanout{shard="1"}']["value"] == 3
+@pytest.mark.parametrize("stage", ("checkpoint", "compact"))
+def test_enabling_obs_inside_a_durability_stage_records_no_epoch(
+    global_obs, scenario, tmp_path, monkeypatch, stage
+):
+    """A stage opened while obs was off must not time itself from clock zero."""
+    from repro.store import RecoveryManager
+    from repro.store.segments import SegmentStore
+    from repro.store.snapshot import SnapshotStore
+
+    ordered = scenario_event_stream(scenario, update_fraction=0.1, seed=7).replay_order()
+    session = FlexSession(scenario, engine="live", live_preload=False)
+    session.replay(ordered)
+    manager = RecoveryManager(tmp_path / "store", segment_size=64)
+    manager.record(ordered)
+    if stage == "compact":
+        manager.checkpoint(session)
+    # Switch obs on from inside the stage, after it started.
+    target, method = (SnapshotStore, "save") if stage == "checkpoint" else (SegmentStore, "compact")
+    original = getattr(target, method)
+
+    def enable_then_run(self, *args, **kwargs):
+        obs.enable()
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(target, method, enable_then_run)
+    started = time.perf_counter()
+    if stage == "checkpoint":
+        manager.checkpoint(session)
+    else:
+        manager.compact()
+    wall = time.perf_counter() - started
+    session.close()
+    histogram = obs.get_registry().get(f"repro.store.{stage}.seconds")
+    assert histogram is None or histogram.count == 0 or histogram.snapshot()["max"] <= wall
 
 
-def test_prometheus_labeled_series_share_one_header(registry):
-    base = registry.histogram("repro.test.fan.seconds", "per-shard drain")
-    shard = registry.histogram(
-        "repro.test.fan.seconds", "per-shard drain", labels={"shard": "3"}
-    )
-    base.observe(0.002)
-    shard.observe(0.004)
-    text = to_prometheus_text(registry)
-    # One HELP/TYPE header for the base name, labels only on sample lines.
-    assert text.count("# TYPE repro_test_fan_seconds histogram") == 1
-    assert text.count("# HELP repro_test_fan_seconds ") == 1
-    assert 'repro_test_fan_seconds_bucket{shard="3",le="' in text
-    assert 'repro_test_fan_seconds_sum{shard="3"}' in text
-    assert 'repro_test_fan_seconds_count{shard="3"} 1' in text
-    assert "repro_test_fan_seconds_count 1" in text  # the unlabeled series
-    for line in text.rstrip("\n").splitlines():
-        assert (
-            _HELP_RE.match(line) or _TYPE_RE.match(line) or _SAMPLE_RE.match(line)
-        ), f"not valid exposition format: {line!r}"
+def test_sampling_keeps_stage_histograms_exact_and_thins_spans_and_kernel(global_obs):
+    from tests.conftest import make_offer
+
+    engine = LiveAggregationEngine()
+    offers = [
+        make_offer(offer_id=i, earliest_start=40 + i % 8, time_flexibility=4 + i % 3)
+        for i in range(1, 41)
+    ]
+    for offer in offers:
+        engine.apply(OfferAdded(offer.creation_time, offer))
+    engine.commit()
+    tracer = obs.get_tracer()
+    obs.enable()
+    obs.set_sampler(obs.Sampler(default_rate=16))
+    commits, recorded_chunks = 40, 0
+    for index in range(commits):
+        current = engine.offer(offers[index].id)
+        revised = replace(current, price_per_kwh=current.price_per_kwh + 0.01)
+        engine.apply(OfferUpdated(current.creation_time, revised))
+        traced = len(tracer.finished(name="live.commit"))
+        result = engine.commit()
+        if len(tracer.finished(name="live.commit")) > traced:
+            recorded_chunks += result.chunks_reaggregated
+    obs.disable()
+    registry = obs.get_registry()
+    # Every commit is timed, sampled in or out...
+    assert registry.get("repro.live.commit.seconds").count == commits
+    assert registry.get("repro.live.commit.drain.seconds").count == commits
+    assert registry.get("repro.live.chunks.reaggregated").value >= commits
+    # ...but only 1 in 16 keeps its span record, and the kernel probe (one
+    # call per re-aggregated chunk) records only inside those commits.
+    assert len(tracer.finished(name="live.commit")) == math.ceil(commits / 16)
+    assert recorded_chunks > 0
+    assert registry.get("repro.aggregation.kernel.scalar.seconds").count == recorded_chunks
 
 
-def test_jsonl_round_trip_keeps_labels(registry):
-    shard = registry.counter("repro.test.fanout", "fan-out total", labels={"shard": "5"})
-    shard.inc(4)
-    buffer = StringIO()
-    export_jsonl(buffer, registry)
-    metrics, _ = read_jsonl_export(buffer.getvalue().splitlines())
-    key = 'repro.test.fanout{shard="5"}'
-    assert metrics[key]["value"] == 4
-    assert metrics[key]["labels"] == {"shard": "5"}
+def test_stats_every_recorded_span_has_a_fuller_histogram(global_obs, capsys):
+    from repro.app.cli import main
 
-
-#: Label values that used to corrupt the exposition text / instrument keys:
-#: a raw quote terminates the quoted value early, a raw backslash forges an
-#: escape, a raw newline splits the sample line in two.
-_ADVERSARIAL_VALUES = (
-    'say "hi"',
-    "back\\slash",
-    "line\nbreak",
-    'all \\ of "them"\nat once',
-    "trailing backslash\\",
-)
-
-
-@pytest.mark.parametrize("value", _ADVERSARIAL_VALUES)
-def test_prometheus_text_escapes_adversarial_label_values(registry, value):
-    counter = registry.counter("repro.test.hostile", "hostile labels", labels={"q": value})
-    counter.inc(2)
-    text = to_prometheus_text(registry)
-    lines = text.rstrip("\n").splitlines()
-    for line in lines:
-        assert (
-            _HELP_RE.match(line) or _TYPE_RE.match(line) or _SAMPLE_RE.match(line)
-        ), f"not valid exposition format: {line!r}"
-    # Exactly one sample line — a raw newline in the value must not split it.
-    samples = [line for line in lines if line.startswith("repro_test_hostile{")]
-    assert len(samples) == 1
-    assert "\n" not in samples[0]
-
-
-def test_histogram_bucket_lines_escape_labels(registry):
-    histogram = registry.histogram(
-        "repro.test.hostile.seconds", "hostile labels", labels={"q": 'a"b\\c\nd'}
-    )
-    histogram.observe(0.003)
-    text = to_prometheus_text(registry)
-    for line in text.rstrip("\n").splitlines():
-        assert (
-            _HELP_RE.match(line) or _TYPE_RE.match(line) or _SAMPLE_RE.match(line)
-        ), f"not valid exposition format: {line!r}"
-    # The le= label merges after the escaped label body, still well-formed.
-    assert 'repro_test_hostile_seconds_bucket{q="a\\"b\\\\c\\nd",le="' in text
-
-
-def test_escaping_is_injective_keys_never_collide(registry):
-    """Two values that rendered identically before escaping stay distinct."""
-    from repro.obs.metrics import escape_label_value, instrument_key
-
-    # ('a\nb' raw newline) vs ('a\\nb' literal backslash-n): unescaped both
-    # rendered as the same two-line text; escaped they differ.
-    pairs = (("a\nb", "a\\nb"), ('x"y', 'x\\"y'), ("p\\", "p\\\\"))
-    for left, right in pairs:
-        assert escape_label_value(left) != escape_label_value(right)
-        assert instrument_key("n", {"k": left}) != instrument_key("n", {"k": right})
-        one = registry.counter("repro.test.pair", labels={"k": left})
-        two = registry.counter("repro.test.pair", labels={"k": right})
-        assert one is not two, f"{left!r} and {right!r} collided on one series"
-
-
-@pytest.mark.parametrize("value", _ADVERSARIAL_VALUES)
-def test_jsonl_keys_round_trip_adversarial_labels(registry, value):
-    """read_jsonl_export re-derives the same instrument key from raw labels."""
-    labels = {"q": value, "shard": "3"}
-    counter = registry.counter("repro.test.hostile", "hostile labels", labels=labels)
-    counter.inc(7)
-    buffer = StringIO()
-    export_jsonl(buffer, registry)
-    metrics, _ = read_jsonl_export(buffer.getvalue().splitlines())
-    assert counter.key in metrics, (
-        "JSONL export corrupted the instrument key for an adversarial label"
-    )
-    assert metrics[counter.key]["value"] == 7
-    # The payload carries the *raw* label values, unescaped.
-    assert metrics[counter.key]["labels"] == labels
-    # And the registry snapshot agrees with the export on every key.
-    assert set(metrics) == set(registry.snapshot())
+    assert main(["--prosumers", "40", "stats", "--sample", "4"]) == 0
+    capsys.readouterr()
+    recorded = TallyCounter(span.name for span in obs.get_tracer().finished())
+    assert recorded
+    for name, spans in recorded.items():
+        histogram = obs.get_registry().get(f"repro.{name}.seconds")
+        assert histogram is not None and histogram.count >= spans, name

@@ -12,18 +12,12 @@ from __future__ import annotations
 import json
 import threading
 import time
-from io import StringIO
 
 import pytest
 
 from repro import obs
 from repro.errors import ObservabilityError
-from repro.obs.export import (
-    export_jsonl,
-    read_jsonl_export,
-    to_chrome_trace,
-    to_prometheus_text,
-)
+from repro.obs.export import to_chrome_trace
 from repro.obs.flame import (
     folded_stacks,
     format_trace,
@@ -295,10 +289,10 @@ def test_async_worker_commit_joins_the_ingest_trace(global_obs):
         engine.close()
     commits = [
         span
-        for span in obs.get_tracer().finished(name="async.commit")
+        for span in obs.get_tracer().finished(name="live.async.worker.commit")
         if span.thread == "async-commit-worker"
     ]
-    assert commits, "no worker-side async.commit span recorded"
+    assert commits, "no worker-side live.async.worker.commit span recorded"
     worker_commit = commits[0]
     trace_id, span_id = ingest_ids
     assert worker_commit.trace_id == trace_id
@@ -437,48 +431,6 @@ def test_format_trace_draws_the_id_tree(tracer):
     # The cross-thread child is flagged with its thread name.
     assert any("remote.child" in line and "[tree-worker]" in line for line in lines)
     assert "no spans" in format_trace(tracer.finished(), 999_999_999)
-
-
-# ----------------------------------------------------------------------
-# Labeled series through the exporters (satellite coverage)
-# ----------------------------------------------------------------------
-def test_jsonl_round_trip_keeps_labeled_histogram_buckets(registry):
-    histogram = registry.histogram(
-        "repro.test.lab.seconds",
-        "labeled latency",
-        boundaries=(0.001, 0.01),
-        labels={"shard": "2"},
-    )
-    for value in (0.0005, 0.005, 0.5):
-        histogram.observe(value)
-    buffer = StringIO()
-    export_jsonl(buffer, registry)
-    metrics, _ = read_jsonl_export(buffer.getvalue().splitlines())
-    snapshot = metrics['repro.test.lab.seconds{shard="2"}']
-    assert snapshot["labels"] == {"shard": "2"}
-    assert snapshot["count"] == 3
-    assert snapshot["bucket_counts"] == [1, 1, 1]
-    assert snapshot["boundaries"] == [0.001, 0.01]
-
-
-def test_prometheus_merges_user_labels_with_le_on_every_bucket(registry):
-    histogram = registry.histogram(
-        "repro.test.lab.seconds",
-        "labeled latency",
-        boundaries=(0.001, 0.01),
-        labels={"shard": "2"},
-    )
-    histogram.observe(0.005)
-    text = to_prometheus_text(registry)
-    bucket_lines = [
-        line
-        for line in text.splitlines()
-        if line.startswith("repro_test_lab_seconds_bucket")
-    ]
-    # One line per boundary plus +Inf, each carrying both label sets.
-    assert len(bucket_lines) == 3
-    assert all('shard="2"' in line and 'le="' in line for line in bucket_lines)
-    assert any('le="+Inf"' in line for line in bucket_lines)
 
 
 # ----------------------------------------------------------------------
