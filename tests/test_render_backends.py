@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import RenderError
@@ -12,6 +15,7 @@ from repro.render.incremental import IncrementalRenderer, monolithic_render_time
 from repro.render.scales import LinearScale, SlotTimeScale
 from repro.render.scene import Circle, Group, Line, Polygon, Polyline, Rect, Scene, Style, Text, Wedge
 from repro.render.svg import render_svg, save_svg
+from tests.conftest import make_offer
 
 
 @pytest.fixture
@@ -87,6 +91,135 @@ class TestSvgBackend:
 
     def test_deterministic_output(self, sample_scene):
         assert render_svg(sample_scene) == render_svg(sample_scene)
+
+
+def _golden_offers():
+    from repro.aggregation.aggregate import aggregate_group
+    from repro.flexoffer.model import ProfileSlice, Schedule
+
+    scheduled = make_offer(offer_id=1, earliest_start=8, time_flexibility=6).assign(
+        Schedule(start_slot=10, energy_per_slice=(1.5, 2.0, 0.5))
+    )
+    two_slot = replace(
+        make_offer(offer_id=2, earliest_start=12, time_flexibility=4),
+        profile=(ProfileSlice(1.0, 2.0), ProfileSlice(2.0, 5.0, duration_slots=2)),
+    )
+    aggregate = aggregate_group(
+        [
+            make_offer(offer_id=3, earliest_start=9, time_flexibility=5),
+            make_offer(offer_id=4, earliest_start=11, time_flexibility=3, appliance_type="heat_pump"),
+        ],
+        100,
+    )
+    return [scheduled, two_slot, aggregate]
+
+
+def _escape_scene() -> Scene:
+    """Markup-special text, ids and classes, and styles shared across node kinds."""
+    scene = Scene(width=120, height=80, title="a & b <c>")
+    shared_id = 'fo:"7"\nx'
+    band = Style(fill=Palette.ENERGY_BAND.with_alpha(0.85))
+    outline = Style(fill=Palette.FLEX_OFFER, stroke=Palette.SCHEDULE.with_alpha(0.4), opacity=0.5)
+    group = Group(name='g "1"', element_id=shared_id, css_class="offer")
+    scene.add(group)
+    # One id under three classes; one (id, class) pair on a rect and a line.
+    group.add(
+        Rect(
+            x=1, y=2, width=3, height=4, style=band,
+            element_id=shared_id, css_class="energy-band", tooltip="1 < 2 & 3 > 2",
+        )
+    )
+    group.add(
+        Rect(x=1, y=6, width=3, height=-1, style=band, element_id=shared_id, css_class="energy-min")
+    )
+    group.add(
+        Rect(
+            x=5, y=6, width=2, height=2, style=band,
+            element_id=shared_id, css_class="energy-band", tooltip="plain",
+        )
+    )
+    group.add(
+        Line(x1=0, y1=9, x2=9, y2=9, style=outline, element_id=shared_id, css_class="energy-band")
+    )
+    # One style on a polyline (which drops its fill) and on a polygon (which keeps it).
+    group.add(Polyline(points=((0, 1), (2, 3)), style=outline, css_class="it's"))
+    group.add(Polygon(points=((0, 1), (2, 3), (4, 1)), style=outline, element_id="fo:8"))
+    # Equal styles that format differently: 0.0 == -0.0.
+    for width in (0.0, -0.0):
+        group.add(
+            Line(x1=0, y1=0, x2=1, y2=1, style=Style(stroke=Palette.AXIS, stroke_width=width, dashed=True))
+        )
+    group.add(
+        Circle(
+            cx=20, cy=20, radius=3, style=Style(fill=Palette.STATE_ACCEPTED), tooltip="<b>", css_class="dot"
+        )
+    )
+    group.add(
+        Wedge(cx=40, cy=40, radius=9, end_angle=200, style=band, element_id="both '\"", tooltip="x&y")
+    )
+    group.add(
+        Text(x=5, y=9, text="p & q <r> s", element_id=shared_id, css_class="label", rotation=30)
+    )
+    group.add(Text(x=5, y=19, text="plain", style=Style(font_size=8.5)))
+    return scene
+
+
+ESCAPE_SCENE_SVG = "\n".join(
+    (
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        '<svg xmlns="http://www.w3.org/2000/svg" width="120" height="80" viewBox="0 0 120 80">',
+        '  <title>a &amp; b &lt;c&gt;</title>',
+        '  <g data-name=\'g "1"\' data-element=\'fo:"7"&#10;x\' class="offer">',
+        '    <rect x="1.00" y="2.00" width="3.00" height="4.00" fill="#7fb2d9" fill-opacity="0.850" data-element=\'fo:"7"&#10;x\' class="energy-band"><title>1 &lt; 2 &amp; 3 &gt; 2</title></rect>',
+        '    <rect x="1.00" y="6.00" width="3.00" height="0.00" fill="#7fb2d9" fill-opacity="0.850" data-element=\'fo:"7"&#10;x\' class="energy-min"/>',
+        '    <rect x="5.00" y="6.00" width="2.00" height="2.00" fill="#7fb2d9" fill-opacity="0.850" data-element=\'fo:"7"&#10;x\' class="energy-band"><title>plain</title></rect>',
+        '    <line x1="0.00" y1="9.00" x2="9.00" y2="9.00" fill="none" stroke="#cc2222" stroke-width="1" stroke-opacity="0.400" opacity="0.500" data-element=\'fo:"7"&#10;x\' class="energy-band"/>',
+        '    <polyline points="0.00,1.00 2.00,3.00" fill="none" stroke="#cc2222" stroke-width="1" stroke-opacity="0.400" opacity="0.500" class="it\'s"/>',
+        '    <polygon points="0.00,1.00 2.00,3.00 4.00,1.00" fill="#aecde8" stroke="#cc2222" stroke-width="1" stroke-opacity="0.400" opacity="0.500" data-element="fo:8"/>',
+        '    <line x1="0.00" y1="0.00" x2="1.00" y2="1.00" fill="none" stroke="#444444" stroke-width="0" stroke-dasharray="4 3"/>',
+        '    <line x1="0.00" y1="0.00" x2="1.00" y2="1.00" fill="none" stroke="#444444" stroke-width="-0" stroke-dasharray="4 3"/>',
+        '    <circle cx="20.00" cy="20.00" r="3.00" fill="#4c9f70" class="dot"><title>&lt;b&gt;</title></circle>',
+        '    <path d="M 40.00 40.00 L 40.00 31.00 A 9.00 9.00 0 1 1 36.92 48.46 Z" fill="#7fb2d9" fill-opacity="0.850" data-element="both \'&quot;"><title>x&amp;y</title></path>',
+        '    <text x="5.00" y="9.00" fill="#000000" font-size="11" text-anchor="start" font-family="Helvetica, Arial, sans-serif" transform="rotate(30.0 5.00 9.00)" data-element=\'fo:"7"&#10;x\' class="label">p &amp; q &lt;r&gt; s</text>',
+        '    <text x="5.00" y="19.00" fill="#000000" font-size="8.5" text-anchor="start" font-family="Helvetica, Arial, sans-serif">plain</text>',
+        '  </g>',
+        '</svg>',
+    )
+)
+
+
+class TestSvgBytes:
+    """The serializer's exact output on fixed scenes, pinned byte for byte."""
+
+    @staticmethod
+    def _digest(document: str) -> tuple[int, str]:
+        data = document.encode("utf-8")
+        return len(data), hashlib.sha256(data).hexdigest()
+
+    def test_sample_scene(self, sample_scene):
+        assert self._digest(render_svg(sample_scene)) == (
+            7823,
+            "746560ced3f4d5dcb259bc06dda6d9b0b6175ac2970c446e15c22e992b697303",
+        )
+
+    def test_profile_view(self, grid):
+        from repro.views.profile_view import ProfileView
+
+        assert self._digest(ProfileView(_golden_offers(), grid).to_svg()) == (
+            10180,
+            "fda404d0e2d5e052df014139bb066589b188a2468cfc02352a5244b5fe3e0417",
+        )
+
+    def test_basic_view(self, grid):
+        from repro.views.basic import BasicView
+
+        assert self._digest(BasicView(_golden_offers(), grid).to_svg()) == (
+            6328,
+            "f2ce00de171c02aa89ae683fb8b516e4f4e2d2d5a0114b45334760b7cc5f05fc",
+        )
+
+    def test_escaped_text_ids_and_shared_styles(self):
+        assert render_svg(_escape_scene()) == ESCAPE_SCENE_SVG
 
 
 class TestAsciiBackend:
