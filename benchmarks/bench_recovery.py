@@ -179,17 +179,26 @@ def _delete_throughput(row_count: int) -> float:
     return row_count / elapsed
 
 
-def delete_summary(small_rows: int, rounds: int = 3) -> dict:
-    """Delete throughput at two table sizes; flat scaling is the claim."""
+def delete_summary(small_rows: int, rounds: int = 9) -> dict:
+    """Delete throughput at two table sizes; flat scaling is the claim.
+
+    Each round times one small and one large table back to back, and the
+    scaling is the median of the per-round ratios: each timing takes a few
+    ms, so a swing in host speed lands on both sizes of a round, not on one
+    size's whole series.
+    """
     large_rows = small_rows * 4
-    small = statistics.median(_delete_throughput(small_rows) for _ in range(rounds))
-    large = statistics.median(_delete_throughput(large_rows) for _ in range(rounds))
+    small, large, ratios = [], [], []
+    for _ in range(rounds):
+        small.append(_delete_throughput(small_rows))
+        large.append(_delete_throughput(large_rows))
+        ratios.append(large[-1] / small[-1])
     return {
         "small_rows": small_rows,
         "large_rows": large_rows,
-        "small_deletes_per_s": round(small),
-        "large_deletes_per_s": round(large),
-        "scaling": round(large / small, 2),
+        "small_deletes_per_s": round(statistics.median(small)),
+        "large_deletes_per_s": round(statistics.median(large)),
+        "scaling": round(statistics.median(ratios), 2),
     }
 
 
@@ -255,7 +264,7 @@ def main(argv=None) -> int:
 
     scenario = generate_scenario(ScenarioConfig(prosumer_count=prosumers, seed=args.seed))
     recovery = recovery_summary(scenario, rounds=rounds)
-    deletes = delete_summary(small_rows, rounds=rounds)
+    deletes = delete_summary(small_rows)
     print(
         f"[RECOVERY] {recovery['events']} events, tail {TAIL_FRACTION:.0%}: "
         f"cold {recovery['cold_replay_ms']:.1f} ms vs restore "

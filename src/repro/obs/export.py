@@ -52,13 +52,16 @@ def to_prometheus_text(registry: MetricsRegistry) -> str:
     """The whole registry in the Prometheus text exposition format.
 
     Every instrument is one unlabeled series; the only label the output
-    carries is ``le`` on a histogram's cumulative ``_bucket`` lines.
+    carries is ``le`` on a histogram's cumulative ``_bucket`` lines.  Help
+    text escapes ``\\`` and newline as ``\\\\`` and ``\\n``, as the format
+    requires, so it stays on its ``# HELP`` line.
     """
     lines: list[str] = []
     for instrument in registry.instruments():
         name = prometheus_name(instrument.name)
         if instrument.help:
-            lines.append(f"# HELP {name} {instrument.help}")
+            help_text = instrument.help.replace("\\", "\\\\").replace("\n", "\\n")
+            lines.append(f"# HELP {name} {help_text}")
         lines.append(f"# TYPE {name} {instrument.kind}")
         if isinstance(instrument, (Counter, Gauge)):
             lines.append(f"{name} {_format_value(instrument.value)}")

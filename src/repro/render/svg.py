@@ -10,12 +10,13 @@ from __future__ import annotations
 import math
 from xml.sax.saxutils import escape, quoteattr
 
-from repro.render.color import Color
-from repro.render.scene import Circle, Group, Line, Node, Polygon, Polyline, Rect, Scene, Text, Wedge
+from repro.render.scene import Circle, Group, Line, Node, Polygon, Polyline, Rect, Scene, Style, Text, Wedge
 
 
-def _style_attributes(fill: Color | None, stroke: Color | None, stroke_width: float, dashed: bool, opacity: float) -> str:
+def _style_attributes(style: Style, filled: bool) -> str:
+    """A shape's style attributes; lines and polylines pass ``filled=False``."""
     parts = []
+    fill, stroke = style.fill if filled else None, style.stroke
     if fill is None:
         parts.append('fill="none"')
     else:
@@ -24,13 +25,13 @@ def _style_attributes(fill: Color | None, stroke: Color | None, stroke_width: fl
             parts.append(f'fill-opacity="{fill.alpha:.3f}"')
     if stroke is not None:
         parts.append(f'stroke="{stroke.to_hex()}"')
-        parts.append(f'stroke-width="{stroke_width:g}"')
+        parts.append(f'stroke-width="{style.stroke_width:g}"')
         if stroke.alpha < 1.0:
             parts.append(f'stroke-opacity="{stroke.alpha:.3f}"')
-        if dashed:
+        if style.dashed:
             parts.append('stroke-dasharray="4 3"')
-    if opacity < 1.0:
-        parts.append(f'opacity="{opacity:.3f}"')
+    if style.opacity < 1.0:
+        parts.append(f'opacity="{style.opacity:.3f}"')
     return " ".join(parts)
 
 
@@ -43,90 +44,116 @@ def _common_attributes(node: Node) -> str:
     return " ".join(parts)
 
 
+def _escape_text(text: str) -> str:
+    """``escape(text)``, skipped for the common text that holds none of ``&<>``."""
+    if "&" in text or "<" in text or ">" in text:
+        return escape(text)
+    return text
+
+
+def _element(head: str, tag: str, tooltip: str) -> str:
+    """Close ``head`` as an empty element, or around its ``<title>`` tooltip."""
+    if tooltip:
+        return f"{head}><title>{_escape_text(tooltip)}</title></{tag}>"
+    return f"{head}/>"
+
+
 def _points_attribute(points: tuple[tuple[float, float], ...]) -> str:
     return " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
 
 
-def _render_node(node: Node, lines: list[str], indent: str) -> None:
-    common = _common_attributes(node)
-    common = f" {common}" if common else ""
-    if isinstance(node, Group):
-        label = f" data-name={quoteattr(node.name)}" if node.name else ""
-        lines.append(f"{indent}<g{label}{common}>")
-        for child in node.children:
-            _render_node(child, lines, indent + "  ")
-        lines.append(f"{indent}</g>")
-        return
-    if isinstance(node, Rect):
-        style = _style_attributes(
-            node.style.fill, node.style.stroke, node.style.stroke_width, node.style.dashed, node.style.opacity
-        )
-        tooltip = f"<title>{escape(node.tooltip)}</title>" if node.tooltip else ""
-        lines.append(
-            f'{indent}<rect x="{node.x:.2f}" y="{node.y:.2f}" width="{max(node.width, 0):.2f}" '
-            f'height="{max(node.height, 0):.2f}" {style}{common}>{tooltip}</rect>'
-            if tooltip
-            else f'{indent}<rect x="{node.x:.2f}" y="{node.y:.2f}" width="{max(node.width, 0):.2f}" '
-            f'height="{max(node.height, 0):.2f}" {style}{common}/>'
-        )
-        return
-    if isinstance(node, Line):
-        style = _style_attributes(None, node.style.stroke, node.style.stroke_width, node.style.dashed, node.style.opacity)
-        lines.append(
-            f'{indent}<line x1="{node.x1:.2f}" y1="{node.y1:.2f}" x2="{node.x2:.2f}" y2="{node.y2:.2f}" '
-            f"{style}{common}/>"
-        )
-        return
-    if isinstance(node, Polyline):
-        style = _style_attributes(None, node.style.stroke, node.style.stroke_width, node.style.dashed, node.style.opacity)
-        lines.append(f'{indent}<polyline points="{_points_attribute(node.points)}" {style}{common}/>')
-        return
-    if isinstance(node, Polygon):
-        style = _style_attributes(
-            node.style.fill, node.style.stroke, node.style.stroke_width, node.style.dashed, node.style.opacity
-        )
-        lines.append(f'{indent}<polygon points="{_points_attribute(node.points)}" {style}{common}/>')
-        return
-    if isinstance(node, Circle):
-        style = _style_attributes(
-            node.style.fill, node.style.stroke, node.style.stroke_width, node.style.dashed, node.style.opacity
-        )
-        tooltip = f"<title>{escape(node.tooltip)}</title>" if node.tooltip else ""
-        if tooltip:
+class _DocumentWriter:
+    """Writes one document's nodes, formatting each style and id attribute string once.
+
+    The memos live as long as one :func:`render_svg` call.  Style strings are
+    keyed by the ``Style`` object's identity: the scene keeps every style
+    alive while it is written, views share their styles, and two equal
+    styles may still format differently (``stroke_width`` 0.0 and -0.0).
+    """
+
+    def __init__(self, lines: list[str]) -> None:
+        self.lines = lines
+        self._filled_styles: dict[int, str] = {}
+        self._unfilled_styles: dict[int, str] = {}
+        self._commons: dict[tuple[str, str], str] = {}
+
+    def _style(self, style: Style, filled: bool = True) -> str:
+        memo = self._filled_styles if filled else self._unfilled_styles
+        text = memo.get(id(style))
+        if text is None:
+            text = memo[id(style)] = _style_attributes(style, filled)
+        return text
+
+    def _common(self, node: Node) -> str:
+        """The node's id and class attributes, with a leading space ("" when it has neither)."""
+        key = (node.element_id, node.css_class)
+        text = self._commons.get(key)
+        if text is None:
+            common = _common_attributes(node)
+            text = self._commons[key] = f" {common}" if common else ""
+        return text
+
+    def write(self, node: Node, indent: str) -> None:
+        lines = self.lines
+        common = self._common(node)
+        if isinstance(node, Group):
+            label = f" data-name={quoteattr(node.name)}" if node.name else ""
+            lines.append(f"{indent}<g{label}{common}>")
+            inner = indent + "  "
+            for child in node.children:
+                self.write(child, inner)
+            lines.append(f"{indent}</g>")
+            return
+        if isinstance(node, Rect):
+            head = (
+                f'{indent}<rect x="{node.x:.2f}" y="{node.y:.2f}" width="{max(node.width, 0):.2f}" '
+                f'height="{max(node.height, 0):.2f}" {self._style(node.style)}{common}'
+            )
+            lines.append(_element(head, "rect", node.tooltip))
+            return
+        if isinstance(node, Line):
             lines.append(
+                f'{indent}<line x1="{node.x1:.2f}" y1="{node.y1:.2f}" x2="{node.x2:.2f}" y2="{node.y2:.2f}" '
+                f"{self._style(node.style, filled=False)}{common}/>"
+            )
+            return
+        if isinstance(node, Polyline):
+            lines.append(
+                f'{indent}<polyline points="{_points_attribute(node.points)}" '
+                f"{self._style(node.style, filled=False)}{common}/>"
+            )
+            return
+        if isinstance(node, Polygon):
+            lines.append(
+                f'{indent}<polygon points="{_points_attribute(node.points)}" '
+                f"{self._style(node.style)}{common}/>"
+            )
+            return
+        if isinstance(node, Circle):
+            head = (
                 f'{indent}<circle cx="{node.cx:.2f}" cy="{node.cy:.2f}" r="{node.radius:.2f}" '
-                f"{style}{common}>{tooltip}</circle>"
+                f"{self._style(node.style)}{common}"
             )
-        else:
+            lines.append(_element(head, "circle", node.tooltip))
+            return
+        if isinstance(node, Wedge):
+            head = f'{indent}<path d="{_wedge_path(node)}" {self._style(node.style)}{common}'
+            lines.append(_element(head, "path", node.tooltip))
+            return
+        if isinstance(node, Text):
+            fill = node.style.fill
+            color = fill.to_hex() if fill is not None else "#000000"
+            transform = (
+                f' transform="rotate({node.rotation:.1f} {node.x:.2f} {node.y:.2f})"' if node.rotation else ""
+            )
             lines.append(
-                f'{indent}<circle cx="{node.cx:.2f}" cy="{node.cy:.2f}" r="{node.radius:.2f}" {style}{common}/>'
+                f'{indent}<text x="{node.x:.2f}" y="{node.y:.2f}" fill="{color}" '
+                f'font-size="{node.style.font_size:g}" text-anchor="{node.anchor}" '
+                f'font-family="Helvetica, Arial, sans-serif"{transform}{common}>'
+                f"{_escape_text(node.text)}</text>"
             )
-        return
-    if isinstance(node, Wedge):
-        style = _style_attributes(
-            node.style.fill, node.style.stroke, node.style.stroke_width, node.style.dashed, node.style.opacity
-        )
-        path = _wedge_path(node)
-        tooltip = f"<title>{escape(node.tooltip)}</title>" if node.tooltip else ""
-        if tooltip:
-            lines.append(f'{indent}<path d="{path}" {style}{common}>{tooltip}</path>')
-        else:
-            lines.append(f'{indent}<path d="{path}" {style}{common}/>')
-        return
-    if isinstance(node, Text):
-        fill = node.style.fill
-        color = fill.to_hex() if fill is not None else "#000000"
-        transform = (
-            f' transform="rotate({node.rotation:.1f} {node.x:.2f} {node.y:.2f})"' if node.rotation else ""
-        )
-        lines.append(
-            f'{indent}<text x="{node.x:.2f}" y="{node.y:.2f}" fill="{color}" '
-            f'font-size="{node.style.font_size:g}" text-anchor="{node.anchor}" '
-            f'font-family="Helvetica, Arial, sans-serif"{transform}{(" " + common.strip()) if common.strip() else ""}>'
-            f"{escape(node.text)}</text>"
-        )
-        return
-    raise TypeError(f"SVG backend cannot render node type {type(node).__name__}")
+            return
+        raise TypeError(f"SVG backend cannot render node type {type(node).__name__}")
 
 
 def _wedge_path(node: Wedge) -> str:
@@ -144,7 +171,11 @@ def _wedge_path(node: Wedge) -> str:
 
 
 def render_svg(scene: Scene) -> str:
-    """Serialize ``scene`` to a standalone SVG document string."""
+    """Serialize ``scene`` to a standalone SVG document string.
+
+    Each distinct style's attribute string and each distinct
+    ``(element_id, css_class)`` attribute string is formatted once per call.
+    """
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{scene.width:.0f}" height="{scene.height:.0f}" '
@@ -157,8 +188,9 @@ def render_svg(scene: Scene) -> str:
             f'  <rect x="0" y="0" width="{scene.width:.0f}" height="{scene.height:.0f}" '
             f'fill="{scene.background.to_hex()}"/>'
         )
+    writer = _DocumentWriter(lines)
     for child in scene.root.children:
-        _render_node(child, lines, "  ")
+        writer.write(child, "  ")
     lines.append("</svg>")
     return "\n".join(lines)
 

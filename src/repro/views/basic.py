@@ -30,6 +30,15 @@ from repro.views.base import FlexOfferView, ViewOptions
 from repro.views.lanes import LaneStrategy, assign_lanes, lane_count
 from repro.views.selection import SelectionRectangle
 
+# Shared by every node that draws with them: ``Style`` and ``Color`` are frozen,
+# and the SVG serializer formats each style object once per document.
+_CAPTION = Style(fill=Palette.AXIS, font_size=11.0)
+_TIME_FLEXIBILITY = Style(fill=Palette.TIME_FLEXIBILITY.with_alpha(0.6))
+_PROFILE_BOX = Style(fill=Palette.FLEX_OFFER, stroke=Palette.AXIS.with_alpha(0.4), stroke_width=0.5)
+_AGGREGATE_BOX = Style(fill=Palette.AGGREGATED_FLEX_OFFER, stroke=Palette.AXIS.with_alpha(0.4), stroke_width=0.5)
+_SCHEDULED_START = Style(stroke=Palette.SCHEDULE, stroke_width=1.6)
+_SELECTION = Style(stroke=Palette.SELECTION, stroke_width=1.2, dashed=True)
+
 
 @dataclass(frozen=True)
 class BasicViewOptions(ViewOptions):
@@ -106,7 +115,7 @@ class BasicView(FlexOfferView):
                 x=area.left,
                 y=area.top - 14,
                 text=f"{len(self.offers)} flex-offers, {lane_count(self._lanes)} lanes",
-                style=Style(fill=Palette.AXIS, font_size=11.0),
+                style=_CAPTION,
                 css_class="view-caption",
             )
         )
@@ -124,7 +133,7 @@ class BasicView(FlexOfferView):
                     y=top,
                     width=right - left,
                     height=bottom - top,
-                    style=Style(stroke=Palette.SELECTION, stroke_width=1.2, dashed=True),
+                    style=_SELECTION,
                     css_class="selection-rectangle",
                 )
             )
@@ -148,7 +157,9 @@ class BasicView(FlexOfferView):
     ) -> Group:
         lane = self._lanes[offer.id]
         top = self._lane_top(lane, area) + (lane_height - box_height) / 2.0
-        group = Group(name=f"offer-{offer.id}", element_id=f"fo:{offer.id}")
+        element_id = f"fo:{offer.id}"
+        tooltip = self._tooltip(offer)
+        group = Group(name=f"offer-{offer.id}", element_id=element_id)
 
         # Grey rectangle: the whole feasible span (time flexibility + profile).
         span_left = scale.project(offer.earliest_start_slot)
@@ -159,10 +170,10 @@ class BasicView(FlexOfferView):
                 y=top,
                 width=max(span_right - span_left, 1.0),
                 height=box_height,
-                style=Style(fill=Palette.TIME_FLEXIBILITY.with_alpha(0.6)),
-                element_id=f"fo:{offer.id}",
+                style=_TIME_FLEXIBILITY,
+                element_id=element_id,
                 css_class="time-flexibility",
-                tooltip=self._tooltip(offer),
+                tooltip=tooltip,
             )
         )
 
@@ -171,17 +182,16 @@ class BasicView(FlexOfferView):
         start_slot = offer.schedule.start_slot if offer.schedule is not None else offer.earliest_start_slot
         profile_left = scale.project(start_slot)
         profile_right = scale.project(start_slot + offer.profile_duration_slots)
-        fill = Palette.AGGREGATED_FLEX_OFFER if offer.is_aggregate else Palette.FLEX_OFFER
         group.add(
             Rect(
                 x=profile_left,
                 y=top,
                 width=max(profile_right - profile_left, 1.0),
                 height=box_height,
-                style=Style(fill=fill, stroke=Palette.AXIS.with_alpha(0.4), stroke_width=0.5),
-                element_id=f"fo:{offer.id}",
+                style=_AGGREGATE_BOX if offer.is_aggregate else _PROFILE_BOX,
+                element_id=element_id,
                 css_class="profile-box aggregated" if offer.is_aggregate else "profile-box",
-                tooltip=self._tooltip(offer),
+                tooltip=tooltip,
             )
         )
 
@@ -194,8 +204,8 @@ class BasicView(FlexOfferView):
                     y1=top,
                     x2=x,
                     y2=top + box_height,
-                    style=Style(stroke=Palette.SCHEDULE, stroke_width=1.6),
-                    element_id=f"fo:{offer.id}",
+                    style=_SCHEDULED_START,
+                    element_id=element_id,
                     css_class="scheduled-start",
                 )
             )

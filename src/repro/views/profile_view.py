@@ -26,6 +26,16 @@ from repro.timeseries.grid import TimeGrid
 from repro.views.base import FlexOfferView, ViewOptions
 from repro.views.lanes import LaneStrategy, assign_lanes, lane_count
 
+# Shared by every node that draws with them: ``Style`` and ``Color`` are frozen,
+# and the SVG serializer formats each style object once per document.
+_CAPTION = Style(fill=Palette.AXIS, font_size=11.0)
+_LANE_SEPARATOR = Style(stroke=Palette.AXIS.with_alpha(0.2), stroke_width=0.5)
+_TIME_FLEXIBILITY = Style(fill=Palette.TIME_FLEXIBILITY.with_alpha(0.35))
+_ENERGY_BAND = Style(fill=Palette.ENERGY_BAND.with_alpha(0.85))
+_ENERGY_MIN = Style(fill=Palette.ENERGY_MIN.with_alpha(0.9))
+_SCHEDULED_ENERGY = Style(stroke=Palette.SCHEDULE, stroke_width=1.6)
+_LANE_LABEL = Style(fill=Palette.AXIS, font_size=8.0)
+
 
 @dataclass(frozen=True)
 class ProfileViewOptions(ViewOptions):
@@ -109,7 +119,7 @@ class ProfileView(FlexOfferView):
                     f"{len(self.offers)} flex-offers, {lane_count(self._lanes)} lanes, "
                     f"shared energy scale 0..{energy_top:g} kWh/slot"
                 ),
-                style=Style(fill=Palette.AXIS, font_size=11.0),
+                style=_CAPTION,
                 css_class="view-caption",
             )
         )
@@ -146,7 +156,8 @@ class ProfileView(FlexOfferView):
         lane_top: float,
         lane_height: float,
     ) -> Group:
-        group = Group(name=f"offer-{offer.id}", element_id=f"fo:{offer.id}")
+        element_id = f"fo:{offer.id}"
+        group = Group(name=f"offer-{offer.id}", element_id=element_id)
         baseline = energy_scale.project(0.0)
 
         # Lane separator and the grey time-flexibility band behind the bars.
@@ -156,7 +167,7 @@ class ProfileView(FlexOfferView):
                 y1=lane_top + lane_height,
                 x2=self.options.plot_area.right,
                 y2=lane_top + lane_height,
-                style=Style(stroke=Palette.AXIS.with_alpha(0.2), stroke_width=0.5),
+                style=_LANE_SEPARATOR,
                 css_class="lane-separator",
             )
         )
@@ -168,8 +179,8 @@ class ProfileView(FlexOfferView):
                 y=lane_top + 1,
                 width=max(span_right - span_left, 1.0),
                 height=lane_height - 2,
-                style=Style(fill=Palette.TIME_FLEXIBILITY.with_alpha(0.35)),
-                element_id=f"fo:{offer.id}",
+                style=_TIME_FLEXIBILITY,
+                element_id=element_id,
                 css_class="time-flexibility",
             )
         )
@@ -177,15 +188,19 @@ class ProfileView(FlexOfferView):
         start_slot = offer.schedule.start_slot if offer.schedule is not None else offer.earliest_start_slot
         position = start_slot
         for index, piece in enumerate(offer.profile):
+            low = piece.min_energy / piece.duration_slots
+            high = piece.max_energy / piece.duration_slots
+            y_low = energy_scale.project(low)
+            y_high = energy_scale.project(high)
+            tooltip = (
+                f"flex-offer {offer.id} slice {index}: "
+                f"{piece.min_energy:.2f}-{piece.max_energy:.2f} kWh"
+            )
             for extra in range(piece.duration_slots):
                 slot = position + extra
                 left = scale.project(slot)
                 right = scale.project(slot + 1)
                 width = max(right - left - 0.5, 0.8)
-                low = piece.min_energy / piece.duration_slots
-                high = piece.max_energy / piece.duration_slots
-                y_low = energy_scale.project(low)
-                y_high = energy_scale.project(high)
                 # Band between min and max energy.
                 group.add(
                     Rect(
@@ -193,13 +208,10 @@ class ProfileView(FlexOfferView):
                         y=y_high,
                         width=width,
                         height=max(y_low - y_high, 0.5),
-                        style=Style(fill=Palette.ENERGY_BAND.with_alpha(0.85)),
-                        element_id=f"fo:{offer.id}",
+                        style=_ENERGY_BAND,
+                        element_id=element_id,
                         css_class="energy-band",
-                        tooltip=(
-                            f"flex-offer {offer.id} slice {index}: "
-                            f"{piece.min_energy:.2f}-{piece.max_energy:.2f} kWh"
-                        ),
+                        tooltip=tooltip,
                     )
                 )
                 # Solid bar up to the minimum energy.
@@ -209,8 +221,8 @@ class ProfileView(FlexOfferView):
                         y=y_low,
                         width=width,
                         height=max(baseline - y_low, 0.5),
-                        style=Style(fill=Palette.ENERGY_MIN.with_alpha(0.9)),
-                        element_id=f"fo:{offer.id}",
+                        style=_ENERGY_MIN,
+                        element_id=element_id,
                         css_class="energy-min",
                     )
                 )
@@ -224,8 +236,8 @@ class ProfileView(FlexOfferView):
                         y1=y_sched,
                         x2=scale.project(position + piece.duration_slots),
                         y2=y_sched,
-                        style=Style(stroke=Palette.SCHEDULE, stroke_width=1.6),
-                        element_id=f"fo:{offer.id}",
+                        style=_SCHEDULED_ENERGY,
+                        element_id=element_id,
                         css_class="scheduled-energy",
                     )
                 )
@@ -237,7 +249,7 @@ class ProfileView(FlexOfferView):
                     x=self.options.plot_area.left - 6,
                     y=lane_top + lane_height / 2 + 3,
                     text=f"#{offer.id}",
-                    style=Style(fill=Palette.AXIS, font_size=8.0),
+                    style=_LANE_LABEL,
                     anchor="end",
                     css_class="lane-label",
                 )

@@ -270,6 +270,7 @@ _SAMPLE_RE = re.compile(
 
 def test_prometheus_text_grammar_and_histogram_series(registry):
     _populated(registry)
+    registry.counter("repro.test.help", "first line\nsecond line \\ end")
     text = to_prometheus_text(registry)
     assert text.endswith("\n")
     for line in text.rstrip("\n").splitlines():
@@ -287,6 +288,8 @@ def test_prometheus_text_grammar_and_histogram_series(registry):
     assert buckets == sorted(buckets)
     assert 'le="+Inf"} 4' in text
     assert "repro_test_seconds_count 4" in text
+    # Help text escapes backslash and newline, so it stays on one line.
+    assert "# HELP repro_test_help first line\\nsecond line \\\\ end\n" in text
     # Dotted names sanitize to identifiers, and empty registries export empty.
     assert obs.prometheus_name("repro.live.commit.seconds") == "repro_live_commit_seconds"
     assert to_prometheus_text(MetricsRegistry()) == ""
