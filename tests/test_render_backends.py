@@ -218,6 +218,27 @@ class TestSvgBytes:
             "f2ce00de171c02aa89ae683fb8b516e4f4e2d2d5a0114b45334760b7cc5f05fc",
         )
 
+    def test_pivot_view(self, grid):
+        from repro.views.pivot_view import PivotView, PivotViewOptions
+
+        # Rows by state: two lanes, so both lane fills and two bar colours show.
+        options = PivotViewOptions(row_dimension="State", row_level="state")
+        assert self._digest(PivotView(_golden_offers(), grid, options).to_svg()) == (
+            3246,
+            "30dc62ed24e203c10435c10446e5a1d7cbd6d8d96fd0a3035b57c6db7fb3a20e",
+        )
+
+    def test_dashboard_view(self, grid):
+        from repro.views.dashboard import DashboardView
+
+        # One offer per drawn state, so every state colour reaches the scene.
+        scheduled, offered, aggregate = _golden_offers()
+        offers = [scheduled, offered.accept(), aggregate.reject()]
+        assert self._digest(DashboardView(offers, grid).to_svg()) == (
+            8558,
+            "ce8f1e7a844d997c6e7f83ee1af7da678dd9d569410ddfb1e5ff5c7e80ae033a",
+        )
+
     def test_escaped_text_ids_and_shared_styles(self):
         assert render_svg(_escape_scene()) == ESCAPE_SCENE_SVG
 
