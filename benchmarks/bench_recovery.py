@@ -6,7 +6,9 @@ Two claims of the :mod:`repro.store` durability subsystem are gated here:
   replaying only the log tail must be ≥5x faster than a cold replay of the
   whole event log when 10% of the stream lies beyond the checkpoint.  The
   restore path parses the snapshot (JSONL offers + aggregates) instead of
-  re-running ~90% of the event stream through the engine.
+  re-running ~90% of the event stream through the engine.  Each of 9 rounds
+  times one cold replay and one restore back to back, and the gate reads
+  the median of the per-round ratios.
 
 * **Delete throughput** — `warehouse.Table` deletes are tombstoned and
   compacted periodically, so per-delete cost is amortized O(1).  The bench
@@ -75,7 +77,28 @@ def _event_stream(scenario, churn_rounds: int = CHURN_ROUNDS):
     return events
 
 
-def recovery_summary(scenario, rounds: int = 3) -> dict:
+def _cold_replay_seconds(directory: str, scenario) -> float:
+    started = time.perf_counter()
+    session = FlexSession(
+        scenario, engine="live", micro_batch_size=BATCH_SIZE, live_preload=False
+    )
+    session.replay(list(RecoveryManager(directory).log.events()))
+    elapsed = time.perf_counter() - started
+    session.close()
+    return elapsed
+
+
+def _restore_seconds(directory: str, scenario) -> float:
+    started = time.perf_counter()
+    session = RecoveryManager(directory).restore(
+        scenario=scenario, micro_batch_size=BATCH_SIZE
+    )
+    elapsed = time.perf_counter() - started
+    session.close()
+    return elapsed
+
+
+def recovery_summary(scenario, rounds: int = 9) -> dict:
     """The restore-vs-cold-replay comparison as a JSON-ready row.
 
     Both contenders start from durable state only, as a crash recovery does:
@@ -84,6 +107,11 @@ def recovery_summary(scenario, rounds: int = 3) -> dict:
       replays it through a fresh session (sequence 0 onward);
     * *restore* loads the checkpoint (offers + aggregates) and replays only
       the log tail past the checkpoint's offset.
+
+    Each round times one cold replay and one restore back to back,
+    alternating which runs first, and the speedup is the median of the
+    per-round ratios: a swing in host speed then lands on both contenders
+    of a round, not on one contender's whole series.
     """
     ordered = _event_stream(scenario)
     cut = len(ordered) - int(len(ordered) * TAIL_FRACTION)
@@ -96,32 +124,22 @@ def recovery_summary(scenario, rounds: int = 3) -> dict:
         writer.replay(ordered[:cut])
         manager.checkpoint(writer)
         writer.close()
-        cold_timings = []
-        for _ in range(rounds):
-            started = time.perf_counter()
-            session = FlexSession(
-                scenario, engine="live", micro_batch_size=BATCH_SIZE, live_preload=False
-            )
-            session.replay(list(RecoveryManager(directory).log.events()))
-            cold_timings.append(time.perf_counter() - started)
-            session.close()
-        restore_timings = []
-        for _ in range(rounds):
-            started = time.perf_counter()
-            session = RecoveryManager(directory).restore(
-                scenario=scenario, micro_batch_size=BATCH_SIZE
-            )
-            restore_timings.append(time.perf_counter() - started)
-            session.close()
-    cold = statistics.median(cold_timings)
-    restore = statistics.median(restore_timings)
+        cold, restore, ratios = [], [], []
+        for index in range(rounds):
+            if index % 2:
+                restore.append(_restore_seconds(directory, scenario))
+                cold.append(_cold_replay_seconds(directory, scenario))
+            else:
+                cold.append(_cold_replay_seconds(directory, scenario))
+                restore.append(_restore_seconds(directory, scenario))
+            ratios.append(cold[-1] / restore[-1])
     return {
         "events": len(ordered),
         "tail_fraction": TAIL_FRACTION,
         "tail_events": len(ordered) - cut,
-        "cold_replay_ms": round(cold * 1000, 3),
-        "restore_ms": round(restore * 1000, 3),
-        "speedup": round(cold / restore, 1),
+        "cold_replay_ms": round(statistics.median(cold) * 1000, 3),
+        "restore_ms": round(statistics.median(restore) * 1000, 3),
+        "speedup": round(statistics.median(ratios), 1),
     }
 
 
@@ -260,10 +278,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     prosumers = 200 if args.quick else args.prosumers
     small_rows = 1000 if args.quick else 2000
-    rounds = 3
 
     scenario = generate_scenario(ScenarioConfig(prosumer_count=prosumers, seed=args.seed))
-    recovery = recovery_summary(scenario, rounds=rounds)
+    recovery = recovery_summary(scenario)
     deletes = delete_summary(small_rows)
     print(
         f"[RECOVERY] {recovery['events']} events, tail {TAIL_FRACTION:.0%}: "

@@ -32,7 +32,6 @@ from repro.live.events import (
     OfferStateChanged,
     OfferUpdated,
     OfferWithdrawn,
-    append_jsonl,
     apply_transition,
     event_from_dict,
     event_to_dict,
@@ -63,7 +62,6 @@ __all__ = [
     "OfferStateChanged",
     "OfferUpdated",
     "OfferWithdrawn",
-    "append_jsonl",
     "apply_transition",
     "event_from_dict",
     "event_to_dict",

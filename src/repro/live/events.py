@@ -9,7 +9,9 @@ rest of the live subsystem (:mod:`repro.live.engine`,
 working on plain offer lists.
 
 Events are immutable and JSON-serializable (via the flex-offer serialization
-helpers), so an :class:`EventLog` can be persisted and replayed losslessly.
+helpers): :func:`event_to_dict` / :func:`event_from_dict` round-trip them
+losslessly, and the segment log of :mod:`repro.store` persists them as JSON
+Lines.
 """
 
 from __future__ import annotations
@@ -221,65 +223,21 @@ class EventLog:
         """Ids of every offer the log ever mentioned."""
         return {event.subject_id for event in self._events}
 
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-    def to_dicts(self) -> list[dict[str, Any]]:
-        """The whole log as JSON-serializable dictionaries (in arrival order)."""
-        return list(self.iter_dicts())
 
-    def iter_dicts(self) -> Iterator[dict[str, Any]]:
-        """Stream the log as JSON-serializable dictionaries (arrival order).
+def write_jsonl(path: str | Path, payloads: Iterable[dict[str, Any]]) -> int:
+    """Write one JSON document per line, keys sorted; returns the line count.
 
-        Unlike :meth:`to_dicts` nothing is materialized, so a large log can be
-        written out line by line (see :meth:`to_jsonl`).
-        """
-        for event in self._events:
-            yield event_to_dict(event)
-
-    @classmethod
-    def from_dicts(cls, payloads: Iterable[dict[str, Any]]) -> "EventLog":
-        """Rebuild a log from :meth:`to_dicts` output."""
-        return cls.from_iter(payloads)
-
-    @classmethod
-    def from_iter(cls, payloads: Iterable[dict[str, Any]]) -> "EventLog":
-        """Rebuild a log from a (possibly lazy) stream of event dictionaries."""
-        return cls(event_from_dict(payload) for payload in payloads)
-
-    def to_jsonl(self, path: str | Path) -> int:
-        """Write the log as JSON Lines; returns the number of events written."""
-        return write_jsonl(path, self.iter_dicts())
-
-    @classmethod
-    def from_jsonl(cls, path: str | Path) -> "EventLog":
-        """Rebuild a log from a :meth:`to_jsonl` file without materializing it twice."""
-        return cls.from_iter(read_jsonl(path))
-
-
-def _dump_jsonl(path: str | Path, payloads: Iterable[dict[str, Any]], mode: str) -> int:
+    Shared by the segment and snapshot stores of :mod:`repro.store` — the
+    payloads stream through, so writing a large file never holds it in
+    memory.
+    """
     count = 0
-    with open(path, mode, encoding="utf-8") as handle:
+    with open(path, "w", encoding="utf-8") as handle:
         for payload in payloads:
             handle.write(json.dumps(payload, sort_keys=True))
             handle.write("\n")
             count += 1
     return count
-
-
-def write_jsonl(path: str | Path, payloads: Iterable[dict[str, Any]]) -> int:
-    """Write one JSON document per line; returns the line count.
-
-    Shared by :meth:`EventLog.to_jsonl` and the segment store of
-    :mod:`repro.store` — the payloads stream through, so writing a large log
-    never holds it in memory.
-    """
-    return _dump_jsonl(path, payloads, "w")
-
-
-def append_jsonl(path: str | Path, payloads: Iterable[dict[str, Any]]) -> int:
-    """Append one JSON document per line; returns the appended line count."""
-    return _dump_jsonl(path, payloads, "a")
 
 
 def read_jsonl(path: str | Path) -> Iterator[dict[str, Any]]:

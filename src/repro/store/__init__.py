@@ -7,9 +7,9 @@ Layers, bottom up:
   committed live-family engine into plain data and back, across engine
   families.
 * :mod:`repro.store.segments` — :class:`SegmentStore`: the on-disk,
-  sequence-numbered event log split into JSONL segments (each with a binary
-  byte-offset sidecar index so tail reads seek instead of parse), with
-  ``compact()``.
+  sequence-numbered event log split into JSONL segments, its only on-disk
+  format (a tail read skips the checkpointed prefix by each line's trailing
+  ``"seq": N}``), with ``compact()``.
 * :mod:`repro.store.snapshot` — :class:`SnapshotStore`: versioned checkpoint
   directories (offers + aggregates + manifest).
 * :mod:`repro.store.recovery` — :class:`RecoveryManager`: checkpoint /

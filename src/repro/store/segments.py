@@ -17,50 +17,32 @@ Sequence numbers are preserved, so tails remain addressable after any number
 of compactions, and a cold replay of the compacted log ends in the same state
 as a cold replay of the full one.
 
-Each segment carries a binary *offset-index sidecar* (``<segment>.idx``:
-little-endian ``(sequence, byte offset)`` pairs, appended in lockstep with
-the data lines).  :meth:`SegmentStore.tail` uses it to seek straight to the
-first record of the tail instead of parsing the segment's earlier lines.
-The sidecar is an accelerator, never a source of truth: a missing, stale or
-implausible index silently degrades to the full parse.
+The JSONL lines are the log's only on-disk format, one file per segment.
+Records are written with sorted keys, so every line ends in its
+``"seq": N}``: :meth:`SegmentStore.tail` skips the already-checkpointed
+prefix of its first overlapping segment by reading that suffix, and decodes
+only the records it replays.  Every read goes through one decoder, which
+raises :class:`~repro.errors.StoreError` for any malformed line it decodes.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import struct
 import time
-from bisect import bisect_left
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
-from repro.errors import StoreError
-from repro.live.events import (
-    OfferEvent,
-    event_from_dict,
-    event_to_dict,
-    read_jsonl,
-    write_jsonl,
-)
-from repro.obs import get_registry, get_tracer
+from repro.errors import LiveEngineError, StoreError
+from repro.live.events import OfferEvent, event_from_dict, event_to_dict, write_jsonl
+from repro.obs import get_registry
 from repro.obs.metrics import COUNT_BUCKETS
 
 # ----------------------------------------------------------------------
-# Observability: the restore-time tail replay.  The seek counters answer
-# "is the .idx sidecar actually paying off" — a hit means the tail started
-# mid-file through the index, a miss means a full-parse fallback (missing,
-# stale or implausible sidecar).  The tail histograms cover the whole
-# stream-out, however far the consumer drained it.
+# Observability: the restore-time tail replay.  The tail histograms cover
+# the whole stream-out, however far the consumer drained it.
 # ----------------------------------------------------------------------
 _OBS = get_registry()
-_TRACER = get_tracer()
-_SEEK_HITS = _OBS.counter(
-    "repro.store.segment.seek.hits", "tail reads that seeked through the .idx sidecar"
-)
-_SEEK_MISSES = _OBS.counter(
-    "repro.store.segment.seek.misses", "tail reads that fell back to a full segment parse"
-)
 _TAIL_SECONDS = _OBS.histogram(
     "repro.store.segment.tail.seconds", "segment-log tail replay latency (drain to exhaustion)"
 )
@@ -70,8 +52,21 @@ _TAIL_RECORDS = _OBS.histogram(
 
 _SEGMENT_PREFIX = "events-"
 _SEGMENT_SUFFIX = ".jsonl"
-_INDEX_SUFFIX = ".idx"
-_INDEX_ENTRY = struct.Struct("<qq")
+#: The last key of every record line (keys are sorted: "event" < "seq").
+_SEQ_KEY = '"seq": '
+
+
+def _trailing_sequence(line: str) -> int | None:
+    """The sequence a record line ends in (``..., "seq": N}``), else None.
+
+    Inside a JSON string every ``"`` is escaped, so the last ``"seq": `` of
+    a line written by :class:`SegmentStore` is its record's own key.
+    """
+    start = line.rfind(_SEQ_KEY)
+    digits = line[start + len(_SEQ_KEY) : -1]
+    if start < 0 or not line.endswith("}") or not (digits.isascii() and digits.isdigit()):
+        return None
+    return int(digits)
 
 
 def _subject_of(event_payload: dict[str, Any]) -> int:
@@ -130,7 +125,6 @@ class SegmentStore:
         terminated = raw.rfind(b"\n") + 1
         if terminated == len(raw):
             return
-        self._drop_index(path)
         staged = path.with_suffix(".jsonl.tmp")
         staged.write_bytes(raw[:terminated])
         os.replace(staged, path)
@@ -164,12 +158,34 @@ class SegmentStore:
             raise StoreError(f"malformed segment file name {path.name!r}") from exc
 
     @staticmethod
-    def _records(path: Path) -> Iterator[tuple[int, dict[str, Any]]]:
-        for payload in read_jsonl(path):
-            try:
-                yield int(payload["seq"]), payload["event"]
-            except (KeyError, TypeError) as exc:
-                raise StoreError(f"malformed segment record in {path}: {exc}") from exc
+    def _records(path: Path, from_sequence: int = 0) -> Iterator[tuple[int, dict[str, Any]]]:
+        """Decode one segment's ``(sequence, event payload)`` records.
+
+        Only records with sequence >= ``from_sequence`` are decoded and
+        yielded: until the first of them, a line whose trailing
+        ``"seq": N}`` reads below the cut is skipped undecoded (a segment's
+        sequences ascend, so none follows it).  A malformed line that is
+        decoded raises :class:`StoreError`.
+        """
+        skipping = from_sequence > 0
+        try:
+            with open(path, encoding="utf-8") as handle:
+                for line in handle:
+                    line = line.strip()
+                    if not line:
+                        continue
+                    if skipping:
+                        sequence = _trailing_sequence(line)
+                        if sequence is not None and sequence < from_sequence:
+                            continue
+                    record = json.loads(line)
+                    sequence, payload = int(record["seq"]), record["event"]
+                    if sequence >= from_sequence:
+                        skipping = False
+                        yield sequence, payload
+        except (ValueError, KeyError, TypeError) as exc:
+            # ValueError covers bytes that are not UTF-8 (records are ASCII).
+            raise StoreError(f"malformed segment record in {path}: {exc}") from exc
 
     @property
     def next_sequence(self) -> int:
@@ -196,97 +212,49 @@ class SegmentStore:
         return sequence
 
     def extend(self, events: Iterable[OfferEvent]) -> int:
-        """Persist many events (one file open per touched segment); returns the count."""
+        """Persist many events (one file open per touched segment); returns the count.
+
+        An event that cannot be serialized raises :class:`StoreError` after
+        the records before it are written, so ``next_sequence`` always
+        counts exactly the records on disk.
+        """
         # Created on first write, so pure read paths (a restore from a
         # mistyped directory, an existence probe) never leave dirs behind.
         self.directory.mkdir(parents=True, exist_ok=True)
         appended = 0
-        batch: list[dict[str, Any]] = []
-        for event in events:
-            if self._active is None or self._active_count >= self.segment_size:
-                if batch:
-                    self._append_segment(self._active, batch)
-                    batch = []
-                self._active = self.directory / (
-                    f"{_SEGMENT_PREFIX}{self._next_sequence:08d}{_SEGMENT_SUFFIX}"
-                )
-                self._active_count = 0
-            batch.append({"seq": self._next_sequence, "event": event_to_dict(event)})
-            self._next_sequence += 1
-            self._active_count += 1
-            appended += 1
-        if batch:
-            self._append_segment(self._active, batch)
+        batch: list[str] = []
+        try:
+            for event in events:
+                if self._active is None or self._active_count >= self.segment_size:
+                    if batch:
+                        self._append_segment(self._active, batch)
+                        batch = []
+                    self._active = self.directory / (
+                        f"{_SEGMENT_PREFIX}{self._next_sequence:08d}{_SEGMENT_SUFFIX}"
+                    )
+                    self._active_count = 0
+                try:
+                    record = {"seq": self._next_sequence, "event": event_to_dict(event)}
+                    batch.append(json.dumps(record, sort_keys=True))
+                except (LiveEngineError, AttributeError, TypeError, ValueError) as exc:
+                    raise StoreError(
+                        f"cannot log event {self._next_sequence} ({type(event).__name__}): {exc}"
+                    ) from exc
+                self._next_sequence += 1
+                self._active_count += 1
+                appended += 1
+        finally:
+            if batch:
+                self._append_segment(self._active, batch)
         return appended
 
-    def _append_segment(self, path: Path, batch: list[dict[str, Any]]) -> None:
-        """Append records to one segment and extend its offset-index sidecar.
-
-        The data lines land first, the index entries second — a crash in
-        between leaves a merely *stale* index, which :meth:`_seek_offset`
-        handles (it only ever seeks to a boundary at or before the target
-        and scans forward), never a wrong one.
-        """
-        base = path.stat().st_size if path.exists() else 0
-        entries = bytearray()
+    @staticmethod
+    def _append_segment(path: Path, lines: list[str]) -> None:
+        """Append serialized records to one segment, one per line."""
         with open(path, "a", encoding="utf-8") as handle:
-            for record in batch:
-                line = json.dumps(record, sort_keys=True)
+            for line in lines:
                 handle.write(line)
                 handle.write("\n")
-                entries += _INDEX_ENTRY.pack(int(record["seq"]), base)
-                base += len(line.encode("utf-8")) + 1
-        with open(self._index_path(path), "ab") as handle:
-            handle.write(entries)
-
-    @staticmethod
-    def _index_path(path: Path) -> Path:
-        return path.with_name(path.name + _INDEX_SUFFIX)
-
-    def _drop_index(self, path: Path) -> None:
-        self._index_path(path).unlink(missing_ok=True)
-
-    def _write_index(self, path: Path, records: list[dict[str, Any]]) -> None:
-        """Rebuild a segment's sidecar from scratch (after compaction)."""
-        entries = bytearray()
-        offset = 0
-        for record in records:
-            entries += _INDEX_ENTRY.pack(int(record["seq"]), offset)
-            offset += len(json.dumps(record, sort_keys=True).encode("utf-8")) + 1
-        self._index_path(path).write_bytes(bytes(entries))
-
-    def _seek_offset(self, path: Path, from_sequence: int) -> int:
-        """Byte offset to start scanning ``path`` at for ``tail(from_sequence)``.
-
-        Resolved through the sidecar index: the offset of the last record
-        with sequence <= the target (scanning forward from there filters any
-        earlier records away).  Returns 0 — the full parse — whenever the
-        index is missing, malformed or implausible for the current file.
-        """
-        try:
-            raw = self._index_path(path).read_bytes()
-        except OSError:
-            return 0
-        if not raw or len(raw) % _INDEX_ENTRY.size:
-            return 0
-        pairs = list(_INDEX_ENTRY.iter_unpack(raw))
-        sequences = [sequence for sequence, _ in pairs]
-        position = bisect_left(sequences, from_sequence)
-        if position < len(pairs) and sequences[position] == from_sequence:
-            offset = pairs[position][1]
-        elif position > 0:
-            offset = pairs[position - 1][1]
-        else:
-            return 0
-        if offset <= 0 or offset >= path.stat().st_size:
-            return 0
-        # The offset must land on a line boundary; anything else means the
-        # index belongs to an older incarnation of the file.
-        with open(path, "rb") as handle:
-            handle.seek(offset - 1)
-            if handle.read(1) != b"\n":
-                return 0
-        return offset
 
     # ------------------------------------------------------------------
     # Read path
@@ -295,9 +263,9 @@ class SegmentStore:
         """Stream the stored events with sequence >= ``from_sequence``.
 
         Segments wholly before the cut are skipped without being read, and
-        within the first overlapping segment the offset-index sidecar seeks
-        past the already-checkpointed prefix — a restore parses only the
-        bytes it replays.
+        within the first overlapping segment the already-checkpointed prefix
+        is skipped by each line's trailing sequence — a restore decodes only
+        the records it replays.
         """
         if not _OBS.enabled:
             return self._tail(from_sequence)
@@ -328,32 +296,8 @@ class SegmentStore:
             following = position + 1
             if following < len(paths) and self._first_sequence(paths[following]) <= from_sequence:
                 continue
-            offset = 0
-            if from_sequence > 0:
-                # A span in a generator is safe here: no yield inside it.
-                with _TRACER.span("store.segment.seek"):
-                    offset = self._seek_offset(path, from_sequence)
-                (_SEEK_HITS if offset else _SEEK_MISSES).inc()
-            if offset:
-                with open(path, encoding="utf-8") as handle:
-                    handle.seek(offset)
-                    for line in handle:
-                        line = line.strip()
-                        if not line:
-                            continue
-                        try:
-                            record = json.loads(line)
-                            sequence, payload = int(record["seq"]), record["event"]
-                        except (ValueError, KeyError, TypeError) as exc:
-                            raise StoreError(
-                                f"malformed segment record in {path}: {exc}"
-                            ) from exc
-                        if sequence >= from_sequence:
-                            yield event_from_dict(payload)
-            else:
-                for sequence, payload in self._records(path):
-                    if sequence >= from_sequence:
-                        yield event_from_dict(payload)
+            for _, payload in self._records(path, from_sequence):
+                yield event_from_dict(payload)
 
     def events(self) -> Iterator[OfferEvent]:
         """Stream every stored event, oldest first."""
@@ -400,9 +344,8 @@ class SegmentStore:
         for _, payload in self._records(active):
             keep.add(_subject_of(payload))
         for path in closed:
-            for sequence, payload in self._records(path):
-                if sequence >= before:
-                    keep.add(_subject_of(payload))
+            for _, payload in self._records(path, before):
+                keep.add(_subject_of(payload))
         dropped = 0
         for path in closed:
             kept: list[dict[str, Any]] = []
@@ -414,16 +357,12 @@ class SegmentStore:
             if len(kept) == total:
                 continue
             dropped += total - len(kept)
-            # The sidecar goes first: a crash mid-rewrite must leave either
-            # no index (full-parse fallback) or one matching the new file.
-            self._drop_index(path)
             if kept:
                 # Rewrite via a temp file + atomic rename: a crash mid-compaction
                 # must never truncate the only copy of a segment.
                 staged = path.with_suffix(".jsonl.tmp")
                 write_jsonl(staged, kept)
                 os.replace(staged, path)
-                self._write_index(path, kept)
             else:
                 path.unlink()
         return dropped

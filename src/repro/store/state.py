@@ -30,7 +30,7 @@ multi-offer chunk with no recorded aggregate, raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.aggregation.grouping import GroupKey, chunk_group, group_key
@@ -84,7 +84,6 @@ class EngineState:
     #: Every id ever handed to an engine aggregate (collision fencing).
     reserved_ids: tuple[int, ...] = ()
     commit_count: int = 0
-    extras: dict[str, Any] = field(default_factory=dict)
 
 
 def _require_clean(engine) -> None:

@@ -31,6 +31,22 @@ if TYPE_CHECKING:  # pragma: no cover - typing only; rendering imports the
 _STATE_ORDER = (FlexOfferState.ACCEPTED, FlexOfferState.ASSIGNED, FlexOfferState.REJECTED)
 
 
+def _per_state(**style) -> dict[str, Style]:
+    """One style per drawn state, filled with the state's colour."""
+    return {state.value: Style(fill=Palette.state_color(state.value), **style) for state in _STATE_ORDER}
+
+
+# Shared by every node that draws with them: ``Style`` and ``Color`` are frozen,
+# and the SVG serializer formats each style object once per document.
+_CAPTION = Style(fill=Palette.AXIS, font_size=12.0)
+_STATE_WEDGE = _per_state(stroke=Palette.PANEL, stroke_width=1.0)
+_STATE_LABEL = _per_state(font_size=11.0)
+_STATE_BAR = _per_state()
+_NON_FLEXIBLE_BAND = Style(fill=Palette.NON_FLEXIBLE_DEMAND.with_alpha(0.55))
+_FLEXIBLE_BAND = Style(fill=Palette.FLEXIBLE_DEMAND.with_alpha(0.55))
+_RES_LINE = Style(stroke=Palette.RES_PRODUCTION, stroke_width=2.2)
+
+
 @dataclass(frozen=True)
 class DashboardOptions(ViewOptions):
     """Options specific to the dashboard view."""
@@ -127,7 +143,7 @@ class DashboardView(FlexOfferView):
                 x=area.left,
                 y=area.top - 14,
                 text=caption,
-                style=Style(fill=Palette.AXIS, font_size=12.0),
+                style=_CAPTION,
                 css_class="view-caption",
             )
         )
@@ -153,7 +169,7 @@ class DashboardView(FlexOfferView):
                     radius=options.pie_radius,
                     start_angle=angle,
                     end_angle=angle + sweep,
-                    style=Style(fill=Palette.state_color(state.value), stroke=Palette.PANEL, stroke_width=1.0),
+                    style=_STATE_WEDGE[state.value],
                     element_id=f"pie:{state.value}",
                     css_class=f"state-wedge {state.value}",
                     tooltip=f"{state.value}: {totals[state.value]} offers ({share:.0f}%)",
@@ -166,7 +182,7 @@ class DashboardView(FlexOfferView):
                     x=pie_cx - options.pie_radius,
                     y=pie_cy + options.pie_radius + 18 + index * 14,
                     text=f"{state.value} {percentages[state.value]:.0f}%",
-                    style=Style(fill=Palette.state_color(state.value), font_size=11.0),
+                    style=_STATE_LABEL[state.value],
                     css_class="pie-label",
                 )
             )
@@ -204,7 +220,7 @@ class DashboardView(FlexOfferView):
                             y=top,
                             width=bar_width,
                             height=base - top,
-                            style=Style(fill=Palette.state_color(state.value)),
+                            style=_STATE_BAR[state.value],
                             element_id=f"bar:{slot}:{state.value}",
                             css_class=f"state-bar {state.value}",
                             tooltip=f"{self.grid.to_datetime(slot):%H:%M} {state.value}: {value:.0f}",
@@ -274,7 +290,7 @@ class BalanceView(FlexOfferView):
                     x=area.left,
                     y=area.top - 14,
                     text=options.caption,
-                    style=Style(fill=Palette.AXIS, font_size=12.0),
+                    style=_CAPTION,
                     css_class="view-caption",
                 )
             )
@@ -282,7 +298,7 @@ class BalanceView(FlexOfferView):
         marks = Group(name="marks")
         scene.add(marks)
 
-        def stacked_band(lower: TimeSeries, upper: TimeSeries, color, name: str) -> None:
+        def stacked_band(lower: TimeSeries, upper: TimeSeries, style: Style, name: str) -> None:
             points_top = [
                 (time_scale.project(slot + 0.5), value_scale.project(value))
                 for slot, value in upper.to_pairs()
@@ -299,7 +315,7 @@ class BalanceView(FlexOfferView):
             marks.add(
                 Polygon(
                     points=polygon_points,
-                    style=Style(fill=color.with_alpha(0.55)),
+                    style=style,
                     element_id=f"band:{name}",
                     css_class=f"band {name}",
                 )
@@ -308,8 +324,8 @@ class BalanceView(FlexOfferView):
         from repro.timeseries.series import TimeSeries
 
         zero = TimeSeries.zeros(self.grid, self.base_demand.start_slot, len(self.base_demand))
-        stacked_band(zero, self.base_demand, Palette.NON_FLEXIBLE_DEMAND, "non-flexible demand")
-        stacked_band(self.base_demand, total_demand, Palette.FLEXIBLE_DEMAND, "flexible demand")
+        stacked_band(zero, self.base_demand, _NON_FLEXIBLE_BAND, "non-flexible demand")
+        stacked_band(self.base_demand, total_demand, _FLEXIBLE_BAND, "flexible demand")
 
         res_points = tuple(
             (time_scale.project(slot + 0.5), value_scale.project(value))
@@ -318,7 +334,7 @@ class BalanceView(FlexOfferView):
         marks.add(
             Polyline(
                 points=res_points,
-                style=Style(stroke=Palette.RES_PRODUCTION, stroke_width=2.2),
+                style=_RES_LINE,
                 element_id="series:res",
                 css_class="res-production",
             )

@@ -26,6 +26,19 @@ from repro.render.scene import Group, Line, Rect, Scene, Style, Text
 from repro.timeseries.grid import TimeGrid
 from repro.views.base import FlexOfferView, ViewOptions
 
+# Shared by every node that draws with them: ``Style`` and ``Color`` are frozen,
+# and the SVG serializer formats each style object once per document.
+_MDX_WINDOW = Style(fill=Palette.PANEL.lighten(0.5), stroke=Palette.AXIS.with_alpha(0.5))
+_MDX_TEXT = Style(fill=Palette.AXIS, font_size=9.0)
+#: Swimlane backgrounds, alternating by row.
+_LANES = tuple(
+    Style(fill=fill, stroke=Palette.AXIS.with_alpha(0.3), stroke_width=0.5)
+    for fill in (Palette.PANEL, Palette.PANEL.lighten(0.4))
+)
+_LABEL = Style(fill=Palette.AXIS, font_size=10.0)
+_COLUMN_LABEL = Style(fill=Palette.AXIS, font_size=8.0)
+_AXIS_LINE = Style(stroke=Palette.AXIS, stroke_width=1.0)
+
 
 @dataclass(frozen=True)
 class PivotViewOptions(ViewOptions):
@@ -129,7 +142,7 @@ class PivotView(FlexOfferView):
                 y=options.margin_top,
                 width=options.width - options.margin_left - options.margin_right,
                 height=header_height - 10,
-                style=Style(fill=Palette.PANEL.lighten(0.5), stroke=Palette.AXIS.with_alpha(0.5)),
+                style=_MDX_WINDOW,
                 css_class="mdx-window",
             )
         )
@@ -138,7 +151,7 @@ class PivotView(FlexOfferView):
                 x=options.margin_left + 6,
                 y=options.margin_top + 15,
                 text="MDX query window",
-                style=Style(fill=Palette.AXIS, font_size=9.0),
+                style=_MDX_TEXT,
                 css_class="mdx-caption",
             )
         )
@@ -147,7 +160,7 @@ class PivotView(FlexOfferView):
                 x=options.margin_left + 6,
                 y=options.margin_top + 29,
                 text=mdx_text[:160],
-                style=Style(fill=Palette.AXIS, font_size=9.0),
+                style=_MDX_TEXT,
                 css_class="mdx-text",
             )
         )
@@ -172,11 +185,7 @@ class PivotView(FlexOfferView):
                     y=lane_top,
                     width=area.width,
                     height=options.lane_height - 4,
-                    style=Style(
-                        fill=Palette.PANEL.lighten(0.4) if row_index % 2 else Palette.PANEL,
-                        stroke=Palette.AXIS.with_alpha(0.3),
-                        stroke_width=0.5,
-                    ),
+                    style=_LANES[row_index % 2],
                     css_class="swimlane",
                     element_id=f"member:{member}",
                 )
@@ -186,13 +195,13 @@ class PivotView(FlexOfferView):
                     x=area.left - 8,
                     y=lane_top + options.lane_height / 2,
                     text=str(member),
-                    style=Style(fill=Palette.AXIS, font_size=10.0),
+                    style=_LABEL,
                     anchor="end",
                     css_class="swimlane-label",
                 )
             )
             value_scale = LinearScale(0.0, peak, lane_top + options.lane_height - 6, lane_top + 6)
-            color = Palette.categorical(row_index)
+            bar_style = Style(fill=Palette.categorical(row_index).with_alpha(0.85))
             if table.row_members:
                 row_values = table.values[options.measure][row_index]
             else:
@@ -208,7 +217,7 @@ class PivotView(FlexOfferView):
                         y=y_value,
                         width=max(x_right - x_left, 1.0),
                         height=max(baseline - y_value, 0.0),
-                        style=Style(fill=color.with_alpha(0.85)),
+                        style=bar_style,
                         element_id=f"cell:{member}:{columns[column_index]}",
                         css_class="swimlane-bar",
                         tooltip=f"{member} @ {columns[column_index]}: {value:g} {options.measure}",
@@ -227,7 +236,7 @@ class PivotView(FlexOfferView):
                     x=x,
                     y=area.bottom + 14,
                     text=str(column)[-5:],
-                    style=Style(fill=Palette.AXIS, font_size=8.0),
+                    style=_COLUMN_LABEL,
                     anchor="middle",
                     css_class="column-label",
                 )
@@ -238,7 +247,7 @@ class PivotView(FlexOfferView):
                 y1=area.bottom,
                 x2=area.right,
                 y2=area.bottom,
-                style=Style(stroke=Palette.AXIS, stroke_width=1.0),
+                style=_AXIS_LINE,
             )
         )
         scene.add(
@@ -247,7 +256,7 @@ class PivotView(FlexOfferView):
                 y=area.top - 6,
                 text=f"measure: {options.measure}  rows: {options.row_dimension}.{options.row_level}  "
                 f"columns: {options.column_dimension}.{options.column_level}",
-                style=Style(fill=Palette.AXIS, font_size=10.0),
+                style=_LABEL,
                 css_class="view-caption",
             )
         )

@@ -1,8 +1,9 @@
-"""Datagen-free checkpoint tests: engine state and segment sidecars.
+"""Datagen-free store tests: engine state and the segment log's tail.
 
 The contract: a checkpoint restores exactly the committed engine state it
 captured — at any commit point, for every live-family engine — and the
-segment log's binary ``.idx`` sidecars survive a checkpoint cycle.
+segment log's ``tail(n)`` returns exactly the stored events with sequence
+>= n, however the log was compacted, repaired or corrupted.
 
 Every test in this module is datagen-free: offers are built by hand through
 ``tests.conftest.make_offer`` and streamed through the real engines, so the
@@ -13,19 +14,22 @@ suites skip).
 from __future__ import annotations
 
 import datetime
+import json
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aggregation.parameters import AggregationParameters
+from repro.errors import StoreError
 from repro.flexoffer.model import FlexOfferState, Schedule
 from repro.live.asynccommit import AsyncCommitEngine
 from repro.live.engine import LiveAggregationEngine, canonical_form
 from repro.live.events import EventLog, OfferAdded, OfferStateChanged, OfferUpdated, OfferWithdrawn
 from repro.live.replay import replay
-from repro.store import SnapshotStore, capture_engine_state, restore_engine_state
+from repro.store import SegmentStore, SnapshotStore, capture_engine_state, restore_engine_state
 
 from tests.conftest import make_offer
 
@@ -105,14 +109,92 @@ def test_checkpoint_round_trips_engine_state(tmp_path_factory, engine_name, cut_
         getattr(built, "close", lambda: None)()
 
 
-def test_segment_sidecar_survives_checkpoint_cycle(tmp_path):
-    """End-to-end: record → checkpoint → tail read uses the seek index."""
-    from repro.store.segments import SegmentStore
+def _stored_sequences(store: SegmentStore) -> list[int]:
+    """Every record's sequence, read straight from the segment files."""
+    return [
+        json.loads(line)["seq"]
+        for path in store.segments()
+        for line in path.read_text(encoding="utf-8").splitlines()
+    ]
 
+
+def _assert_every_tail(store: SegmentStore, events: list) -> None:
+    sequences = _stored_sequences(store)
+    for cut in range(store.next_sequence + 2):
+        assert list(store.tail(cut)) == [events[s] for s in sequences if s >= cut], cut
+
+
+def test_tail_returns_exactly_the_events_at_or_past_every_cut(tmp_path):
+    """Fresh, reopened, torn-tail-repaired and compacted logs, beside stale
+    ``.idx`` files, with an event whose text mimics a record's ``"seq": 1}``."""
     events = _event_stream(12)
-    log = SegmentStore(tmp_path / "events", segment_size=8)
-    log.extend(events)
-    for segment in log.segments():
-        assert segment.with_name(segment.name + ".idx").exists()
-    tail = list(log.tail(len(events) // 2))
-    assert len(tail) == len(events) - len(events) // 2
+    middle = len(events) // 2
+    mimic = replace(events[middle].offer, id=99, appliance_type='heater "seq": 1}')
+    events.insert(middle, OfferAdded(events[middle].timestamp, mimic))
+    directory = tmp_path / "events"
+    store = SegmentStore(directory, segment_size=4)
+    store.extend(events)
+    assert len(store.segments()) > 3
+    _assert_every_tail(store, events)
+
+    # A directory written before the sidecar was dropped keeps an .idx beside
+    # each segment; it is never read, so garbage there changes nothing.
+    stale = {}
+    for segment in store.segments():
+        stale[segment] = segment.with_name(segment.name + ".idx")
+        stale[segment].write_bytes(b"\x07" * 16 * 3)
+    _assert_every_tail(SegmentStore(directory, segment_size=4), events)
+
+    # A crash mid-append tears the active segment's last line; reopening
+    # drops it, and the torn record's sequence is reissued.
+    active = store.segments()[-1]
+    active.write_bytes(active.read_bytes() + b'{"event": {"type": "ad')
+    store = SegmentStore(directory, segment_size=4)
+    assert store.next_sequence == len(events)
+    _assert_every_tail(store, events)
+
+    # Compaction leaves sparse sequences in the closed segments.
+    assert store.compact(store.surviving_subjects()) > 0
+    assert _stored_sequences(store) != list(range(len(events)))
+    _assert_every_tail(store, events)
+    _assert_every_tail(SegmentStore(directory, segment_size=4), events)
+    for index in stale.values():
+        assert index.read_bytes() == b"\x07" * 16 * 3
+
+    # A malformed line raises once the cut reaches it; a cut past it skips it
+    # by its trailing sequence, undecoded.
+    segment = next(path for path in store.segments() if len(path.read_bytes().splitlines()) > 1)
+    sequences = _stored_sequences(store)
+    original = segment.read_bytes()
+    lines = original.decode("utf-8").splitlines()
+    sequence = json.loads(lines[0])["seq"]
+    lines[0] = '{"event": {"type": "ad, "seq": %d}' % sequence
+    segment.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for cut in (0, sequence):
+        with pytest.raises(StoreError):
+            list(store.tail(cut))
+    with pytest.raises(StoreError):
+        list(store.records())
+    assert list(store.tail(sequence + 1)) == [events[s] for s in sequences if s > sequence]
+    # Bytes that are not UTF-8 are malformed too (records are ASCII).
+    segment.write_bytes(original.replace(b"}\n", b"\xff}\n", 1))
+    with pytest.raises(StoreError):
+        list(store.tail(0))
+
+
+@pytest.mark.parametrize("segment_size", [2, 100])
+def test_failed_extend_writes_what_it_numbered(tmp_path, segment_size):
+    """An event that cannot be logged raises StoreError after the events
+    before it are written: the store, the disk and a reopened store agree on
+    the records and on ``next_sequence``."""
+    events = _event_stream(4)[:4]
+    store = SegmentStore(tmp_path, segment_size=segment_size)
+    with pytest.raises(StoreError):
+        store.extend([*events[:3], object()])
+    assert store.next_sequence == 3
+    assert store.append(events[3]) == 3
+    reopened = SegmentStore(tmp_path, segment_size=segment_size)
+    for log in (store, reopened):
+        assert log.next_sequence == 4
+        assert [sequence for sequence, _ in log.records()] == [0, 1, 2, 3]
+    assert list(reopened.tail(0)) == events

@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 from repro.datagen.scenarios import ScenarioConfig, generate_scenario
 from repro.errors import ReproError, StoreError
 from repro.live.engine import canonical_form
-from repro.live.events import EventLog, OfferWithdrawn
+from repro.live.events import OfferWithdrawn
 from repro.live.replay import scenario_event_stream
 from repro.session import FlexSession
 from repro.store import (
@@ -430,27 +430,6 @@ class TestSnapshotStore:
         with pytest.raises(StoreError):
             restore_engine_state(other, state)
         session.close()
-
-
-class TestEventLogStreaming:
-    def test_iter_dicts_streams_lazily(self):
-        log = EventLog(_STREAMS[(0.0, 0.0)][:5])
-        stream = log.iter_dicts()
-        assert next(stream)["type"] == "added"
-        assert log.to_dicts() == list(log.iter_dicts())
-
-    def test_jsonl_round_trip(self, tmp_path):
-        log = EventLog(_STREAMS[(0.25, 0.15)][:40])
-        path = tmp_path / "events.jsonl"
-        assert log.to_jsonl(path) == 40
-        reloaded = EventLog.from_jsonl(path)
-        assert reloaded.to_dicts() == log.to_dicts()
-
-    def test_from_iter_accepts_generators(self):
-        log = EventLog(_STREAMS[(0.0, 0.0)][:7])
-        rebuilt = EventLog.from_iter(payload for payload in log.iter_dicts())
-        assert len(rebuilt) == 7
-        assert rebuilt.to_dicts() == log.to_dicts()
 
 
 def test_replay_resume_from_skips_consumed_prefix():
