@@ -57,7 +57,7 @@ class Direction(str, Enum):
         return 1 if self is Direction.CONSUMPTION else -1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProfileSlice:
     """One interval of a flex-offer's energy profile.
 

@@ -35,7 +35,6 @@ from repro.live.events import (
     apply_transition,
     event_from_dict,
     event_to_dict,
-    read_jsonl,
     write_jsonl,
 )
 from repro.live.replay import ReplayReport, replay, scenario_event_stream
@@ -65,7 +64,6 @@ __all__ = [
     "apply_transition",
     "event_from_dict",
     "event_to_dict",
-    "read_jsonl",
     "write_jsonl",
     "ReplayReport",
     "replay",

@@ -227,9 +227,8 @@ class EventLog:
 def write_jsonl(path: str | Path, payloads: Iterable[dict[str, Any]]) -> int:
     """Write one JSON document per line, keys sorted; returns the line count.
 
-    Shared by the segment and snapshot stores of :mod:`repro.store` — the
-    payloads stream through, so writing a large file never holds it in
-    memory.
+    The segment log of :mod:`repro.store` writes with it — the payloads
+    stream through, so writing a large file never holds it in memory.
     """
     count = 0
     with open(path, "w", encoding="utf-8") as handle:
@@ -238,17 +237,3 @@ def write_jsonl(path: str | Path, payloads: Iterable[dict[str, Any]]) -> int:
             handle.write("\n")
             count += 1
     return count
-
-
-def read_jsonl(path: str | Path) -> Iterator[dict[str, Any]]:
-    """Stream the JSON documents of a JSON-Lines file, one per line."""
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-            except ValueError as exc:
-                raise LiveEngineError(f"malformed JSONL line in {path}: {exc}") from exc
-            yield payload

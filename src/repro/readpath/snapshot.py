@@ -27,31 +27,17 @@ exactly like the warehouse repository's hash indexes do.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
 from repro.aggregation.aggregate import AggregationResult
 from repro.aggregation.aggregate import aggregate as batch_aggregate
 from repro.aggregation.parameters import AggregationParameters
 from repro.flexoffer.model import FlexOffer
-from repro.session.spec import VALUE_FIELDS, QuerySpec
+from repro.session.spec import VALUE_FIELDS, VALUE_GETTERS, QuerySpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.live.engine import CommitResult
     from repro.timeseries.grid import TimeGrid
-
-#: Spec value field -> extractor over one in-memory offer (the same mapping
-#: :meth:`QuerySpec.matches` applies, factored out for index building).
-_FIELD_GETTERS: dict[str, Callable[[FlexOffer], Any]] = {
-    "prosumer_ids": lambda offer: offer.prosumer_id,
-    "regions": lambda offer: offer.region,
-    "cities": lambda offer: offer.city,
-    "districts": lambda offer: offer.district,
-    "grid_nodes": lambda offer: offer.grid_node,
-    "energy_types": lambda offer: offer.energy_type,
-    "prosumer_types": lambda offer: offer.prosumer_type,
-    "appliance_types": lambda offer: offer.appliance_type,
-    "states": lambda offer: offer.state.value,
-}
 
 
 class AggregateSnapshot:
@@ -235,7 +221,7 @@ class AggregateSnapshot:
             with self._index_lock:
                 index = self._indexes.get(field)
                 if index is None:
-                    getter = _FIELD_GETTERS[field]
+                    getter = VALUE_GETTERS[field]
                     index = {}
                     for offer in raw:
                         index.setdefault(getter(offer), []).append(offer)

@@ -16,7 +16,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from datetime import datetime
-from typing import Any, Iterator
+from functools import cached_property
+from operator import attrgetter
+from typing import Any, Callable, Iterator
 
 from repro.aggregation.parameters import AggregationParameters
 from repro.errors import SessionError
@@ -39,18 +41,22 @@ FIELD_ALIASES = {
     "state": "states",
 }
 
+#: Each value-set field of a spec with the offer value it constrains, in
+#: description order.
+VALUE_GETTERS: dict[str, Callable[[FlexOffer], Any]] = {
+    "prosumer_ids": attrgetter("prosumer_id"),
+    "regions": attrgetter("region"),
+    "cities": attrgetter("city"),
+    "districts": attrgetter("district"),
+    "grid_nodes": attrgetter("grid_node"),
+    "energy_types": attrgetter("energy_type"),
+    "prosumer_types": attrgetter("prosumer_type"),
+    "appliance_types": attrgetter("appliance_type"),
+    "states": attrgetter("state.value"),
+}
+
 #: The value-set fields of a spec, in description order.
-VALUE_FIELDS = (
-    "prosumer_ids",
-    "regions",
-    "cities",
-    "districts",
-    "grid_nodes",
-    "energy_types",
-    "prosumer_types",
-    "appliance_types",
-    "states",
-)
+VALUE_FIELDS = tuple(VALUE_GETTERS)
 
 
 def _normalize(field_name: str, value: Any) -> tuple | None:
@@ -164,28 +170,25 @@ class QuerySpec:
     # ------------------------------------------------------------------
     # In-memory predicate (subscriptions, passthrough aggregates)
     # ------------------------------------------------------------------
+    @cached_property
+    def _value_tests(self) -> tuple[tuple[Callable[[FlexOffer], Any], tuple], ...]:
+        """(offer attribute getter, allowed values) for each constrained value set."""
+        return tuple(
+            (value_of, allowed)
+            for name, value_of in VALUE_GETTERS.items()
+            if (allowed := getattr(self, name)) is not None
+        )
+
     def matches(self, offer: FlexOffer, grid: TimeGrid) -> bool:
         """Whether one in-memory offer satisfies the filter part of the spec.
 
         Mirrors the repository's row semantics: conjunctive value sets and
-        feasible-span overlap for the time interval.
+        feasible-span overlap for the time interval.  Only the value sets the
+        spec constrains are tested.
         """
-
-        def in_or_none(value: Any, allowed: tuple | None) -> bool:
-            return allowed is None or value in allowed
-
-        if not (
-            in_or_none(offer.prosumer_id, self.prosumer_ids)
-            and in_or_none(offer.region, self.regions)
-            and in_or_none(offer.city, self.cities)
-            and in_or_none(offer.district, self.districts)
-            and in_or_none(offer.grid_node, self.grid_nodes)
-            and in_or_none(offer.energy_type, self.energy_types)
-            and in_or_none(offer.prosumer_type, self.prosumer_types)
-            and in_or_none(offer.appliance_type, self.appliance_types)
-            and in_or_none(offer.state.value, self.states)
-        ):
-            return False
+        for value_of, allowed in self._value_tests:
+            if value_of(offer) not in allowed:
+                return False
         if self.only_aggregates is not None and offer.is_aggregate != self.only_aggregates:
             return False
         if self.interval_start is not None or self.interval_end is not None:

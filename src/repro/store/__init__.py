@@ -11,7 +11,7 @@ Layers, bottom up:
   format (a tail read skips the checkpointed prefix by each line's trailing
   ``"seq": N}``), with ``compact()``.
 * :mod:`repro.store.snapshot` — :class:`SnapshotStore`: versioned checkpoint
-  directories (offers + aggregates + manifest).
+  directories (offers + aggregates as positional JSONL rows, + manifest).
 * :mod:`repro.store.recovery` — :class:`RecoveryManager`: checkpoint /
   restore / verify over one durability directory, enforcing the recovery
   contract (snapshot + log tail ≡ full replay).

@@ -7,11 +7,21 @@ A checkpoint directory is written by :class:`SnapshotStore` and contains:
   (when known) the scenario configuration to regenerate the session from,
   and which *data buffer* holds the current snapshot;
 * two data buffers, ``snapshot-a/`` and ``snapshot-b/``, each holding
-  ``offers.jsonl`` (the surviving offers, one JSON document per line) and
-  ``aggregates.jsonl`` (the committed aggregate outputs with their grid
-  cell, chunk index and stable id — see
-  :class:`~repro.store.state.AggregateRecord`).  That is the whole state:
-  the star schema is derived from it on demand after a restore.
+  ``offers.jsonl`` (the surviving offers) and ``aggregates.jsonl`` (the
+  committed aggregate outputs with their grid cell, chunk index and stable
+  id — see :class:`~repro.store.state.AggregateRecord`).  That is the whole
+  state: the star schema is derived from it on demand after a restore.
+
+Both data files are JSON Lines.  Version 2 (written since) stores each offer
+as a *positional row*, one JSON array in the field order of
+:data:`~repro.flexoffer.serialization.ROW_FIELDS`, written with compact
+separators; each aggregate line is ``[[est, tft, direction], chunk,
+offer_row]``.  :meth:`SnapshotStore.load` decodes the rows by position
+straight into the model, parsing each distinct timestamp once per load.
+Version 1 stored one dictionary per offer (:func:`flex_offer_to_dict`) and
+``{"cell", "chunk", "offer"}`` per aggregate; such directories still load,
+through the dictionary decoder.  A malformed line of either file, in either
+version, raises :class:`~repro.errors.StoreError` naming the file and line.
 
 Checkpoints written while the live engines mirrored a warehouse also hold a
 ``warehouse/`` directory and the ``has_warehouse`` / ``warehouse_format``
@@ -31,23 +41,38 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.aggregation.parameters import AggregationParameters
-from repro.errors import StoreError
-from repro.flexoffer.serialization import flex_offer_from_dict, flex_offer_to_dict
-from repro.live.events import read_jsonl, write_jsonl
+from repro.errors import ReproError, StoreError
+from repro.flexoffer.serialization import (
+    TimeCache,
+    flex_offer_from_dict,
+    flex_offer_from_row,
+    flex_offer_to_row,
+)
 from repro.store.state import AggregateRecord, EngineState
 
-#: Format version of the checkpoint directory layout.
-CHECKPOINT_VERSION = 1
+#: Format version of the checkpoint directory layout (see the module docstring).
+CHECKPOINT_VERSION = 2
+#: Older versions :meth:`SnapshotStore.load` still reads.
+_READABLE_VERSIONS = (1, CHECKPOINT_VERSION)
 
 _MANIFEST = "manifest.json"
 _OFFERS = "offers.jsonl"
 _AGGREGATES = "aggregates.jsonl"
 #: The two data buffers saves alternate between (manifest names the live one).
 _BUFFERS = ("snapshot-a", "snapshot-b")
+
+#: What decoding one malformed line raises: the parser's and the coercions'
+#: ValueError family (UnicodeDecodeError included), a wrong shape's
+#: TypeError, LookupError or AttributeError, an out-of-range number's
+#: OverflowError, and the model's and codecs' ValidationError.
+_DECODE_ERRORS = (ValueError, TypeError, LookupError, AttributeError, OverflowError, ReproError)
+
+_encode_row = json.JSONEncoder(separators=(",", ":")).encode
 
 #: Engine families older checkpoints may name that no longer exist, mapped to
 #: the family that restores them.  The captured state holds no engine
@@ -122,13 +147,13 @@ class SnapshotStore:
         buffer = _BUFFERS[1] if self._live_buffer() == _BUFFERS[0] else _BUFFERS[0]
         data_dir = self.directory / buffer
         data_dir.mkdir(parents=True, exist_ok=True)
-        write_jsonl(
-            data_dir / _OFFERS,
-            (flex_offer_to_dict(offer) for offer in state.offers),
-        )
-        write_jsonl(
+        _write_rows(data_dir / _OFFERS, (flex_offer_to_row(offer) for offer in state.offers))
+        _write_rows(
             data_dir / _AGGREGATES,
-            (record.to_dict() for record in state.aggregates),
+            (
+                [list(record.cell), record.chunk, flex_offer_to_row(record.offer)]
+                for record in state.aggregates
+            ),
         )
         manifest = {
             "version": CHECKPOINT_VERSION,
@@ -166,22 +191,22 @@ class SnapshotStore:
         except ValueError as exc:
             raise StoreError(f"malformed checkpoint manifest: {exc}") from exc
         version = manifest.get("version")
-        if version != CHECKPOINT_VERSION:
+        if version not in _READABLE_VERSIONS:
             raise StoreError(
                 f"checkpoint format version {version!r} is not supported "
-                f"(this build reads version {CHECKPOINT_VERSION})"
+                f"(this build reads versions {', '.join(map(str, _READABLE_VERSIONS))})"
             )
         data_dir = self.directory / str(manifest.get("data", _BUFFERS[0]))
+        if version == 1:
+            decode_offer, decode_aggregate = flex_offer_from_dict, AggregateRecord.from_dict
+        else:
+            times = TimeCache()
+            decode_offer = partial(flex_offer_from_row, times=times)
+            decode_aggregate = partial(_aggregate_from_row, times=times)
         try:
             parameters = AggregationParameters(**manifest["parameters"])
-            offers = [
-                flex_offer_from_dict(payload)
-                for payload in read_jsonl(data_dir / _OFFERS)
-            ]
-            aggregates = [
-                AggregateRecord.from_dict(payload)
-                for payload in read_jsonl(data_dir / _AGGREGATES)
-            ]
+            offers = list(_read_lines(data_dir / _OFFERS, decode_offer))
+            aggregates = list(_read_lines(data_dir / _AGGREGATES, decode_aggregate))
             engine = str(manifest["engine"])
             state = EngineState(
                 engine=_RETIRED_ENGINES.get(engine, engine),
@@ -196,3 +221,34 @@ class SnapshotStore:
         except (KeyError, TypeError, ValueError, OSError) as exc:
             raise StoreError(f"malformed checkpoint in {self.directory}: {exc}") from exc
         return Checkpoint(state=state, manifest=manifest)
+
+
+def _aggregate_from_row(row: list[Any], times: TimeCache) -> AggregateRecord:
+    """Rebuild an :class:`AggregateRecord` from ``[[est, tft, direction], chunk, offer_row]``."""
+    (est, tft, direction), chunk, offer = row
+    return AggregateRecord(
+        cell=(int(est), int(tft), str(direction)),
+        chunk=int(chunk),
+        offer=flex_offer_from_row(offer, times),
+    )
+
+
+def _write_rows(path: Path, rows: Iterable[list[Any]]) -> None:
+    """Write one compact JSON array per line."""
+    with open(path, "w", encoding="utf-8") as handle:
+        for row in rows:
+            handle.write(_encode_row(row))
+            handle.write("\n")
+
+
+def _read_lines(path: Path, decode: Callable[[Any], Any]) -> Iterator[Any]:
+    """Decode each line of a checkpoint file; a malformed one raises StoreError."""
+    with open(path, "rb") as handle:
+        for number, line in enumerate(handle, 1):
+            if line.isspace():
+                continue
+            try:
+                record = decode(json.loads(line.decode("utf-8")))
+            except _DECODE_ERRORS as exc:
+                raise StoreError(f"malformed checkpoint line {path}:{number}: {exc}") from exc
+            yield record

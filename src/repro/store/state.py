@@ -37,7 +37,7 @@ from repro.aggregation.grouping import GroupKey, chunk_group, group_key
 from repro.aggregation.parameters import AggregationParameters
 from repro.errors import StoreError
 from repro.flexoffer.model import FlexOffer
-from repro.flexoffer.serialization import flex_offer_from_dict, flex_offer_to_dict
+from repro.flexoffer.serialization import flex_offer_from_dict
 from repro.live.asynccommit import AsyncCommitEngine
 from repro.live.engine import LiveAggregationEngine
 
@@ -50,15 +50,9 @@ class AggregateRecord:
     chunk: int
     offer: FlexOffer
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "cell": list(self.cell),
-            "chunk": self.chunk,
-            "offer": flex_offer_to_dict(self.offer),
-        }
-
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "AggregateRecord":
+        """Rebuild a record from a version-1 checkpoint line."""
         est, tft, direction = payload["cell"]
         return cls(
             cell=(int(est), int(tft), str(direction)),

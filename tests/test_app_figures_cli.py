@@ -165,3 +165,13 @@ class TestCli:
     def test_restore_reports_missing_checkpoint(self, tmp_path, capsys):
         assert main(["restore", "--from", str(tmp_path / "nothing")]) == 1
         assert "restore failed" in capsys.readouterr().err
+
+    def test_restore_reports_malformed_checkpoint_line(self, tmp_path, capsys):
+        out = tmp_path / "ckpt"
+        assert main(["--prosumers", "15", "--seed", "4", "checkpoint", "--out", str(out)]) == 0
+        offers = out / "snapshot-a" / "offers.jsonl"
+        lines = offers.read_text(encoding="utf-8").splitlines(keepends=True)
+        offers.write_text("".join(["[]\n", *lines[1:]]), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["restore", "--from", str(out)]) == 1
+        assert "restore failed" in capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""Tests for flex-offer serialization (dict / JSON / CSV round trips)."""
+"""Tests for flex-offer serialization (dict / row / JSON / CSV round trips)."""
 
 from __future__ import annotations
 
@@ -7,8 +7,10 @@ import pytest
 from repro.errors import ValidationError
 from repro.flexoffer.model import Direction, FlexOfferState
 from repro.flexoffer.serialization import (
+    ROW_FIELDS,
     flex_offer_from_dict,
     flex_offer_to_dict,
+    flex_offer_to_row,
     from_csv,
     from_json,
     to_csv,
@@ -53,6 +55,21 @@ class TestDictRoundTrip:
         import json
 
         assert json.loads(json.dumps(flex_offer_to_dict(scheduled_offer)))["id"] == scheduled_offer.id
+
+
+class TestRowLayout:
+    def test_row_fields_name_the_dict_codec_values(self, scheduled_offer):
+        """Each row position holds the value the dict codec writes under that
+        name; the profile and schedule take their positional shapes."""
+        payload = flex_offer_to_dict(scheduled_offer)
+        row = dict(zip(ROW_FIELDS, flex_offer_to_row(scheduled_offer), strict=True))
+        assert row.pop("profile") == [
+            [piece["min_energy"], piece["max_energy"], piece["duration_slots"]]
+            for piece in payload.pop("profile")
+        ]
+        schedule = payload.pop("schedule")
+        assert row.pop("schedule") == [schedule["start_slot"], schedule["energy_per_slice"]]
+        assert row == payload
 
 
 class TestJsonRoundTrip:

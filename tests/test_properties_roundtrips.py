@@ -2,21 +2,34 @@
 
 These properties tie several substrates together: arbitrary (valid) flex-offers
 must survive the warehouse fact-table round trip, the JSON and CSV exchange
-formats, and the OLAP cube must preserve totals regardless of which dimension
-level the offers are grouped on.
+formats and the checkpoint's positional rows, and the OLAP cube must preserve
+totals regardless of which dimension level the offers are grouped on.
 """
 
 from __future__ import annotations
 
-from datetime import timedelta
+import json
+import struct
+import tempfile
+from datetime import datetime, timedelta
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.flexoffer.model import FlexOffer, ProfileSlice
-from repro.flexoffer.serialization import from_csv, from_json, to_csv, to_json
+from repro.aggregation.parameters import AggregationParameters
+from repro.flexoffer.model import Direction, FlexOffer, FlexOfferState, ProfileSlice, Schedule
+from repro.flexoffer.serialization import (
+    flex_offer_from_row,
+    flex_offer_to_row,
+    from_csv,
+    from_json,
+    to_csv,
+    to_json,
+)
 from repro.olap.cube import FlexOfferCube, GroupBy
 from repro.olap.mdx import parse
+from repro.store import SnapshotStore
+from repro.store.state import AggregateRecord, EngineState
 from repro.timeseries.grid import TimeGrid
 from repro.warehouse.loader import load_flex_offer
 from repro.warehouse.query import FlexOfferRepository
@@ -89,6 +102,122 @@ class TestExchangeRoundTrips:
         repository = FlexOfferRepository(schema, _GRID)
         loaded = repository.load().offers
         assert loaded == offers
+
+
+#: Energy bounds: signed zeros, int-valued floats, ints and any finite value.
+_bounds = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 2.0]),
+    st.integers(min_value=0, max_value=10**6),
+    st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False),
+)
+#: Dimension attributes, empty and non-ASCII ones included.
+_labels = st.one_of(st.sampled_from(["", "Århus Ø", "東京"]), st.text(max_size=8))
+
+
+@st.composite
+def row_offers(draw, offer_id: int):
+    """Any valid flex-offer: multi-slot slices, sub-second times, aggregates."""
+    earliest = draw(st.integers(min_value=-1000, max_value=1000))
+    latest = earliest + draw(st.integers(min_value=0, max_value=50))
+    profile = []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        low = draw(_bounds)
+        profile.append(ProfileSlice(low, low + draw(_bounds), draw(st.integers(1, 4))))
+    schedule = None
+    if draw(st.booleans()):
+        schedule = Schedule(
+            draw(st.integers(min_value=earliest, max_value=latest)),
+            tuple(draw(st.sampled_from([p.min_energy, p.max_energy])) for p in profile),
+        )
+    created = draw(st.datetimes(min_value=datetime(2000, 1, 1), max_value=datetime(2040, 1, 1)))
+    accept_by = created + draw(st.timedeltas(min_value=timedelta(0), max_value=timedelta(days=2)))
+    assign_by = accept_by + draw(st.timedeltas(min_value=timedelta(0), max_value=timedelta(days=2)))
+    is_aggregate = draw(st.booleans())
+    return FlexOffer(
+        id=offer_id,
+        prosumer_id=draw(st.integers(min_value=0, max_value=10**9)),
+        profile=tuple(profile),
+        earliest_start_slot=earliest,
+        latest_start_slot=latest,
+        creation_time=created,
+        acceptance_deadline=accept_by,
+        assignment_deadline=assign_by,
+        direction=draw(st.sampled_from(Direction)),
+        state=draw(st.sampled_from(FlexOfferState)),
+        schedule=schedule,
+        region=draw(_labels),
+        city=draw(_labels),
+        district=draw(_labels),
+        grid_node=draw(_labels),
+        energy_type=draw(_labels),
+        prosumer_type=draw(_labels),
+        appliance_type=draw(_labels),
+        price_per_kwh=draw(
+            st.one_of(st.just(-0.0), st.floats(allow_nan=False, allow_infinity=False))
+        ),
+        is_aggregate=is_aggregate,
+        constituent_ids=tuple(draw(st.lists(st.integers(0, 10**9), max_size=4)))
+        if is_aggregate
+        else (),
+    )
+
+
+def _float_fields(offer: FlexOffer) -> list:
+    """Every float field of an offer: slice bounds, scheduled energies, price."""
+    values = [bound for piece in offer.profile for bound in (piece.min_energy, piece.max_energy)]
+    if offer.schedule is not None:
+        values.extend(offer.schedule.energy_per_slice)
+    values.append(offer.price_per_kwh)
+    return values
+
+
+def _assert_same_bits(decoded: FlexOffer, original: FlexOffer) -> None:
+    """Equal offers whose float fields are floats with the original's raw bits."""
+    assert decoded == original
+    values = _float_fields(decoded)
+    assert all(type(value) is float for value in values)
+    bits = [struct.pack("<d", value) for value in values]
+    assert bits == [struct.pack("<d", float(value)) for value in _float_fields(original)]
+
+
+class TestRowCodec:
+    @given(
+        st.integers(min_value=1, max_value=4).flatmap(
+            lambda count: st.tuples(*[row_offers(offer_id=i + 1) for i in range(count)]).map(list)
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_rows_round_trip_bit_for_bit(self, offers):
+        """Through JSON text alone, and through a checkpoint as offers and as
+        aggregate records."""
+        for offer in offers:
+            text = json.dumps(flex_offer_to_row(offer), separators=(",", ":"))
+            _assert_same_bits(flex_offer_from_row(json.loads(text)), offer)
+        records = [
+            AggregateRecord(
+                cell=(offer.earliest_start_slot, offer.time_flexibility_slots, "consumption"),
+                chunk=index,
+                offer=offer,
+            )
+            for index, offer in enumerate(offers)
+        ]
+        state = EngineState(
+            engine="live",
+            parameters=AggregationParameters(),
+            id_offset=0,
+            offers=offers,
+            aggregates=records,
+            next_id=len(offers) + 1,
+        )
+        with tempfile.TemporaryDirectory() as directory:
+            store = SnapshotStore(directory)
+            store.save(state, log_offset=0)
+            loaded = store.load().state
+        assert loaded == state
+        for decoded, original in zip(loaded.offers, offers):
+            _assert_same_bits(decoded, original)
+        for decoded, original in zip(loaded.aggregates, records):
+            _assert_same_bits(decoded.offer, original.offer)
 
 
 class TestCubeInvariants:

@@ -1,9 +1,11 @@
-"""Datagen-free store tests: engine state and the segment log's tail.
+"""Datagen-free store tests: engine state, checkpoint formats and the log's tail.
 
 The contract: a checkpoint restores exactly the committed engine state it
-captured — at any commit point, for every live-family engine — and the
-segment log's ``tail(n)`` returns exactly the stored events with sequence
->= n, however the log was compacted, repaired or corrupted.
+captured — at any commit point, for every live-family engine, from either
+checkpoint format version — a malformed checkpoint line raises
+``StoreError``, and the segment log's ``tail(n)`` returns exactly the stored
+events with sequence >= n, however the log was compacted, repaired or
+corrupted.
 
 Every test in this module is datagen-free: offers are built by hand through
 ``tests.conftest.make_offer`` and streamed through the real engines, so the
@@ -16,7 +18,7 @@ from __future__ import annotations
 import datetime
 import json
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, settings
@@ -25,9 +27,21 @@ from hypothesis import strategies as st
 from repro.aggregation.parameters import AggregationParameters
 from repro.errors import StoreError
 from repro.flexoffer.model import FlexOfferState, Schedule
+from repro.flexoffer.serialization import (
+    flex_offer_from_dict,
+    flex_offer_from_row,
+    flex_offer_to_dict,
+)
 from repro.live.asynccommit import AsyncCommitEngine
 from repro.live.engine import LiveAggregationEngine, canonical_form
-from repro.live.events import EventLog, OfferAdded, OfferStateChanged, OfferUpdated, OfferWithdrawn
+from repro.live.events import (
+    EventLog,
+    OfferAdded,
+    OfferStateChanged,
+    OfferUpdated,
+    OfferWithdrawn,
+    write_jsonl,
+)
 from repro.live.replay import replay
 from repro.store import SegmentStore, SnapshotStore, capture_engine_state, restore_engine_state
 
@@ -107,6 +121,176 @@ def test_checkpoint_round_trips_engine_state(tmp_path_factory, engine_name, cut_
     )
     for built in (engine, restored):
         getattr(built, "close", lambda: None)()
+
+
+def _committed_state():
+    """A committed live engine's state: scheduled offers and an aggregate."""
+    engine = LiveAggregationEngine(AggregationParameters())
+    replay(_event_stream(14), engine)
+    state = capture_engine_state(engine)
+    assert state.aggregates and any(offer.schedule for offer in state.offers)
+    return state
+
+
+def _save_version_1(state, directory, log_offset: int) -> None:
+    """Write ``state`` in checkpoint format version 1: one dictionary per line."""
+    data = directory / "snapshot-a"
+    data.mkdir(parents=True)
+    write_jsonl(data / "offers.jsonl", (flex_offer_to_dict(offer) for offer in state.offers))
+    write_jsonl(
+        data / "aggregates.jsonl",
+        (
+            {
+                "cell": list(record.cell),
+                "chunk": record.chunk,
+                "offer": flex_offer_to_dict(record.offer),
+            }
+            for record in state.aggregates
+        ),
+    )
+    manifest = {
+        "version": 1,
+        "data": "snapshot-a",
+        "engine": state.engine,
+        "parameters": asdict(state.parameters),
+        "id_offset": state.id_offset,
+        "next_id": state.next_id,
+        "reserved_ids": list(state.reserved_ids),
+        "commit_count": state.commit_count,
+        "log_offset": log_offset,
+        "offer_count": len(state.offers),
+        "aggregate_count": len(state.aggregates),
+        "scenario": None,
+    }
+    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2), encoding="utf-8")
+
+
+def _save(version: int, directory):
+    state = _committed_state()
+    if version == 1:
+        _save_version_1(state, directory, log_offset=3)
+    else:
+        SnapshotStore(directory).save(state, log_offset=3)
+    return state
+
+
+def test_version_1_checkpoint_loads_to_the_same_state(tmp_path):
+    """The previous format still loads, and saves back as version 2 unchanged."""
+    state = _save(1, tmp_path / "v1")
+    checkpoint = SnapshotStore(tmp_path / "v1").load()
+    assert checkpoint.manifest["version"] == 1
+    assert checkpoint.log_offset == 3
+    assert checkpoint.state == state
+    store = SnapshotStore(tmp_path / "v2")
+    store.save(checkpoint.state, log_offset=3)
+    assert store.load().manifest["version"] == 2
+    assert store.load().state == state
+
+
+def _edit(change):
+    """A line mutation that decodes the line, changes it and encodes it again."""
+
+    def mutate(line: bytes) -> bytes:
+        return json.dumps(change(json.loads(line))).encode("utf-8") + b"\n"
+
+    return mutate
+
+
+def _truncate(line: bytes) -> bytes:
+    return line[: len(line) // 2] + b"\n"
+
+
+def _not_utf8(line: bytes) -> bytes:
+    return b"\xff" + line
+
+
+def _v1_min_above_max(payload):
+    first = payload["profile"][0]
+    first["min_energy"] = first["max_energy"] + 1.0
+    return payload
+
+
+def _v2_min_above_max(row):
+    row[2][0][0] = row[2][0][1] + 1.0
+    return row
+
+
+def _v1_profile_not_a_list(payload):
+    return {**payload, "profile": 5}
+
+
+def _v2_profile_not_a_list(row):
+    row[2] = 5
+    return row
+
+
+#: (format version, file, line number, mutation) for each malformed line.
+_MALFORMED = {
+    "v1-truncated": (1, "offers.jsonl", 2, _truncate),
+    "v1-not-utf8": (1, "offers.jsonl", 2, _not_utf8),
+    "v1-min-above-max": (1, "offers.jsonl", 2, _edit(_v1_min_above_max)),
+    "v1-profile-not-a-list": (1, "offers.jsonl", 2, _edit(_v1_profile_not_a_list)),
+    "v1-array-line": (1, "offers.jsonl", 2, _edit(lambda payload: list(payload.values()))),
+    "v1-aggregate-truncated": (1, "aggregates.jsonl", 1, _truncate),
+    "v2-truncated": (2, "offers.jsonl", 2, _truncate),
+    "v2-not-utf8": (2, "offers.jsonl", 2, _not_utf8),
+    "v2-min-above-max": (2, "offers.jsonl", 2, _edit(_v2_min_above_max)),
+    "v2-profile-not-a-list": (2, "offers.jsonl", 2, _edit(_v2_profile_not_a_list)),
+    "v2-dict-line": (
+        2,
+        "offers.jsonl",
+        2,
+        _edit(lambda row: flex_offer_to_dict(flex_offer_from_row(row))),
+    ),
+    "v2-wrong-length": (2, "offers.jsonl", 2, _edit(lambda row: row[:-1])),
+    "v2-aggregate-truncated": (2, "aggregates.jsonl", 1, _truncate),
+    "v2-aggregate-short-cell": (
+        2,
+        "aggregates.jsonl",
+        1,
+        _edit(lambda record: [record[0][:2], *record[1:]]),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_checkpoint_line_raises_store_error(tmp_path, case):
+    """Any malformed line of either data file, in either format version,
+    raises StoreError chained from its cause and naming the file and line."""
+    version, name, number, mutate = _MALFORMED[case]
+    _save(version, tmp_path)
+    path = tmp_path / "snapshot-a" / name
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[number - 1] = mutate(lines[number - 1])
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(StoreError) as raised:
+        SnapshotStore(tmp_path).load()
+    assert f"{name}:{number}:" in str(raised.value)
+    assert raised.value.__cause__ is not None
+
+
+def test_sub_second_times_survive_every_store(tmp_path):
+    """Microseconds in all three datetimes survive the dictionary codec, an
+    ``OfferAdded`` in the segment log and a checkpoint."""
+    base = make_offer(offer_id=1)
+    offer = replace(
+        base,
+        creation_time=base.creation_time.replace(microsecond=500001),
+        acceptance_deadline=base.acceptance_deadline.replace(microsecond=1),
+        assignment_deadline=base.assignment_deadline.replace(microsecond=999999),
+    )
+    assert flex_offer_from_dict(flex_offer_to_dict(offer)) == offer
+
+    event = OfferAdded(offer.creation_time, offer)
+    SegmentStore(tmp_path / "events").append(event)
+    assert list(SegmentStore(tmp_path / "events").tail(0)) == [event]
+
+    engine = LiveAggregationEngine(AggregationParameters())
+    replay([event], engine)
+    state = capture_engine_state(engine)
+    store = SnapshotStore(tmp_path / "checkpoint")
+    store.save(state, log_offset=1)
+    assert store.load().state.offers == [offer]
 
 
 def _stored_sequences(store: SegmentStore) -> list[int]:

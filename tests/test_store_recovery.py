@@ -15,6 +15,7 @@ import json
 import shutil
 import tempfile
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -474,13 +475,38 @@ def test_recheckpoint_same_directory_advances_offset(tmp_path):
     restored.close()
 
 
+#: A checkpoint directory in format version 1 (one dictionary per offer),
+#: written by ``flexviz --prosumers 10 --seed 5 checkpoint --tail 0.2
+#: --segment-size 64`` before version 2 existed.
+_VERSION_1_CHECKPOINT = Path(__file__).parent / "data" / "checkpoint-v1"
+
+
+def test_committed_version_1_checkpoint_restores(tmp_path):
+    """A checkpoint written in the previous format restores and verifies, and
+    its state and the restored one both survive a version-2 save unchanged."""
+    directory = tmp_path / "v1"
+    shutil.copytree(_VERSION_1_CHECKPOINT, directory)
+    checkpoint = SnapshotStore(directory).load()
+    assert checkpoint.manifest["version"] == 1
+    restored = FlexSession.restore(str(directory))
+    RecoveryManager(directory).verify(restored)
+    restored_state = capture_engine_state(restored.engine.engine)
+    restored.close()
+    for name, state in (("snapshot", checkpoint.state), ("restored", restored_state)):
+        store = SnapshotStore(tmp_path / name)
+        store.save(state, log_offset=checkpoint.log_offset)
+        reloaded = store.load()
+        assert reloaded.manifest["version"] == 2
+        assert reloaded.state == state
+
+
 def test_session_checkpoint_records_backend_offset(tmp_path):
     ordered = _STREAMS[(0.0, 0.0)]
     session = FlexSession(_SCENARIO, engine="live", live_preload=False)
     session.ingest_many(ordered[:30])
     checkpoint = session.checkpoint(str(tmp_path))
     assert checkpoint.log_offset == 30
-    assert checkpoint.manifest["version"] == 1
+    assert checkpoint.manifest["version"] == 2
     session.close()
 
 
