@@ -190,6 +190,8 @@ class SnapshotStore:
             manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         except ValueError as exc:
             raise StoreError(f"malformed checkpoint manifest: {exc}") from exc
+        if not isinstance(manifest, dict):
+            raise StoreError(f"malformed checkpoint manifest: a JSON {type(manifest).__name__}")
         version = manifest.get("version")
         if version not in _READABLE_VERSIONS:
             raise StoreError(

@@ -269,6 +269,14 @@ def test_malformed_checkpoint_line_raises_store_error(tmp_path, case):
     assert raised.value.__cause__ is not None
 
 
+@pytest.mark.parametrize("text", ["[1, 2]", '"manifest"', '{"version": 2'])
+def test_malformed_manifest_raises_store_error(tmp_path, text):
+    _save(2, tmp_path)
+    (tmp_path / "manifest.json").write_text(text, encoding="utf-8")
+    with pytest.raises(StoreError):
+        SnapshotStore(tmp_path).load()
+
+
 def test_sub_second_times_survive_every_store(tmp_path):
     """Microseconds in all three datetimes survive the dictionary codec, an
     ``OfferAdded`` in the segment log and a checkpoint."""
