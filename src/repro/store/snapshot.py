@@ -17,7 +17,8 @@ as a *positional row*, one JSON array in the field order of
 :data:`~repro.flexoffer.serialization.ROW_FIELDS`, written with compact
 separators; each aggregate line is ``[[est, tft, direction], chunk,
 offer_row]``.  :meth:`SnapshotStore.load` decodes the rows by position
-straight into the model, parsing each distinct timestamp once per load.
+straight into the model, parsing each distinct timestamp once per load and
+keeping one string per distinct dimension text.
 Version 1 stored one dictionary per offer (:func:`flex_offer_to_dict`) and
 ``{"cell", "chunk", "offer"}`` per aggregate; such directories still load,
 through the dictionary decoder.  A malformed line of either file, in either
@@ -48,6 +49,7 @@ from typing import Any, Callable, Iterable, Iterator
 from repro.aggregation.parameters import AggregationParameters
 from repro.errors import ReproError, StoreError
 from repro.flexoffer.serialization import (
+    TextCache,
     TimeCache,
     flex_offer_from_dict,
     flex_offer_from_row,
@@ -202,9 +204,9 @@ class SnapshotStore:
         if version == 1:
             decode_offer, decode_aggregate = flex_offer_from_dict, AggregateRecord.from_dict
         else:
-            times = TimeCache()
-            decode_offer = partial(flex_offer_from_row, times=times)
-            decode_aggregate = partial(_aggregate_from_row, times=times)
+            times, texts = TimeCache(), TextCache()
+            decode_offer = partial(flex_offer_from_row, times=times, texts=texts)
+            decode_aggregate = partial(_aggregate_from_row, times=times, texts=texts)
         try:
             parameters = AggregationParameters(**manifest["parameters"])
             offers = list(_read_lines(data_dir / _OFFERS, decode_offer))
@@ -225,13 +227,13 @@ class SnapshotStore:
         return Checkpoint(state=state, manifest=manifest)
 
 
-def _aggregate_from_row(row: list[Any], times: TimeCache) -> AggregateRecord:
+def _aggregate_from_row(row: list[Any], times: TimeCache, texts: TextCache) -> AggregateRecord:
     """Rebuild an :class:`AggregateRecord` from ``[[est, tft, direction], chunk, offer_row]``."""
     (est, tft, direction), chunk, offer = row
     return AggregateRecord(
         cell=(int(est), int(tft), str(direction)),
         chunk=int(chunk),
-        offer=flex_offer_from_row(offer, times),
+        offer=flex_offer_from_row(offer, times, texts),
     )
 
 

@@ -187,6 +187,29 @@ def test_version_1_checkpoint_loads_to_the_same_state(tmp_path):
     assert store.load().state == state
 
 
+def test_checkpoint_load_shares_equal_dimension_texts(tmp_path):
+    """A version-2 load keeps one string object per distinct dimension text,
+    across offers, aggregates and the seven dimension attributes."""
+    state = _save(2, tmp_path)
+    loaded = SnapshotStore(tmp_path).load().state
+    assert loaded == state
+    offers = loaded.offers + [record.offer for record in loaded.aggregates]
+    texts = [
+        getattr(offer, name)
+        for offer in offers
+        for name in (
+            "region",
+            "city",
+            "district",
+            "grid_node",
+            "energy_type",
+            "prosumer_type",
+            "appliance_type",
+        )
+    ]
+    assert len({id(text) for text in texts}) == len(set(texts))
+
+
 def _edit(change):
     """A line mutation that decodes the line, changes it and encodes it again."""
 
