@@ -152,7 +152,7 @@ def chunked_workload(offers, chunk_size: int = 32, chunks: int = 16, rounds: int
     Builds one grouping-grid cell holding ``chunks`` aggregation chunks of
     ``chunk_size`` offers each (``max_group_size=chunk_size``), then times
 
-    * ``one_chunk_ms``  — a commit after mutating a single offer (1 of
+    * ``one_chunk_ms``  — a commit after revising one offer's profile (1 of
       ``chunks`` chunks dirty; the ledger skips the rest), against
     * ``full_cell_ms`` — a commit after mutating one offer in *every* chunk,
       which is exactly what the pre-ledger engine paid for any single
@@ -183,11 +183,14 @@ def chunked_workload(offers, chunk_size: int = 32, chunks: int = 16, rounds: int
     engine.commit()
 
     def mutate(offer_id: int) -> None:
+        # An in-place profile revision: every touched chunk re-sums its
+        # members.  (A price-only revision refolds just the mean price, so it
+        # would time no aggregation on either side of the ratio.)
         current = engine.offer(offer_id)
         engine.apply(
             OfferUpdated(
                 current.creation_time,
-                replace(current, price_per_kwh=current.price_per_kwh * 1.01 + 0.001),
+                replace(current, profile=tuple(piece.scale(1.01) for piece in current.profile)),
             )
         )
 

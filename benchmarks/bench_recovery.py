@@ -24,6 +24,7 @@ sweep.
 
 from __future__ import annotations
 
+import gc
 import statistics
 import tempfile
 import time
@@ -78,6 +79,7 @@ def _event_stream(scenario, churn_rounds: int = CHURN_ROUNDS):
 
 
 def _cold_replay_seconds(directory: str, scenario) -> float:
+    gc.collect()
     started = time.perf_counter()
     session = FlexSession(
         scenario, engine="live", micro_batch_size=BATCH_SIZE, live_preload=False
@@ -89,6 +91,7 @@ def _cold_replay_seconds(directory: str, scenario) -> float:
 
 
 def _restore_seconds(directory: str, scenario) -> float:
+    gc.collect()
     started = time.perf_counter()
     session = RecoveryManager(directory).restore(
         scenario=scenario, micro_batch_size=BATCH_SIZE
@@ -111,7 +114,10 @@ def recovery_summary(scenario, rounds: int = 9) -> dict:
     Each round times one cold replay and one restore back to back,
     alternating which runs first, and the speedup is the median of the
     per-round ratios: a swing in host speed then lands on both contenders
-    of a round, not on one contender's whole series.
+    of a round, not on one contender's whole series.  Each contender starts
+    after a full collection, so neither is timed collecting the cyclic
+    garbage earlier sessions left (25-60 ms a collection, about what a whole
+    restore takes).
     """
     ordered = _event_stream(scenario)
     cut = len(ordered) - int(len(ordered) * TAIL_FRACTION)
@@ -164,9 +170,15 @@ def store_stage_breakdown(scenario) -> dict:
             manager = RecoveryManager(directory)
             manager.record(ordered)
             writer.replay(ordered)
+            # A full collection before each timed stage, as in
+            # recovery_summary: each stage's row then times the stage, not
+            # where a collection of the replay's garbage happened to land.
+            gc.collect()
             manager.checkpoint(writer)
+            gc.collect()
             manager.compact()
             writer.close()
+            gc.collect()
             session = manager.restore(scenario=scenario, micro_batch_size=BATCH_SIZE)
             session.close()
     finally:

@@ -29,6 +29,39 @@ def _common_attribute(values: Iterable[str]) -> str:
     return first
 
 
+#: Every member field :func:`aggregate_group` reads besides ``id``.  A member
+#: revision that leaves all of them equal leaves the aggregate equal, so the
+#: live engine keeps a chunk's output when its touched members changed none of
+#: these (``state`` and ``schedule`` are the fields outside this tuple).
+AGGREGATE_INPUTS = (
+    "prosumer_id",
+    "profile",
+    "earliest_start_slot",
+    "latest_start_slot",
+    "creation_time",
+    "acceptance_deadline",
+    "assignment_deadline",
+    "direction",
+    "region",
+    "city",
+    "district",
+    "grid_node",
+    "energy_type",
+    "prosumer_type",
+    "appliance_type",
+    "price_per_kwh",
+)
+
+
+def mean_price(group: Sequence[FlexOffer]) -> float:
+    """The aggregate's price: the members' mean ``price_per_kwh``.
+
+    The one formula every path that prices an aggregate uses, so a price-only
+    refold and a full aggregation give identical bits on any interpreter.
+    """
+    return sum(offer.price_per_kwh for offer in group) / len(group)
+
+
 def aggregate_group(group: Sequence[FlexOffer], aggregate_id: int) -> FlexOffer:
     """Aggregate one group of flex-offers into a single aggregate flex-offer.
 
@@ -79,7 +112,7 @@ def aggregate_group(group: Sequence[FlexOffer], aggregate_id: int) -> FlexOffer:
         energy_type=_common_attribute(offer.energy_type for offer in group),
         prosumer_type=_common_attribute(offer.prosumer_type for offer in group),
         appliance_type=_common_attribute(offer.appliance_type for offer in group),
-        price_per_kwh=sum(offer.price_per_kwh for offer in group) / len(group),
+        price_per_kwh=mean_price(group),
         is_aggregate=True,
         constituent_ids=tuple(offer.id for offer in group),
     )

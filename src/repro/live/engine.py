@@ -20,11 +20,17 @@ the id-insensitive normal form the equivalence tests compare under.
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterable
 
-from repro.aggregation.aggregate import aggregate_group, AggregationResult
+from repro.aggregation.aggregate import (
+    AGGREGATE_INPUTS,
+    AggregationResult,
+    aggregate_group,
+    mean_price,
+)
 from repro.aggregation.grouping import GroupKey, chunk_count, chunks_from, group_key
 from repro.aggregation.parameters import AggregationParameters
 from repro.errors import LiveEngineError
@@ -55,11 +61,16 @@ _COMMIT_EVENTS = _OBS.histogram(
     "repro.live.commit.events", "events drained per commit", COUNT_BUCKETS
 )
 _CHUNKS_REAGGREGATED = _OBS.counter(
-    "repro.live.chunks.reaggregated", "chunks whose aggregate was recomputed"
+    "repro.live.chunks.reaggregated", "perturbed chunks settled by commits"
 )
 _CHUNKS_SKIPPED = _OBS.counter(
     "repro.live.chunks.skipped", "chunks in dirty cells reused untouched"
 )
+
+
+#: A member's aggregate inputs but its price: when these are equal before and
+#: after an in-place revision, its chunk's output needs at most a new price.
+_unpriced_inputs = attrgetter(*(name for name in AGGREGATE_INPUTS if name != "price_per_kwh"))
 
 
 def cell_key_string(key: GroupKey) -> str:
@@ -83,8 +94,8 @@ def canonical_form(offer: FlexOffer) -> FlexOffer:
 class _CellDirt:
     """Per-cell dirt accumulated between commits — the chunk-granular ledger.
 
-    Two kinds of dirt, resolved to chunk indices at commit time (when the
-    sorted membership is in hand anyway):
+    Two kinds of dirt, resolved to chunk indices at commit time against the
+    cell's sorted membership:
 
     * ``touched`` — member ids revised *in place* (price, state, profile;
       same grid cell), each perturbing exactly the chunk containing it;
@@ -109,7 +120,7 @@ class _CellDirt:
 class ChunkStats:
     """Chunk-granularity instrumentation of one commit drain."""
 
-    #: Chunks whose aggregate was recomputed this commit.
+    #: Perturbed chunks the commit settled (kept, refolded or re-aggregated).
     reaggregated: int = 0
     #: Chunks inside dirty cells that were proven clean and reused untouched.
     skipped: int = 0
@@ -133,7 +144,10 @@ class CommitResult:
     removed: list[FlexOffer] = field(default_factory=list)
     #: Wall-clock seconds the commit took.
     elapsed_seconds: float = 0.0
-    #: Chunks recomputed by this commit (granularity instrumentation).
+    #: Perturbed chunks this commit settled (granularity instrumentation):
+    #: every chunk its dirt reached, whether the chunk kept its output (its
+    #: touched members changed no aggregate input), refolded only the mean
+    #: price, or re-ran :func:`aggregate_group`.
     chunks_reaggregated: int = 0
     #: Chunks in dirty cells reused untouched (the chunk ledger's savings).
     chunks_skipped: int = 0
@@ -194,8 +208,9 @@ class LiveAggregationEngine:
         self._passthrough: dict[int, FlexOffer] = {}
         #: Passthrough versions as of the last commit (no-op change suppression).
         self._committed_passthrough: dict[int, FlexOffer] = {}
-        #: The persistent grouping grid: cell -> member offer ids.
-        self._cells: dict[GroupKey, set[int]] = {}
+        #: The persistent grouping grid: cell -> member offer ids, ascending
+        #: (chunk order), kept sorted by bisection on insert and withdrawal.
+        self._cells: dict[GroupKey, list[int]] = {}
         self._cell_of: dict[int, GroupKey] = {}
         #: The chunk-granular dirty ledger: cell -> accumulated dirt, resolved
         #: to the perturbed chunk indices at commit time.
@@ -244,9 +259,9 @@ class LiveAggregationEngine:
 
     @property
     def dirty_chunk_count(self) -> int:
-        """Chunks the next commit would re-aggregate (resolved on demand)."""
+        """Chunks the next commit would settle (resolved on demand)."""
         return sum(
-            len(self._dirty_chunks(cell, dirt, sorted(self._cells.get(cell, ()))))
+            len(self._dirty_chunks(dirt, self._cells.get(cell, [])))
             for cell, dirt in self._dirty.items()
         )
 
@@ -275,7 +290,7 @@ class LiveAggregationEngine:
 
     def cell_members(self, cell: GroupKey) -> list[FlexOffer]:
         """One cell's surviving raw members, sorted by id (chunk order)."""
-        return [self._offers[offer_id] for offer_id in sorted(self._cells.get(cell, ()))]
+        return [self._offers[offer_id] for offer_id in self._cells.get(cell, ())]
 
     def outputs_of_cell(self, cell: GroupKey) -> list[FlexOffer]:
         """One cell's committed aggregation outputs (copied, safe to keep)."""
@@ -369,7 +384,7 @@ class LiveAggregationEngine:
         if cell is None:
             cell = group_key(offer, self.parameters)
         self._offers[offer.id] = offer
-        self._cells.setdefault(cell, set()).add(offer.id)
+        insort(self._cells.setdefault(cell, []), offer.id)
         self._cell_of[offer.id] = cell
         self._mark_structural(cell, offer.id)
 
@@ -400,7 +415,7 @@ class LiveAggregationEngine:
             raise LiveEngineError(f"unknown offer id {offer_id}")
         cell = self._cell_of.pop(offer_id)
         members = self._cells[cell]
-        members.discard(offer_id)
+        del members[bisect_left(members, offer_id)]
         if not members:
             del self._cells[cell]
         del self._offers[offer_id]
@@ -481,38 +496,70 @@ class LiveAggregationEngine:
         _COMMIT_EVENTS.observe(events_applied)
         return result
 
-    def _dirty_chunks(
-        self, cell: GroupKey, dirt: _CellDirt, member_ids: list[int]
-    ) -> set[int]:
+    def _dirty_chunks(self, dirt: _CellDirt, member_ids: list[int]) -> dict[int, list[int] | None]:
         """Resolve one cell's accumulated dirt to the perturbed chunk indices.
 
         ``member_ids`` is the *surviving* sorted membership.  Structural dirt
         perturbs every chunk from the smallest inserted/withdrawn id's
-        insertion point onwards (:func:`chunks_from`); in-place touches
-        perturb exactly the chunk containing the member
-        (:func:`chunk_assignment`).  Touched ids that were later withdrawn
-        are covered by the structural range and skipped here.
+        insertion point onwards (:func:`chunks_from`; in an unbounded cell
+        that is its only chunk); such a *shifted* chunk maps to ``None``.  An
+        in-place touch perturbs exactly the chunk containing the member
+        (:func:`chunk_assignment`); a chunk before the shifted range keeps its
+        committed member ids, and maps to the ranks of its touched members.
+        Touched ids that were later withdrawn are covered by the structural
+        range and skipped here.
         """
         max_group_size = self.parameters.max_group_size
-        dirty_chunks: set[int] = set()
+        shifted: range | tuple[()] = ()
         if dirt.structural_from is not None:
-            dirty_chunks.update(chunks_from(member_ids, dirt.structural_from, max_group_size))
+            shifted = chunks_from(member_ids, dirt.structural_from, max_group_size)
+        dirty_chunks: dict[int, list[int] | None] = dict.fromkeys(shifted)
         for offer_id in dirt.touched:
             # One bisect does both jobs: membership check and chunk rank
             # (the rank is chunk_assignment's formula inlined).
             index = bisect_left(member_ids, offer_id)
             if index < len(member_ids) and member_ids[index] == offer_id:
-                dirty_chunks.add(index // max_group_size if max_group_size > 0 else 0)
+                chunk_index = index // max_group_size if max_group_size > 0 else 0
+                if chunk_index not in shifted:
+                    dirty_chunks.setdefault(chunk_index, []).append(index)
         return dirty_chunks
+
+    def _settle_in_place(
+        self, previous: FlexOffer, start: int, ranks: list[int], member_ids: list[int]
+    ) -> FlexOffer | None:
+        """Settle an aggregate chunk whose members were only revised in place.
+
+        Compares each touched member's recorded constituent version with its
+        current one on :data:`AGGREGATE_INPUTS`.  When none changed, the
+        chunk keeps ``previous``; when only prices changed, it gets
+        ``previous`` with a new mean price (the profile tuple shared).  Either
+        way its constituents move to the current member versions.  Returns
+        ``None`` when any other input changed: the chunk needs the full fold.
+        """
+        constituents = list(self._constituents[previous.id])
+        repriced = False
+        for rank in ranks:
+            recorded = constituents[rank - start]
+            current = constituents[rank - start] = self._offers[member_ids[rank]]
+            if _unpriced_inputs(recorded) != _unpriced_inputs(current):
+                return None
+            repriced = repriced or recorded.price_per_kwh != current.price_per_kwh
+        self._constituents[previous.id] = constituents
+        if repriced:
+            return replace(previous, price_per_kwh=mean_price(constituents))
+        return previous
 
     def _drain(
         self,
     ) -> tuple[tuple[GroupKey, ...], list[FlexOffer], list[FlexOffer], ChunkStats]:
         """Drain the dirty state; returns ``(dirty_cells, changed, removed, stats)``.
 
-        Within each dirty cell only the *perturbed* chunks re-aggregate; a
+        Within each dirty cell only the *perturbed* chunks are settled; a
         clean chunk's committed output object is reused untouched — its
-        member list is provably identical (see :class:`_CellDirt`).
+        member list is provably identical (see :class:`_CellDirt`).  A
+        perturbed aggregate chunk that kept its member ids pays only for what
+        its touched members changed (:meth:`_settle_in_place`); a shifted or
+        new chunk re-runs :func:`aggregate_group`.
         ``removed`` is unfiltered — an offer that migrated cells appears in
         both lists; :meth:`commit` applies the changed-wins rule.  Resets the
         dirty ledger and the pending-event counter.
@@ -526,8 +573,8 @@ class LiveAggregationEngine:
         dirty = tuple(sorted(self._dirty))
         for cell in dirty:
             old_outputs = self._outputs.get(cell, [])
-            member_ids = sorted(self._cells.get(cell, ()))
-            dirty_chunks = self._dirty_chunks(cell, self._dirty[cell], member_ids)
+            member_ids = self._cells.get(cell, [])
+            dirty_chunks = self._dirty_chunks(self._dirty[cell], member_ids)
             # Chunks are consecutive runs of the sorted ids (chunk_group's
             # cut); only dirty chunks materialize their members.
             size = max_group_size or len(member_ids)
@@ -541,6 +588,14 @@ class LiveAggregationEngine:
                     continue
                 reaggregated += 1
                 start = chunk_index * size
+                ranks = dirty_chunks.get(chunk_index)
+                if ranks is not None and old_outputs[chunk_index].is_aggregate:
+                    settled = self._settle_in_place(
+                        old_outputs[chunk_index], start, ranks, member_ids
+                    )
+                    if settled is not None:
+                        new_outputs.append(settled)
+                        continue
                 group = [offers[i] for i in member_ids[start : start + size]]
                 if len(group) == 1:
                     # Mirror the batch pipeline: 1-offer groups pass through raw.

@@ -164,12 +164,17 @@ def restore_engine_state(engine, state: EngineState) -> None:
             continue
         cell = group_key(offer, engine.parameters)
         engine._offers[offer.id] = offer
-        engine._cells.setdefault(cell, set()).add(offer.id)
+        engine._cells.setdefault(cell, []).append(offer.id)
         engine._cell_of[offer.id] = cell
+    if len(engine._offers) + len(engine._passthrough) != len(state.offers):
+        raise StoreError("snapshot lists an offer id more than once")
     recorded = {(record.cell, record.chunk): record.offer for record in state.aggregates}
     used: set[tuple[GroupKey, int]] = set()
     for cell, member_ids in engine._cells.items():
-        members = [engine._offers[i] for i in sorted(member_ids)]
+        # The engine keeps every cell sorted (chunk order); ``state.offers``
+        # is in id order, so this sort is one linear pass.
+        member_ids.sort()
+        members = [engine._offers[i] for i in member_ids]
         outputs: list[FlexOffer] = []
         for chunk_index, group in enumerate(
             chunk_group(members, engine.parameters.max_group_size)

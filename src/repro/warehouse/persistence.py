@@ -16,8 +16,6 @@ from repro.errors import WarehouseError
 from repro.warehouse.schema import DIMENSION_TABLES, FACT_TABLES, StarSchema
 from repro.warehouse.table import Table
 
-_TIME_FORMAT = "%Y-%m-%d %H:%M:%S"
-
 #: Column-level parsers applied when reading CSV back (strings otherwise).
 _COLUMN_PARSERS: dict[str, Callable[[str], Any]] = {
     "slot": int,
@@ -97,7 +95,9 @@ def _missing_default(column: str) -> Any:
 
 def _format(value: Any) -> Any:
     if isinstance(value, datetime):
-        return value.strftime(_TIME_FORMAT)
+        # ISO with a space separator: whole seconds read "YYYY-MM-DD
+        # HH:MM:SS", and sub-second parts survive the round trip.
+        return value.isoformat(sep=" ")
     if value is None:
         return ""
     return value

@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+from dataclasses import fields, replace
+
 import pytest
 
-from repro.aggregation.aggregate import aggregate, aggregate_group
+from repro.aggregation.aggregate import AGGREGATE_INPUTS, aggregate, aggregate_group
 from repro.aggregation.disaggregate import disaggregate, disaggregation_error
 from repro.aggregation.grouping import group_key, group_offers, reduction_ratio
 from repro.aggregation.metrics import evaluate
 from repro.aggregation.parameters import AggregationParameters
 from repro.errors import AggregationError, DisaggregationError
-from repro.flexoffer.model import Direction, FlexOfferState, Schedule
+from repro.flexoffer.model import Direction, FlexOffer, FlexOfferState, Schedule
 from tests.conftest import make_offer
 
 
@@ -155,6 +157,30 @@ class TestAggregateGroup:
             make_offer(offer_id=2, earliest_start=40),
         ]
         assert aggregate_group(group, 10).region == "Capital"
+
+    @pytest.mark.parametrize("size", (1, 3))
+    def test_fields_outside_the_aggregate_inputs_leave_the_aggregate_equal(self, size):
+        """The live engine keeps a chunk's output on this (AGGREGATE_INPUTS)."""
+        group = [
+            make_offer(offer_id=index, earliest_start=40 + index, price_per_kwh=0.1 * index)
+            for index in range(1, size + 1)
+        ]
+        member = group[-1]
+        perturbations = {
+            "state": FlexOfferState.REJECTED,
+            "schedule": Schedule(
+                member.earliest_start_slot, tuple(piece.min_energy for piece in member.profile)
+            ),
+            "is_aggregate": True,
+            "constituent_ids": (99, 100),
+        }
+        # A new FlexOffer field must be classed: an aggregate input, or here.
+        outside = {field.name for field in fields(FlexOffer)} - set(AGGREGATE_INPUTS) - {"id"}
+        assert outside == set(perturbations)
+        expected = aggregate_group(group, 10)
+        for name, value in perturbations.items():
+            perturbed = group[:-1] + [replace(member, **{name: value})]
+            assert aggregate_group(perturbed, 10) == expected, name
 
 
 class TestAggregateMany:

@@ -6,7 +6,10 @@ applied events perturbed — observable through the ``chunks_reaggregated`` /
 while staying bit-identical to the batch pipeline.  Covered: targeted
 single-offer mutations (price and state), chunk-boundary shifts on insert
 and withdraw, the ``max_group_size=0`` unlimited case, and multi-mutation
-commits counting the union of their chunks.
+commits counting the union of their chunks.  A chunk that keeps its
+members pays only for what its touched members changed: a state change
+keeps the output object, a price revision refolds only the mean price, and
+anything else re-runs :func:`~repro.aggregation.aggregate.aggregate_group`.
 
 The same ledger names each commit's offers in ``CommitResult.touched``, the
 one delta the result cache and the materialized views read: exactly the
@@ -17,14 +20,17 @@ micro-batch commits and a checkpoint restore.
 
 from __future__ import annotations
 
+import struct
 from collections import Counter
 from dataclasses import replace
 from datetime import timedelta
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.aggregation.aggregate import aggregate_group
 from repro.aggregation.grouping import chunk_assignment, chunk_count, chunks_from
 from repro.aggregation.parameters import AggregationParameters
 from repro.live.engine import LiveAggregationEngine, canonical_form
@@ -128,6 +134,95 @@ class TestSingleOfferMutation:
         # max_group_size=0: the whole cell is one chunk; nothing to skip.
         assert result.chunks_reaggregated == 1
         assert result.chunks_skipped == 0
+        assert_batch_identical(engine)
+
+
+def _output_holding(engine, offer_id: int):
+    """The committed aggregate whose chunk holds ``offer_id``."""
+    (output,) = [
+        offer
+        for offer in engine.aggregated_offers()
+        if offer.is_aggregate and offer_id in offer.constituent_ids
+    ]
+    return output
+
+
+def _commit_counting_folds(engine):
+    """Commit ``engine``; returns the result and its ``aggregate_group`` calls."""
+    with mock.patch("repro.live.engine.aggregate_group", wraps=aggregate_group) as fold:
+        result = engine.commit()
+    return result, fold.call_count
+
+
+class TestInPlaceSettling:
+    """A chunk that keeps its members pays only for what its members changed."""
+
+    @given(victim=st.integers(min_value=1, max_value=MEMBERS))
+    @settings(deadline=None)
+    def test_state_change_keeps_the_output_object(self, victim):
+        engine = build_engine("live")
+        previous = _output_holding(engine, victim)
+        engine.apply(
+            OfferStateChanged(engine.offer(victim).creation_time, victim, FlexOfferState.ACCEPTED)
+        )
+        result, folds = _commit_counting_folds(engine)
+        assert folds == 0
+        assert result.changed == []
+        assert result.chunks_reaggregated == 1
+        assert _output_holding(engine, victim) is previous
+        # Provenance moves to the member's new version.
+        constituents = engine.constituents_of(previous.id)
+        assert [offer.id for offer in constituents] == list(previous.constituent_ids)
+        assert all(offer is engine.offer(offer.id) for offer in constituents)
+        assert_batch_identical(engine)
+
+    @given(
+        victims=st.sets(st.integers(min_value=1, max_value=CHUNK), min_size=1, max_size=CHUNK),
+        cents=st.integers(min_value=1, max_value=10_000),
+    )
+    @settings(deadline=None)
+    def test_price_revision_refolds_only_the_price(self, victims, cents):
+        engine = build_engine("live")
+        previous = _output_holding(engine, 1)
+        for victim in victims:
+            current = engine.offer(victim)
+            revised = replace(current, price_per_kwh=current.price_per_kwh + cents / 7.0)
+            engine.apply(OfferUpdated(current.creation_time, revised))
+        result, folds = _commit_counting_folds(engine)
+        assert folds == 0
+        refolded = _output_holding(engine, 1)
+        assert result.changed == [refolded]
+        assert refolded.profile is previous.profile
+        members = [engine.offer(offer_id) for offer_id in previous.constituent_ids]
+        assert engine.constituents_of(refolded.id) == members
+        expected = aggregate_group(members, refolded.id)
+        assert refolded == expected
+        assert struct.pack("<d", refolded.price_per_kwh) == struct.pack(
+            "<d", expected.price_per_kwh
+        )
+        assert_batch_identical(engine)
+
+    def test_profile_revision_reruns_the_fold(self):
+        engine = build_engine("live")
+        current = engine.offer(3)
+        revised = replace(current, profile=tuple(piece.scale(2.0) for piece in current.profile))
+        engine.apply(OfferUpdated(current.creation_time, revised))
+        result, folds = _commit_counting_folds(engine)
+        assert folds == 1
+        assert result.changed == [_output_holding(engine, 3)]
+        assert_batch_identical(engine)
+
+    def test_unbounded_cell_refolds_whole_after_a_withdrawal(self):
+        """An insert or withdrawal shifts an unbounded cell's only chunk."""
+        engine = build_engine("live", max_group_size=0, members=3)
+        current = engine.offer(1)
+        engine.apply(OfferUpdated(current.creation_time, replace(current, price_per_kwh=5.0)))
+        engine.apply(OfferWithdrawn(current.assignment_deadline + timedelta(minutes=15), 3))
+        result, folds = _commit_counting_folds(engine)
+        assert folds == 1
+        (output,) = engine.aggregated_offers()
+        assert output.constituent_ids == (1, 2)
+        assert [offer.id for offer in engine.constituents_of(output.id)] == [1, 2]
         assert_batch_identical(engine)
 
 

@@ -446,7 +446,9 @@ def test_sampling_keeps_stage_histograms_exact_and_thins_spans_and_kernel(global
     commits, recorded_chunks = 40, 0
     for index in range(commits):
         current = engine.offer(offers[index].id)
-        revised = replace(current, price_per_kwh=current.price_per_kwh + 0.01)
+        # A profile revision: a price-only one refolds no profile, so it
+        # would never reach the kernel probe this test counts.
+        revised = replace(current, profile=tuple(piece.scale(1.01) for piece in current.profile))
         engine.apply(OfferUpdated(current.creation_time, revised))
         traced = len(tracer.finished(name="live.commit"))
         result = engine.commit()

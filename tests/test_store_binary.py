@@ -132,6 +132,18 @@ def _committed_state():
     return state
 
 
+def test_restore_refuses_an_offer_listed_twice():
+    """A cell holds each member id once; a duplicated offer fails the restore."""
+    state = _committed_state()
+    # Singleton chunks need no recorded aggregate, so only the id check sees it.
+    singletons = AggregationParameters(max_group_size=1)
+    duplicated = replace(
+        state, parameters=singletons, aggregates=[], offers=state.offers + state.offers[:1]
+    )
+    with pytest.raises(StoreError, match="more than once"):
+        restore_engine_state(LiveAggregationEngine(singletons), duplicated)
+
+
 def _save_version_1(state, directory, log_offset: int) -> None:
     """Write ``state`` in checkpoint format version 1: one dictionary per line."""
     data = directory / "snapshot-a"

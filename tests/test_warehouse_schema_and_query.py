@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import UnknownTableError, WarehouseError
 from repro.flexoffer.model import FlexOfferState
-from repro.warehouse.loader import load_scenario
+from repro.warehouse.loader import load_flex_offer, load_scenario
 from repro.warehouse.persistence import load_schema, save_schema
 from repro.warehouse.query import FlexOfferFilter, FlexOfferRepository
 from repro.warehouse.schema import DIMENSION_TABLES, FACT_TABLES, StarSchema
+from tests.conftest import make_offer
 
 
 @pytest.fixture(scope="module")
@@ -221,6 +224,19 @@ class TestPersistence:
         original = {offer.id: offer for offer in repo.load().offers}
         for offer in repo2.load().offers[:20]:
             assert offer == original[offer.id]
+
+    def test_datetime_columns_keep_sub_second_parts(self, tmp_path):
+        offer = make_offer()
+        offer = replace(
+            offer,
+            creation_time=offer.creation_time.replace(hour=6, minute=0, second=0, microsecond=500001),
+        )
+        schema = StarSchema.empty()
+        load_flex_offer(schema, offer, {})
+        save_schema(schema, tmp_path)
+        (row,) = load_schema(tmp_path).table("fact_flexoffer").rows()
+        for column in ("creation_time", "acceptance_deadline", "assignment_deadline"):
+            assert row[column] == getattr(offer, column), column
 
     def test_load_dump_missing_new_columns(self, loaded, tmp_path):
         # A dump written before a column existed (e.g. group_cell) must still
