@@ -1,18 +1,13 @@
-"""LIVE bench: incremental engines beat full re-aggregation — side by side.
+"""LIVE bench: the incremental engine beats full re-aggregation.
 
-The live-family engines re-aggregate only the grid cells touched since the
-last commit, so commit cost scales with the touched fraction of the
-population while the batch pipeline always pays for everyone.  The sweep
-records commit time against a full re-aggregation for touched-offer fractions
-of 1%, 5% and 25%, for every incremental engine:
-
-* ``live``  — the dirty-cell engine;
-* ``async`` — the bounded-queue worker over a live engine; its "commit"
-  column is the *barrier latency* the caller still pays after ingesting
-  (the worker usually committed already — that is the point).
+The live engine re-aggregates only the grid cells touched since the last
+commit, so commit cost scales with the touched fraction of the population
+while the batch pipeline always pays for everyone.  The sweep records commit
+time against a full re-aggregation for touched-offer fractions of 1%, 5% and
+25%.
 
 The headline requirement stays: >=5x over full re-aggregation when 1% of the
-offers are touched, for the live engine.
+offers are touched.
 
 The standalone mode additionally runs :func:`scaling_sweep` — the scale
 claim: with a fixed touched set, commit latency (engine apply + commit) must
@@ -26,6 +21,7 @@ benchmark-trajectory gate (``benchmarks/check_bench_trajectory.py``) consumes.
 
 from __future__ import annotations
 
+import gc
 import statistics
 import time
 from dataclasses import replace
@@ -37,7 +33,6 @@ from benchmarks.conftest import record
 from repro.aggregation.aggregate import aggregate
 from repro.aggregation.parameters import AggregationParameters
 from repro.flexoffer.model import Direction
-from repro.live.asynccommit import AsyncCommitEngine
 from repro.live.engine import LiveAggregationEngine
 from repro.live.events import OfferAdded, OfferUpdated
 from repro.live.replay import replay, scenario_event_stream
@@ -45,18 +40,14 @@ from repro.live.replay import replay, scenario_event_stream
 #: Touched-offer fractions the acceptance sweep covers.
 FRACTIONS = (0.01, 0.05, 0.25)
 
-#: The incremental engines benchmarked side by side (batch is the baseline).
-ENGINES = ("live", "async")
+#: The incremental engines benchmarked (batch is the baseline).
+ENGINES = ("live",)
 
 
 def make_engine(name: str, micro_batch_size: int = 0):
     """One fresh incremental engine by CLI/CI name."""
     if name == "live":
         return LiveAggregationEngine(micro_batch_size=micro_batch_size)
-    if name == "async":
-        return AsyncCommitEngine(
-            LiveAggregationEngine(), drain_batch=micro_batch_size or 64
-        )
     raise ValueError(f"unknown engine {name!r}; choose from {ENGINES}")
 
 
@@ -139,10 +130,6 @@ def sweep_engines(names, offers, full_seconds, rounds: int = 9) -> dict:
                 "commit_ms": round(incremental * 1000, 3),
                 "speedup_vs_batch": round(full_seconds / incremental, 1),
             }
-    for engine in engines.values():
-        close = getattr(engine, "close", None)
-        if close is not None:
-            close()
     return results
 
 
@@ -450,6 +437,11 @@ def materialized_refresh(scenario, rounds: int = 9, fraction: float = 0.02) -> d
     }
 
 
+#: The storm writer commits after this many ingested events, as the
+#: snapshot-isolation check in ``tests/test_readpath_concurrency.py`` does.
+STORM_COMMIT_EVERY = 64
+
+
 def query_storm(
     scenario,
     readers: int = 4,
@@ -459,8 +451,9 @@ def query_storm(
 ) -> dict:
     """The versioned-read-path storm: a reader pool racing a confined writer.
 
-    An async session preloads the scenario; the writer thread then revises
-    only the offers of a single *hot* region while ``readers`` threads hammer
+    A live session preloads the scenario; the writer thread then revises
+    only the offers of a single *hot* region, committing every
+    ``STORM_COMMIT_EVERY`` events, while ``readers`` threads hammer
     ``consistency="latest"`` queries whose specs cover the *cold* regions —
     exactly the workload the spec-keyed cache exists for, since commits only
     dirty hot-region cells and the cold entries are carried across versions.
@@ -485,130 +478,131 @@ def query_storm(
     from repro.session import FlexSession
     from repro.session.spec import QuerySpec
 
-    session = FlexSession(scenario, engine="async")
-    try:
-        backend = session.engine
-        backend.refresh()  # drain the preload; the baseline snapshot exists
-        cache = backend.readpath.cache
-        regions = sorted({offer.region for offer in scenario.offers_in_arrival_order()})
-        hot_region = regions[0]
-        cold_regions = tuple(regions[1:]) or (hot_region,)
-        specs = [QuerySpec.build(region=region) for region in cold_regions]
-        specs.append(QuerySpec.build(regions=cold_regions, parameters=session.parameters))
-        hot_offers = [
-            offer
-            for offer in scenario.offers_in_arrival_order()
-            if offer.region == hot_region
-        ]
+    session = FlexSession(scenario, engine="live")
+    backend = session.engine
+    cache = backend.readpath.cache
+    regions = sorted({offer.region for offer in scenario.offers_in_arrival_order()})
+    hot_region = regions[0]
+    cold_regions = tuple(regions[1:]) or (hot_region,)
+    specs = [QuerySpec.build(region=region) for region in cold_regions]
+    specs.append(QuerySpec.build(regions=cold_regions, parameters=session.parameters))
+    hot_offers = [
+        offer
+        for offer in scenario.offers_in_arrival_order()
+        if offer.region == hot_region
+    ]
 
-        # Cached vs uncached latency on one untouched aggregation spec.  The
-        # uncached probe rebases the cache (same version) so every read pays
-        # the full snapshot select + aggregation; the cached probe repeats a
-        # warm read.  Same spec, same snapshot, same process — the ratio is
-        # machine-independent.
-        agg_spec = QuerySpec.build(regions=cold_regions, parameters=session.parameters)
-        uncached_timings = []
-        for _ in range(rounds):
-            cache.rebase(cache.version)
-            started = time.perf_counter()
+    # Cached vs uncached latency on one untouched aggregation spec.  The
+    # uncached probe rebases the cache (same version) so every read pays
+    # the full snapshot select + aggregation; the cached probe repeats a
+    # warm read.  Same spec, same snapshot, same process — the ratio is
+    # machine-independent.
+    agg_spec = QuerySpec.build(regions=cold_regions, parameters=session.parameters)
+    uncached_timings = []
+    for _ in range(rounds):
+        cache.rebase(cache.version)
+        started = time.perf_counter()
+        session.query(agg_spec, consistency="latest")
+        uncached_timings.append(time.perf_counter() - started)
+    session.query(agg_spec, consistency="latest")  # warm the entry
+    cached_timings = []
+    for _ in range(rounds):
+        started = time.perf_counter()
+        for _ in range(50):
             session.query(agg_spec, consistency="latest")
-            uncached_timings.append(time.perf_counter() - started)
-        session.query(agg_spec, consistency="latest")  # warm the entry
-        cached_timings = []
-        for _ in range(rounds):
-            started = time.perf_counter()
-            for _ in range(50):
-                session.query(agg_spec, consistency="latest")
-            cached_timings.append((time.perf_counter() - started) / 50)
-        uncached = statistics.median(uncached_timings)
-        cached = statistics.median(cached_timings)
+        cached_timings.append((time.perf_counter() - started) / 50)
+    uncached = statistics.median(uncached_timings)
+    cached = statistics.median(cached_timings)
 
-        # Single-reader baseline: one thread, warm cache, quiescent writer.
-        for spec in specs:
-            session.query(spec, consistency="latest")
-        single_reads = len(specs) * 40
-        started = time.perf_counter()
-        for index in range(single_reads):
-            session.query(specs[index % len(specs)], consistency="latest")
-        single_qps = single_reads / (time.perf_counter() - started)
+    # Single-reader baseline: one thread, warm cache, quiescent writer.
+    for spec in specs:
+        session.query(spec, consistency="latest")
+    single_reads = len(specs) * 40
+    started = time.perf_counter()
+    for index in range(single_reads):
+        session.query(specs[index % len(specs)], consistency="latest")
+    single_qps = single_reads / (time.perf_counter() - started)
 
-        # The storm: the writer revises hot-region prices (the async worker
-        # commits and publishes behind it) while the reader pool runs.
-        before = cache.stats()
-        version_before = backend.readpath.manager.latest_version
-        failures: list[BaseException] = []
+    # The storm: the writer revises hot-region prices and commits every
+    # STORM_COMMIT_EVERY events while the reader pool runs.
+    before = cache.stats()
+    version_before = backend.readpath.manager.latest_version
+    failures: list[BaseException] = []
 
-        def writer() -> None:
-            try:
-                for sweep in range(writer_passes):
-                    for offer in hot_offers:
-                        session.ingest(
-                            OfferUpdated(
-                                offer.creation_time,
-                                replace(
-                                    offer,
-                                    price_per_kwh=offer.price_per_kwh
-                                    * (1.0 + 0.01 * (sweep + 1))
-                                    + 0.001,
-                                ),
-                            )
+    def writer() -> None:
+        try:
+            ingested = 0
+            for sweep in range(writer_passes):
+                for offer in hot_offers:
+                    session.ingest(
+                        OfferUpdated(
+                            offer.creation_time,
+                            replace(
+                                offer,
+                                price_per_kwh=offer.price_per_kwh
+                                * (1.0 + 0.01 * (sweep + 1))
+                                + 0.001,
+                            ),
                         )
-            except BaseException as exc:  # pragma: no cover - surfaced below
-                failures.append(exc)
+                    )
+                    ingested += 1
+                    if ingested % STORM_COMMIT_EVERY == 0:
+                        session.commit()
+            session.commit()
+        except BaseException as exc:  # pragma: no cover - surfaced below
+            failures.append(exc)
 
-        reader_finishes: list[float] = []
+    reader_finishes: list[float] = []
 
-        def reader() -> None:
-            try:
-                for index in range(reads_per_reader):
-                    session.query(specs[index % len(specs)], consistency="latest")
-                reader_finishes.append(time.perf_counter())
-            except BaseException as exc:  # pragma: no cover - surfaced below
-                failures.append(exc)
+    def reader() -> None:
+        try:
+            for index in range(reads_per_reader):
+                session.query(specs[index % len(specs)], consistency="latest")
+            reader_finishes.append(time.perf_counter())
+        except BaseException as exc:  # pragma: no cover - surfaced below
+            failures.append(exc)
 
-        threads = [threading.Thread(target=writer, name="storm-writer")]
-        threads.extend(
-            threading.Thread(target=reader, name=f"storm-reader-{index}")
-            for index in range(readers)
-        )
-        started = time.perf_counter()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if failures:
-            raise failures[0]
-        # Reader throughput stops at the *last reader's* finish — the writer
-        # keeps running (and keeps the race honest) but must not count
-        # against the readers' wall clock.
-        elapsed = max(reader_finishes) - started
-        backend.refresh()
-        after = cache.stats()
-        lookups = (after["hits"] + after["misses"]) - (before["hits"] + before["misses"])
-        hit_ratio = (after["hits"] - before["hits"]) / lookups if lookups else 0.0
-        storm_qps = readers * reads_per_reader / elapsed
-        return {
-            "readers": readers,
-            "reads": readers * reads_per_reader,
-            "hot_region": hot_region,
-            "cold_specs": len(specs),
-            "commits_during_storm": backend.readpath.manager.latest_version
-            - version_before,
-            "uncached_read_ms": round(uncached * 1000, 4),
-            "cached_read_ms": round(cached * 1000, 4),
-            "cache_speedup": round(uncached / cached, 1),
-            "hit_ratio": round(hit_ratio, 3),
-            "single_qps": round(single_qps, 1),
-            "storm_qps": round(storm_qps, 1),
-            "parallel_efficiency": round(storm_qps / readers / single_qps, 3),
-            # Reads the pool served in the time ONE uncached recomputation
-            # takes — the cache's payoff under concurrency, and the only
-            # storm ratio stable enough to gate (thread-scheduling jitter
-            # dominates the qps figures at quick-sweep scale).
-            "throughput_vs_recompute": round(storm_qps * uncached, 1),
-        }
-    finally:
-        session.close()
+    threads = [threading.Thread(target=writer, name="storm-writer")]
+    threads.extend(
+        threading.Thread(target=reader, name=f"storm-reader-{index}")
+        for index in range(readers)
+    )
+    started = time.perf_counter()
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if failures:
+        raise failures[0]
+    # Reader throughput stops at the *last reader's* finish — the writer
+    # keeps running (and keeps the race honest) but must not count
+    # against the readers' wall clock.
+    elapsed = max(reader_finishes) - started
+    backend.refresh()
+    after = cache.stats()
+    lookups = (after["hits"] + after["misses"]) - (before["hits"] + before["misses"])
+    hit_ratio = (after["hits"] - before["hits"]) / lookups if lookups else 0.0
+    storm_qps = readers * reads_per_reader / elapsed
+    return {
+        "readers": readers,
+        "reads": readers * reads_per_reader,
+        "hot_region": hot_region,
+        "cold_specs": len(specs),
+        "commits_during_storm": backend.readpath.manager.latest_version
+        - version_before,
+        "uncached_read_ms": round(uncached * 1000, 4),
+        "cached_read_ms": round(cached * 1000, 4),
+        "cache_speedup": round(uncached / cached, 1),
+        "hit_ratio": round(hit_ratio, 3),
+        "single_qps": round(single_qps, 1),
+        "storm_qps": round(storm_qps, 1),
+        "parallel_efficiency": round(storm_qps / readers / single_qps, 3),
+        # Reads the pool served in the time ONE uncached recomputation
+        # takes — the cache's payoff under concurrency, and the only
+        # storm ratio stable enough to gate (thread-scheduling jitter
+        # dominates the qps figures at quick-sweep scale).
+        "throughput_vs_recompute": round(storm_qps * uncached, 1),
+    }
 
 
 def test_query_storm(benchmark, paper_scenario):
@@ -628,7 +622,7 @@ def test_query_storm(benchmark, paper_scenario):
     assert rows["throughput_vs_recompute"] >= 5.0
 
 
-def stage_breakdown(scenario, engine_name: str = "live") -> dict:
+def stage_breakdown(scenario) -> dict:
     """Per-stage latency rows from one instrumented replay-and-query pass.
 
     Goes through a :class:`FlexSession` (not a bare engine) so the commit,
@@ -639,11 +633,15 @@ def stage_breakdown(scenario, engine_name: str = "live") -> dict:
     from repro import obs
     from repro.session import FlexSession
 
+    # The legs before this one leave a full collection pending; it would land
+    # in whichever of this pass's ~11 timed commits allocates past the
+    # threshold and swamp that stage's share.  Start from a collected heap.
+    gc.collect()
     obs.reset()
     obs.enable()
     try:
         session = FlexSession(
-            scenario, engine=engine_name, micro_batch_size=64, live_preload=False
+            scenario, engine="live", micro_batch_size=64, live_preload=False
         )
         log = scenario_event_stream(
             scenario, update_fraction=0.1, withdraw_fraction=0.05, seed=7
@@ -651,7 +649,6 @@ def stage_breakdown(scenario, engine_name: str = "live") -> dict:
         session.replay(log.replay_order())
         session.offers().where(state="assigned").fetch()
         session.offers().aggregate().fetch()
-        session.close()
     finally:
         obs.disable()
     rows = stage_rows(obs.get_registry())
@@ -664,11 +661,7 @@ def _replay_report(name, scenario, micro_batch_size: int = 64):
     log = scenario_event_stream(
         scenario, update_fraction=0.1, withdraw_fraction=0.05, seed=7
     )
-    report = replay(log, engine)
-    close = getattr(engine, "close", None)
-    if close is not None:
-        close()
-    return report
+    return replay(log, engine)
 
 
 def test_incremental_vs_batch_sweep(benchmark, large_offer_scenario):
@@ -747,7 +740,7 @@ def main(argv=None) -> int:
         "--engine",
         choices=(*ENGINES, "all"),
         default="all",
-        help="which incremental engine(s) to sweep (default: all, side by side)",
+        help="which incremental engine(s) to sweep (default: all)",
     )
     parser.add_argument(
         "--json", metavar="PATH", help="write the machine-readable summary to PATH"

@@ -9,13 +9,6 @@ and then this checker against the committed baselines
 meaningless across runner generations, so they are printed but never gate;
 what gates are machine-independent *ratios*:
 
-* replay throughput of the async engine *relative to the live engine* — the
-  background-commit path must not drift behind the synchronous engine it
-  wraps.  A drop of more than ``TOLERANCE`` (25%) against the committed
-  baseline fails the job.  (The async engine's sweep commit column is
-  *barrier latency* — dominated by worker-thread wakeup jitter at
-  quick-sweep scale — so it is reported but not gated.)
-
 * the chunked-workload speedup — a commit touching 1 chunk of 16 vs the
   whole-cell re-aggregation any mutation cost before the chunk-granular
   dirty ledger.  Gated relative to the baseline like the other ratios *and*
@@ -79,9 +72,6 @@ from __future__ import annotations
 
 import json
 import sys
-
-#: Engines gated on replay throughput relative to the live engine.
-REPLAY_GATED = ("async",)
 
 #: Fraction key of the headline sweep point (1% of the offers touched).
 HEADLINE = "0.01"
@@ -190,26 +180,10 @@ def _share_drift(current: dict, baseline: dict, required, label: str) -> list[st
     return failures
 
 
-def _replay_ratio(summary: dict, engine: str) -> float:
-    live = float(summary["engines"]["live"]["replay"]["events_per_second"])
-    return float(summary["engines"][engine]["replay"]["events_per_second"]) / live
-
-
 def check(current: dict, baseline: dict) -> list[str]:
     """Return the list of gate failures (empty = healthy)."""
     failures: list[str] = []
     floor = 1.0 - TOLERANCE
-    for engine in REPLAY_GATED:
-        now_r, then_r = _replay_ratio(current, engine), _replay_ratio(baseline, engine)
-        print(
-            f"  {engine:>7} replay vs live  : {now_r:6.2f} (baseline {then_r:.2f}, "
-            f"floor {then_r * floor:.2f})"
-        )
-        if now_r < then_r * floor:
-            failures.append(
-                f"{engine}: replay throughput vs live regressed >{TOLERANCE:.0%} "
-                f"({now_r:.2f} vs baseline {then_r:.2f})"
-            )
     # Chunk-granular commits: cost must scale with touched chunks, not cell
     # size.  Gated both relative to the committed baseline (like every other
     # ratio) and against the absolute CHUNKED_FLOOR acceptance criterion.
@@ -369,12 +343,8 @@ def check(current: dict, baseline: dict) -> list[str]:
         failures.append(f"obs: no observations for required stage [{name}]")
     failures.extend(_share_drift(current, baseline, LIVE_REQUIRED_STAGES, "live"))
     # Informational only: absolute wall clock, for the artifact reader.
-    for engine in ("live", *REPLAY_GATED):
-        row = current["engines"][engine]["sweep"][HEADLINE]
-        print(
-            f"  {engine:>7} commit@1% wall  : {row['commit_ms']:8.3f} ms "
-            f"(informational, not gated)"
-        )
+    row = current["engines"]["live"]["sweep"][HEADLINE]
+    print(f"     live commit@1% wall  : {row['commit_ms']:8.3f} ms (informational, not gated)")
     return failures
 
 

@@ -86,18 +86,21 @@ def main() -> None:
     )
 
     # ------------------------------------------------------------------
-    # 4. Views follow the session across engine swaps and replays.
+    # 4. Views follow the session across engine switches and replays.
     # ------------------------------------------------------------------
-    session.use_engine("async")
-    session.commit()
+    session.snapshot()  # rebuild the batch engine over the surviving offers
+    session.use_engine("batch")
     assert session.query(dashboard.spec).matches(dashboard.result)
-    print(f"  after use_engine('async'): dashboard still current at v{dashboard.version}")
+    print(f"  on use_engine('batch'): the batch pipeline agrees with v{dashboard.version}")
+    session.use_engine("live")
+    assert session.query(dashboard.spec).matches(dashboard.result)
+    print(f"  back on use_engine('live'): dashboard still current at v{dashboard.version}")
 
-    session.replay(update_fraction=0.2, withdraw_fraction=0.05, engine="live")
+    session.replay(update_fraction=0.2, withdraw_fraction=0.05)
     session.commit()
     assert session.query(dashboard.spec).matches(dashboard.result)
     print(
-        f"  after replay(engine='live'): re-based ({dashboard.refreshes} refresh) "
+        f"  after a scenario replay: re-based ({dashboard.refreshes} refresh) "
         f"and tracking again at v{dashboard.version}"
     )
 

@@ -1,16 +1,16 @@
-"""A guided tour of the tracing layer: ids, cross-thread traces, sampling,
+"""A guided tour of the tracing layer: ids, one operation's trace, sampling,
 and the flamegraph exporters.
 
 Run with::
 
     python examples/trace_tour.py
 
-The script streams a scenario through the async engine with observability
-on, one ``ingest.batch`` span per batch of events.  The engine's background
-worker commits those events on its own thread, yet its commits land in the
-trace of the ingest that handed them over, linked by ids.  The tour then
-demonstrates the head-based sampler (traces thin out, stage histograms stay exact)
-and writes the three trace artifacts — a JSONL dump, a Chrome
+The script streams a scenario through the live engine with observability
+on, one ``ingest.batch`` span per batch of events.  Each batch ends in a
+commit, so one trace holds the ingest, the ``live.commit`` that drained it
+and the read path's snapshot publication, linked by ids.  The tour then
+demonstrates the head-based sampler (traces thin out, stage histograms stay
+exact) and writes the three trace artifacts — a JSONL dump, a Chrome
 ``trace_event`` file for Perfetto/``chrome://tracing`` and a folded-stack
 file for speedscope/``flamegraph.pl`` — into ``examples/output/``.
 """
@@ -26,31 +26,25 @@ from repro.session import FlexSession
 
 OUTPUT_DIR = Path(__file__).resolve().parent / "output"
 
-#: Events ingested under one ``ingest.batch`` span, and the worker's commit
-#: cadence: it commits after every ``DRAIN`` applied events, so each batch
-#: sees worker-thread commits before the flush barrier returns.
-BATCH, DRAIN = 64, 16
+#: Events ingested, then committed, under one ``ingest.batch`` span.
+BATCH = 64
 
-#: The async engine's worker thread name (see ``repro.live.asynccommit``).
-WORKER = "async-commit-worker"
+#: The stages one batch's trace spans: the commit and the snapshot it publishes.
+COMMIT_STAGES = ("live.commit", "readpath.snapshot.build")
 
 
 def replay_once(scenario) -> int:
-    """Stream the scenario through the async engine; returns the batch count."""
+    """Stream the scenario through the live engine; returns the batch count."""
     tracer = obs.get_tracer()
     events = scenario_event_stream(scenario, seed=9).replay_order()
-    with FlexSession(
-        scenario, engine="async", micro_batch_size=DRAIN, live_preload=False
-    ) as session:
-        for start in range(0, len(events), BATCH):
-            # Each enqueue hands the open span's context to the worker, whose
-            # next commit joins this batch's trace.  The flush barrier inside
-            # the span waits until every event of the batch is committed.
-            with tracer.span("ingest.batch"):
-                for event in events[start : start + BATCH]:
-                    session.ingest(event)
-                session.engine.refresh()
-        session.offers().aggregate().fetch()
+    session = FlexSession(scenario, engine="live", live_preload=False)
+    for start in range(0, len(events), BATCH):
+        # The commit runs inside the batch's span, so its spans (and the read
+        # path's publication) nest under it as children of this trace.
+        with tracer.span("ingest.batch"):
+            session.ingest_many(events[start : start + BATCH])
+            session.commit()
+    session.offers().aggregate().fetch()
     return -(-len(events) // BATCH)
 
 
@@ -59,7 +53,7 @@ def main() -> None:
     scenario = generate_scenario(ScenarioConfig(prosumer_count=120, seed=9))
 
     # ------------------------------------------------------------------
-    # 1. One ingest, one trace — across threads.
+    # 1. One batch, one trace: ingest -> live.commit -> read-path publish.
     # ------------------------------------------------------------------
     obs.reset()
     obs.enable()
@@ -68,15 +62,14 @@ def main() -> None:
     spans = tracer.finished()
     first = tracer.finished(name="ingest.batch")[0]
     trace = tracer.finished(trace_id=first.trace_id)
-    threads = {span.thread for span in trace}
-    assert WORKER in threads, "no worker commit joined the ingest trace"
+    stages = {span.name for span in trace}
+    assert stages >= set(COMMIT_STAGES), "the batch's commit left its trace"
     print(f"{len(spans)} spans finished; first ingest batch = trace {first.trace_id}")
     print(
-        f"  that one trace holds {len(trace)} spans across "
-        f"{len(threads)} threads: {sorted(threads)}"
+        f"  that one trace holds {len(trace)} spans on one thread, "
+        f"{', '.join(COMMIT_STAGES)} among them"
     )
-    print("  (the worker attached the ingest span's TraceContext explicitly —")
-    print("   its commit carries the ingest's trace_id and parent_id)")
+    print("  (each span carries the batch's trace_id and its parent's span_id)")
     print()
     print(obs.format_trace(spans, first.trace_id))
     print()

@@ -47,19 +47,13 @@ from repro.olap.mdx import execute as execute_mdx
 from repro.scheduling.evaluation import compare, report
 from repro.scheduling.greedy import EarliestStartScheduler, GreedyScheduler
 from repro.scheduling.problem import BalancingProblem, make_target
-from repro.session import ENGINE_FACTORIES, FlexSession, LiveEngine
+from repro.session import ENGINE_FACTORIES, FlexSession
 from repro.session.views import registered_views
 from repro.warehouse.persistence import save_schema
 
 _VIEW_NAMES = registered_views()
-#: ``--engine`` choices: every registered engine, and the live-family ones
-#: (those that ingest event streams).
+#: ``session --engine`` choices: every registered engine.
 _ENGINE_NAMES = tuple(ENGINE_FACTORIES)
-_LIVE_ENGINE_NAMES = tuple(
-    name
-    for name, factory in ENGINE_FACTORIES.items()
-    if isinstance(factory, type) and issubclass(factory, LiveEngine)
-)
 #: ``views --materialized`` commits every this many events, so the views see
 #: carries and notifications, not one commit of the whole stream.
 _VIEWS_COMMIT_EVERY = 32
@@ -118,12 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "live", help="replay a scenario as an event stream through the live engine"
     )
     live.add_argument(
-        "--engine",
-        choices=_LIVE_ENGINE_NAMES,
-        default="live",
-        help="which incremental engine replays the stream",
-    )
-    live.add_argument(
         "--batch-size", type=int, default=64, help="micro-batch size (events per commit)"
     )
     live.add_argument(
@@ -138,12 +126,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="stream a scenario, persist the event log and write a mid-stream checkpoint",
     )
     checkpoint.add_argument("--out", default="checkpoint", help="durability directory")
-    checkpoint.add_argument(
-        "--engine",
-        choices=_LIVE_ENGINE_NAMES,
-        default="live",
-        help="which incremental engine consumes the stream",
-    )
     checkpoint.add_argument(
         "--tail",
         type=float,
@@ -173,12 +155,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     restore.add_argument("--from", dest="source", default="checkpoint", help="durability directory")
     restore.add_argument(
-        "--engine",
-        choices=_LIVE_ENGINE_NAMES,
-        default=None,
-        help="rebuild with this engine (default: the one that wrote the checkpoint)",
-    )
-    restore.add_argument(
         "--smoke",
         action="store_true",
         help="prove the recovery contract (restore ≡ batch rebuild ≡ cold replay) "
@@ -188,12 +164,6 @@ def _build_parser() -> argparse.ArgumentParser:
     stats = subparsers.add_parser(
         "stats",
         help="replay with observability enabled and print the per-stage latency table",
-    )
-    stats.add_argument(
-        "--engine",
-        choices=_LIVE_ENGINE_NAMES,
-        default="live",
-        help="which incremental engine replays the stream",
     )
     stats.add_argument(
         "--batch-size", type=int, default=64, help="micro-batch size (events per commit)"
@@ -244,12 +214,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="replay a mutated stream with standing materialized views attached and "
         "print their maintenance stats (deltas applied vs skipped, staleness, cost)",
-    )
-    views.add_argument(
-        "--engine",
-        choices=_LIVE_ENGINE_NAMES,
-        default="live",
-        help="which incremental engine maintains the views (with --materialized)",
     )
     views.add_argument(
         "--update", type=float, default=0.1, help="fraction of offers revised mid-stream"
@@ -383,13 +347,7 @@ def _command_session(args: argparse.Namespace) -> int:
 
 
 def _session_smoke(session: FlexSession, args: argparse.Namespace) -> int:
-    """The equivalence contract, end to end: same spec, two engines, equal results.
-
-    Compares the batch snapshot against the selected live-family engine
-    (``--engine async`` checks batch≡async; plain ``--engine batch``
-    defaults the counterpart to the live engine).
-    """
-    counterpart = args.engine if args.engine != "batch" else "live"
+    """The equivalence contract, end to end: same spec, two engines, equal results."""
     checks = []
     for label, query in (
         ("filtered read", _session_query(session, args)),
@@ -398,13 +356,13 @@ def _session_smoke(session: FlexSession, args: argparse.Namespace) -> int:
         spec = query.spec
         session.use_engine("batch")
         batch_result = session.query(spec)
-        session.use_engine(counterpart)
+        session.use_engine("live")
         live_result = session.query(spec)
         ok = batch_result.matches(live_result)
         checks.append(ok)
         print(
             f"{'ok ' if ok else 'FAIL'} {label:<14} "
-            f"batch={len(batch_result)} {counterpart}={len(live_result)} "
+            f"batch={len(batch_result)} live={len(live_result)} "
             f"spec=({spec.describe() or 'all flex-offers'})"
         )
     if all(checks):
@@ -424,7 +382,7 @@ def _command_live(args: argparse.Namespace) -> int:
         print("error: --batch-size must be >= 0 (0 = single commit at the end)", file=sys.stderr)
         return 2
     session = _make_session(
-        args, engine=args.engine, micro_batch_size=args.batch_size, live_preload=False
+        args, engine="live", micro_batch_size=args.batch_size, live_preload=False
     )
     log = scenario_event_stream(
         session.scenario, update_fraction=args.update, withdraw_fraction=args.withdraw, seed=args.seed
@@ -466,7 +424,7 @@ def _command_checkpoint(args: argparse.Namespace) -> int:
         )
         return 2
     session = _make_session(
-        args, engine=args.engine, micro_batch_size=args.batch_size, live_preload=False
+        args, engine="live", micro_batch_size=args.batch_size, live_preload=False
     )
     log = scenario_event_stream(
         session.scenario,
@@ -484,13 +442,12 @@ def _command_checkpoint(args: argparse.Namespace) -> int:
     print(f"checkpoint offset     : {checkpoint.log_offset} (tail of {len(ordered) - cut} events)")
     print(
         f"snapshot              : {checkpoint.manifest['offer_count']} offers + "
-        f"{checkpoint.manifest['aggregate_count']} aggregates ({args.engine} engine)"
+        f"{checkpoint.manifest['aggregate_count']} aggregates"
     )
     if args.compact:
         dropped = manager.compact()
         print(f"compaction            : dropped {dropped} dead events from closed segments")
     print(f"wrote checkpoint to {args.out}/")
-    session.close()
     return 0
 
 
@@ -503,7 +460,7 @@ def _command_restore(args: argparse.Namespace) -> int:
 
     manager = RecoveryManager(args.source)
     try:
-        session = manager.restore(engine=args.engine)
+        session = manager.restore()
     except ReproError as exc:
         # Not just StoreError: a corrupt or mismatched log surfaces as e.g. a
         # LiveEngineError from the tail replay, and deserves the same exit.
@@ -512,7 +469,6 @@ def _command_restore(args: argparse.Namespace) -> int:
     report = manager.last_restore
     print(report.describe())
     if not args.smoke:
-        session.close()
         return 0
     # The recovery contract, end to end: the restored engine must equal the
     # batch pipeline over the surviving offers AND a cold replay from seq 0.
@@ -520,14 +476,13 @@ def _command_restore(args: argparse.Namespace) -> int:
         manager.verify(session)
     except ReproError as exc:
         print(f"restore smoke FAILED: {exc}", file=sys.stderr)
-        session.close()
         return 1
     # Cold replay over the *checkpoint's* scenario and aggregation parameters
     # (the restored session carries both), not whatever --prosumers/--seed
     # happen to be — a different grouping grid would falsely fail the smoke.
     cold = FlexSession(
         session.scenario,
-        engine=session.engine_name,
+        engine="live",
         parameters=session.parameters,
         live_preload=False,
     )
@@ -543,8 +498,6 @@ def _command_restore(args: argparse.Namespace) -> int:
         f"{'ok ' if ok else 'FAIL'} restore ≡ cold replay "
         f"({sum(restored_state.values())} outputs vs {sum(cold_state.values())})"
     )
-    cold.close()
-    session.close()
     if not ok:
         print("restore smoke FAILED: snapshot+tail diverges from cold replay", file=sys.stderr)
         return 1
@@ -623,7 +576,7 @@ def _command_stats(args: argparse.Namespace) -> int:
         print(f"trace sampling        : head-sampling roots 1-in-{args.sample}")
     try:
         session = _make_session(
-            args, engine=args.engine, micro_batch_size=args.batch_size, live_preload=False
+            args, engine="live", micro_batch_size=args.batch_size, live_preload=False
         )
         log = scenario_event_stream(
             session.scenario,
@@ -643,9 +596,7 @@ def _command_stats(args: argparse.Namespace) -> int:
             manager.record(ordered)
             manager.checkpoint(session)
             manager.compact()
-            restored = manager.restore(engine=args.engine, scenario=session.scenario)
-            restored.close()
-        session.close()
+            manager.restore(scenario=session.scenario)
         print()
         registry = obs.get_registry()
         recorded = set(_print_stage_table(registry))
@@ -653,8 +604,7 @@ def _command_stats(args: argparse.Namespace) -> int:
         print()
         print(
             f"backlog               : pending={summary.get('pending_events', 0)} "
-            f"dirty_cells={summary.get('dirty_cells', 0)} "
-            f"queue_depth={summary.get('queue_depth', '-')}"
+            f"dirty_cells={summary.get('dirty_cells', 0)}"
         )
         print(f"tracing spans         : {len(obs.get_tracer().finished())} finished")
         if args.export_jsonl:
@@ -745,7 +695,7 @@ def _command_views(args: argparse.Namespace) -> int:
     from repro.session.spec import QuerySpec
 
     session = _make_session(
-        args, engine=args.engine, live_preload=False, micro_batch_size=_VIEWS_COMMIT_EVERY
+        args, engine="live", live_preload=False, micro_batch_size=_VIEWS_COMMIT_EVERY
     )
     regions = sorted({offer.region for offer in session.scenario.flex_offers})
     specs = {
@@ -759,8 +709,8 @@ def _command_views(args: argparse.Namespace) -> int:
     unreadable: list[int] = []
 
     def check_readable(notification) -> None:
-        # Runs on the committing thread (the worker on async): read without
-        # flushing, which is all a subscriber can do there.
+        # Runs inside the commit: read the published snapshot without
+        # committing, to check the notified commit is already readable.
         sequence = notification.commit.sequence
         if session.query(QuerySpec(), consistency="latest").version != sequence:
             unreadable.append(sequence)
@@ -792,7 +742,6 @@ def _command_views(args: argparse.Namespace) -> int:
             f"{stats['staleness']:>6} {stats['maintenance_seconds'] * 1000:>9.3f}  "
             f"{'ok' if fresh else 'DIVERGED'}"
         )
-    session.close()
     if unreadable:
         print(
             f"subscribers were notified before these commits were readable: {unreadable}",

@@ -9,14 +9,10 @@ Layers, bottom up:
   the star schema via upsert/delete, keeping repository queries fresh.
 * :mod:`repro.live.subscriptions` — ``SubscriptionHub``: commit fan-out to
   views and monitoring alert rules.
-* :mod:`repro.live.asynccommit` — ``AsyncCommitEngine``: a bounded-queue
-  background worker that drains events and commits off the caller's thread,
-  with ``flush()``/``close()`` barriers.
 * :mod:`repro.live.replay` — scenarios replayed as timestamped event streams,
   with commit-latency reporting.
 """
 
-from repro.live.asynccommit import AsyncCommitEngine
 from repro.live.engine import (
     ChunkStats,
     CommitResult,
@@ -48,7 +44,6 @@ from repro.live.subscriptions import (
 from repro.live.warehouse import LiveWarehouse
 
 __all__ = [
-    "AsyncCommitEngine",
     "ChunkStats",
     "CommitResult",
     "LiveAggregationEngine",

@@ -232,9 +232,9 @@ class LiveAggregationEngine:
         self._commit_count = 0
         #: Called with every :class:`CommitResult` right after the commit is
         #: final (sequence assigned) and *before* the hub is notified — on
-        #: whatever thread committed.  This is the one hook that sees every
-        #: commit path: session ingest/commit, direct replay-driven commits,
-        #: and the async worker's background commits.  The session backends
+        #: the thread that committed.  This is the one hook that sees every
+        #: commit path: session ingest/commit and direct replay-driven
+        #: commits.  The session backends
         #: hang snapshot publication and cumulative chunk accounting here
         #: (see :mod:`repro.readpath`), so a subscriber already reads the
         #: commit it is notified of, and a subscriber that raises cannot

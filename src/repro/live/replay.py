@@ -178,15 +178,12 @@ def replay(
 ) -> ReplayReport:
     """Drive ``engine`` (and optionally ``warehouse``) through an event stream.
 
-    ``engine`` may be a bare incremental engine (``LiveAggregationEngine``,
-    ``AsyncCommitEngine``), a session-layer ``LiveEngine``-family backend, or
-    a whole ``FlexSession``.  Events are consumed in replay order (timestamp,
-    then arrival).  A ``warehouse`` passed in receives every event plus every
-    commit's aggregate changes directly — do not *also* subscribe it to the
-    engine's hub, or commits would be mirrored twice.  With an async engine
-    the warehouse is mirrored on the calling thread (events during the
-    loop, aggregate changes after the flush barrier), and the commits are
-    gathered from the worker's log once the barrier returns.
+    ``engine`` may be a bare ``LiveAggregationEngine``, a session-layer
+    ``LiveEngine`` backend, or a whole ``FlexSession``.  Events are consumed
+    in replay order (timestamp, then arrival).  A ``warehouse`` passed in
+    receives every event plus every commit's aggregate changes directly — do
+    not *also* subscribe it to the engine's hub, or commits would be
+    mirrored twice.
 
     ``resume_from`` skips that many events at the head of the (ordered)
     stream — the resume-from-checkpoint entry point: an engine restored from
@@ -195,17 +192,12 @@ def replay(
     whole stream from sequence 0.
     """
     if hasattr(engine, "use_engine"):
-        # A FlexSession: replay through its active live-family engine (or the
-        # plain live engine when a non-committing backend is active).
-        active = engine.engine
-        backend = active if hasattr(active, "commit") else engine.use_engine("live")
-    else:
-        backend = engine
-    if not isinstance(backend, LiveAggregationEngine) and hasattr(backend, "engine"):
+        # A FlexSession: replay through its live engine.
+        engine = engine.use_engine("live")
+    if not isinstance(engine, LiveAggregationEngine) and hasattr(engine, "engine"):
         # A session backend (duck-typed so this module never imports the
         # session layer at import time).
-        backend = backend.engine
-    engine = backend
+        engine = engine.engine
     ordered = events.replay_order() if isinstance(events, EventLog) else list(events)
     if resume_from:
         if resume_from < 0:
@@ -213,37 +205,21 @@ def replay(
         ordered = ordered[resume_from:]
     report = ReplayReport(events=len(ordered), resumed_from=resume_from)
     started = time.perf_counter()
-    if hasattr(engine, "flush"):
-        # Async-commit engine: the worker applies and commits; the flush
-        # barrier makes the final state (and the commit log) complete.  The
-        # warehouse is mirrored on this thread: events during the loop,
-        # aggregate changes from the drained commits after the barrier —
-        # same end state.
-        for event in ordered:
-            engine.apply(event)
-            if warehouse is not None:
-                warehouse.apply(event)
-        engine.flush()
-        report.commits.extend(engine.drain_commits())
+    for event in ordered:
+        # The engine is the stricter validator: apply there first, so an
+        # event it rejects never reaches (and diverges) the warehouse mirror.
+        result = engine.apply(event)
         if warehouse is not None:
-            for commit in report.commits:
-                warehouse.apply_commit(commit)
-    else:
-        for event in ordered:
-            # The engine is the stricter validator: apply there first, so an
-            # event it rejects never reaches (and diverges) the warehouse mirror.
-            result = engine.apply(event)
-            if warehouse is not None:
-                warehouse.apply(event)
-            if result is not None:
-                report.commits.append(result)
-                if warehouse is not None:
-                    warehouse.apply_commit(result)
-        if engine.pending_events or engine.has_pending_changes:
-            result = engine.commit()
+            warehouse.apply(event)
+        if result is not None:
             report.commits.append(result)
             if warehouse is not None:
                 warehouse.apply_commit(result)
+    if engine.pending_events or engine.has_pending_changes:
+        result = engine.commit()
+        report.commits.append(result)
+        if warehouse is not None:
+            warehouse.apply_commit(result)
     report.total_seconds = time.perf_counter() - started
     report.final_offers = len(engine)
     report.final_outputs = len(engine.aggregated_offers())

@@ -124,23 +124,6 @@ class SubscriptionHub:
         except ValueError:
             return False
 
-    def adopt(self, subscription: Subscription) -> Subscription:
-        """Register an *existing* subscription handle (idempotent).
-
-        The session facade uses this to carry standing subscriptions — and
-        materialized views — across engine swaps: each backend owns its own
-        hub, so without adoption a ``use_engine()`` switch would silently
-        orphan every listener.  Adopting the same handle keeps its
-        ``mirrored``-id bookkeeping, so removals for offers handed out under
-        the previous engine are still delivered, and ``unsubscribe`` on the
-        original handle keeps working against the hub that now holds it.
-        """
-        if not isinstance(subscription, Subscription):
-            raise LiveEngineError("adopt() needs a Subscription handle")
-        if subscription not in self._subscriptions:
-            self._subscriptions.append(subscription)
-        return subscription
-
     def publish(self, commit: CommitResult) -> int:
         """Notify interested listeners of one commit; returns how many were.
 

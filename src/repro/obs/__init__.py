@@ -51,7 +51,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.trace import Sampler, SpanRecord, TraceContext, Tracer
+from repro.obs.trace import Sampler, SpanRecord, Tracer
 
 __all__ = [
     "COUNT_BUCKETS",
@@ -62,7 +62,6 @@ __all__ = [
     "MetricsRegistry",
     "Sampler",
     "SpanRecord",
-    "TraceContext",
     "Tracer",
     "disable",
     "enable",

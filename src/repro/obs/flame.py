@@ -10,9 +10,10 @@ Two renderings of the same :class:`~repro.obs.trace.SpanRecord` list:
   back to exactly the root's duration, and hot leaves stand out instead of
   being double-counted under every ancestor.  Stacks are built along
   *same-thread* parent links: a span whose parent lives on another thread
-  (an attached fan-out drain, an async worker commit) roots its own stack —
-  concurrent children overlap in wall time, so folding them under the
-  cross-thread parent would fabricate self-time.
+  (as in dumps exported while a background commit worker joined its
+  producer's trace) roots its own stack — concurrent children overlap in
+  wall time, so folding them under the cross-thread parent would fabricate
+  self-time.
 * :func:`format_trace` / :func:`trace_summaries` — the ``flexviz trace``
   tree printer: one logical operation's spans as an indented tree linked by
   ids (same-named siblings stay distinct), cross-thread children marked with
@@ -118,8 +119,8 @@ def format_trace(spans: Sequence[SpanRecord], trace_id: int) -> str:
     """Render one trace's span tree, linked by ids, as indented text.
 
     Children sort by start time; a child that ran on a different thread than
-    its parent is marked with its thread name (the handed-off fan-out and
-    worker spans).  Spans whose parent never finished (or fell out of the
+    its parent is marked with its thread name (worker spans in dumps
+    exported while a background commit worker joined its producer's trace).  Spans whose parent never finished (or fell out of the
     ring) are shown as additional roots rather than dropped.
     """
     members = [span for span in spans if span.trace_id == trace_id]

@@ -1,4 +1,4 @@
-"""Distributed-style tracing: nested timing spans with ids, handoff, sampling.
+"""Distributed-style tracing: nested timing spans with ids and sampling.
 
 A span is one timed region of one thread — ``with tracer.span("live.commit"):``
 — and spans nest: a span opened while another is running becomes its child.
@@ -15,13 +15,9 @@ Instrumented code therefore times a stage by opening its span and nothing
 else; the ``flexviz stats`` table and the bench stage shares read those
 histograms.
 
-Crossing threads is **explicit**: the thread that owns an operation captures
-a :class:`TraceContext` (``tracer.context()``) and the worker thread installs
-it (``with tracer.attach(context):``) before opening its spans — the async
-commit worker joins the trace of the ingest that caused its commit this way
-instead of relying on thread-local state that was never its own.  Each thread
-still keeps its own span stack, and finished spans land in one bounded ring
-buffer shared by the process.
+Each thread keeps its own span stack, so a span opened on one thread never
+becomes the child of another thread's span; finished spans land in one
+bounded ring buffer shared by the process.
 
 Always-on production tracing goes through a head-based :class:`Sampler`: the
 decision is taken once, at the root span, per root-stage name (trace 1-in-N
@@ -72,7 +68,7 @@ class SpanRecord:
     started: float
     #: Wall-clock seconds the span covered.
     duration: float
-    #: Nesting depth within its trace (0 = trace root), across threads.
+    #: Nesting depth within its trace (0 = trace root).
     depth: int
     #: Name of the enclosing span (``None`` for roots) — kept for backward
     #: compatibility with pre-id exports; :attr:`parent_id` is authoritative.
@@ -82,8 +78,7 @@ class SpanRecord:
     #: Process-unique id of this span (0 only in records from pre-id dumps).
     span_id: int = 0
     #: Id of the enclosing span — ``None`` for trace roots.  Unlike
-    #: :attr:`parent`, unambiguous between same-named siblings and valid
-    #: across threads (a handed-off context keeps the link).
+    #: :attr:`parent`, unambiguous between same-named siblings.
     parent_id: int | None = None
     #: Id of the logical operation this span belongs to, minted at the root.
     trace_id: int = 0
@@ -119,32 +114,6 @@ class SpanRecord:
         )
 
 
-@dataclass(frozen=True)
-class TraceContext:
-    """A portable capture of "the current span" for explicit cross-thread handoff.
-
-    The owning thread calls :meth:`Tracer.context` while its span is open and
-    ships the frozen result to the worker (a closure argument, a queue slot —
-    anything explicit); the worker wraps its work in
-    ``with tracer.attach(context):`` and every span it opens becomes a child
-    of the captured span, in the captured trace.  ``recording=False`` marks a
-    context captured inside a sampled-out operation: attaching it mutes the
-    worker's spans too, so one head-based decision covers every thread the
-    operation fans out to.
-    """
-
-    trace_id: int
-    span_id: int
-    name: str
-    depth: int
-    recording: bool = True
-
-
-#: The context handed out inside muted (sampled-out or disabled-rooted)
-#: regions — shared, so capturing under mute never allocates.
-_NOT_RECORDING = TraceContext(trace_id=0, span_id=0, name="", depth=0, recording=False)
-
-
 class Sampler:
     """Head-based sampling rates per root stage.
 
@@ -156,8 +125,8 @@ class Sampler:
 
         Sampler(default_rate=16, rates={"store.checkpoint": 1, "store.restore": 1})
 
-    Only *roots* consult the sampler; children (local or attached from
-    another thread) inherit the root's decision.  Counters are per stage and
+    Only *roots* consult the sampler; children inherit the root's
+    decision.  Counters are per stage and
     process-global, reset by :meth:`reset` (``obs.reset()`` drops the whole
     sampler).
     """
@@ -194,28 +163,12 @@ class Sampler:
         self._counters.clear()
 
 
-class _NoopSpan:
-    """A fully transparent context manager (``attach(None)``)."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NoopSpan":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        return None
-
-
-_NOOP = _NoopSpan()
-
-
 class _MutedSpan:
     """The per-thread no-op span: times nothing but counts its nesting.
 
-    Handed out while the registry is disabled and under an attached
-    non-recording context.  The depth counter is what keeps transitions
-    safe: as long as any muted frame is open on a thread, newly opened spans
-    stay unrecorded — flipping ``obs.enable()`` mid-operation cannot graft
+    Handed out while the registry is disabled.  The depth counter is what
+    keeps transitions safe: as long as any muted frame is open on a thread,
+    newly opened spans stay unrecorded — flipping ``obs.enable()`` mid-operation cannot graft
     orphan children onto a parent that never recorded.
     """
 
@@ -326,34 +279,6 @@ class _Span:
         return None
 
 
-class _AttachedFrame:
-    """A remote parent installed on this thread by :meth:`Tracer.attach`.
-
-    Sits on the thread's stack like a span — children read its ids — but
-    records nothing itself: the real span lives on the thread that captured
-    the context.
-    """
-
-    __slots__ = ("_tracer", "name", "trace_id", "span_id", "depth")
-
-    def __init__(self, tracer: "Tracer", context: TraceContext) -> None:
-        self._tracer = tracer
-        self.name = context.name
-        self.trace_id = context.trace_id
-        self.span_id = context.span_id
-        self.depth = context.depth
-
-    def __enter__(self) -> "_AttachedFrame":
-        self._tracer._state().stack.append(self)
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        stack = self._tracer._state().stack
-        if stack and stack[-1] is self:
-            stack.pop()
-        return None
-
-
 class Tracer:
     """Hands out spans and keeps the bounded finished-span log."""
 
@@ -428,45 +353,6 @@ class Tracer:
         probes that are not spans themselves check it to thin with the trace.
         """
         return self._state().muted > 0
-
-    # ------------------------------------------------------------------
-    # Explicit cross-thread handoff
-    # ------------------------------------------------------------------
-    def context(self) -> TraceContext | None:
-        """Capture the current span for handoff to another thread.
-
-        ``None`` when tracing is off or no span is open (workers then run
-        untraced); a non-recording context inside a sampled-out trace, so
-        the mute decision travels with the handoff.
-        """
-        if not self._registry.enabled:
-            return None
-        state = self._state()
-        if state.muted:
-            return _NOT_RECORDING
-        stack = state.stack
-        if not stack:
-            return None
-        top = stack[-1]
-        return TraceContext(
-            trace_id=top.trace_id, span_id=top.span_id, name=top.name, depth=top.depth
-        )
-
-    def attach(self, context: TraceContext | None):
-        """A context manager installing a captured context on *this* thread.
-
-        Spans opened inside become children of the captured span — same
-        trace id, correct parent id — no matter which thread runs them.
-        ``attach(None)`` is fully transparent (spans behave as if no handoff
-        happened), so call sites can pass an optional context through
-        unconditionally.
-        """
-        if context is None:
-            return _NOOP
-        state = self._state()
-        if not context.recording:
-            return state.mute
-        return _AttachedFrame(self, context)
 
     # ------------------------------------------------------------------
     # Stack bookkeeping (called by _Span)

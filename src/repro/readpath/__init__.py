@@ -8,7 +8,7 @@ them, and a :class:`ResultCache` memoizes ``ResultSet``s keyed on frozen
 spec + version with offer-exact invalidation driven by the offers each
 commit names (``CommitResult.touched``).  ``FlexSession.query()`` routes
 through the latest snapshot by default, making reads lock-free while the
-live and async engines commit underneath; :mod:`repro.readpath.checker`
+live engine commits underneath; :mod:`repro.readpath.checker`
 proves it — recorded concurrent histories are verified for atomicity (no
 torn commits) and monotonic reads.
 """

@@ -77,8 +77,8 @@ def run_concurrent_readers(
     """Spawn reader threads over ``session`` and record what each one saw.
 
     Readers use ``consistency="latest"`` by default — the lock-free mode that
-    does *not* flush, so they genuinely race whatever is committing
-    underneath (the async worker, or a writer thread driving a sync engine).
+    does *not* commit, so they genuinely race the writer thread committing
+    underneath.
     """
     history = ReadHistory()
     errors: list[BaseException] = []
@@ -108,7 +108,7 @@ def run_concurrent_readers(
 def verify_history(history: ReadHistory, backend) -> list[str]:
     """Check a recorded history for torn reads and time travel.
 
-    ``backend`` is the live-family session backend the readers queried; its
+    ``backend`` is the live session backend the readers queried; its
     retained snapshots are the ground truth.  Reads whose version has been
     evicted from the ring are skipped for the atomicity check (raise the
     manager's ``retain`` in tests that want full coverage) but still count

@@ -1,9 +1,9 @@
 """``ReadPath`` — one engine's snapshot manager + result cache, wired together.
 
-A live-family session backend owns exactly one :class:`ReadPath`.  The
-engine's commit hook calls :meth:`on_commit` (on whatever thread commits —
-the caller for live, the worker for async), which delta-builds the
-next :class:`~repro.readpath.snapshot.AggregateSnapshot`, publishes it and
+A live session backend owns exactly one :class:`ReadPath`.  The engine's
+commit hook calls :meth:`on_commit` on the session's one writing thread,
+which delta-builds the next
+:class:`~repro.readpath.snapshot.AggregateSnapshot`, publishes it and
 advances the cache.  Readers call :meth:`read` against any retained version,
 lock-free with respect to commits.
 """

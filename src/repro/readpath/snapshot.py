@@ -234,8 +234,7 @@ class AggregateSnapshot:
         The most selective constrained value field supplies the candidate
         list (``scanned_rows`` counts it), candidates are verified with the
         spec's full in-memory predicate, and passthrough aggregates are
-        matched separately.  This is the only select a live-family engine
-        has.
+        matched separately.  This is the only select the live engine has.
         """
         constrained = [
             (field, allowed)

@@ -14,7 +14,6 @@
 
 from repro.session.engines import (
     AggregationBackend,
-    AsyncEngine,
     BatchEngine,
     LiveEngine,
     subscribe_spec,
@@ -32,7 +31,6 @@ from repro.session.views import (
 
 __all__ = [
     "AggregationBackend",
-    "AsyncEngine",
     "BatchEngine",
     "LiveEngine",
     "subscribe_spec",

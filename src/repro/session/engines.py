@@ -16,33 +16,25 @@ and the CLI never care which one is active:
   (:class:`~repro.readpath.ReadPath`) its commits publish into.  Every read
   goes through an :class:`~repro.readpath.snapshot.AggregateSnapshot`; the
   star schema is derived on demand from the latest one.
-* :class:`AsyncEngine` layers the bounded-queue
-  :class:`~repro.live.asynccommit.AsyncCommitEngine` worker over a plain
-  live engine: ``ingest`` only enqueues; the worker applies and commits in
-  the background; reads flush first, so queries stay deterministic.
 
 The interchangeability contract: one :class:`~repro.session.spec.QuerySpec`
-executed against any engine over the same offer population yields equivalent
-:class:`~repro.session.spec.ResultSet` envelopes — bit-identical aggregate
-profiles, ids modulo :func:`~repro.live.engine.canonical_form`
-(property-tested across all three engines in
-``tests/test_session_equivalence.py``).
+executed against either engine over the same offer population yields
+equivalent :class:`~repro.session.spec.ResultSet` envelopes — bit-identical
+aggregate profiles, ids modulo :func:`~repro.live.engine.canonical_form`
+(property-tested in ``tests/test_session_equivalence.py``).
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import TYPE_CHECKING, Callable, Iterable, Protocol, runtime_checkable
 
 from repro.aggregation.aggregate import AggregationResult, aggregate
 from repro.aggregation.parameters import AggregationParameters
 from repro.errors import SessionError
 from repro.flexoffer.model import FlexOffer
-from repro.live.asynccommit import AsyncCommitEngine
 from repro.live.engine import CommitResult, LiveAggregationEngine
 from repro.live.events import OfferAdded, OfferEvent
 from repro.live.subscriptions import CommitNotification, Subscription, SubscriptionHub
-from repro.obs import get_registry
 from repro.warehouse.loader import load_scenario
 from repro.warehouse.query import FlexOfferRepository
 from repro.warehouse.schema import StarSchema
@@ -53,20 +45,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.readpath.snapshot import AggregateSnapshot
     from repro.session.spec import QuerySpec
 
-# The async engine module registered this gauge at import time; fetching it
-# again by name returns the same instrument.  ``depth_stats`` refreshes it
-# with the unconditional ``set`` so the figure a summary reports is truthful
-# even while observability is disabled.
-_ASYNC_QUEUE_DEPTH = get_registry().gauge("repro.live.async.queue_depth")
-
 
 @runtime_checkable
 class AggregationBackend(Protocol):
     """What a session engine must provide.
 
     Spec reads do not go through this protocol: the batch engine answers
-    them with its own ``select``/``aggregate``, live-family engines through
-    their read path's snapshots (see :meth:`FlexSession.query`).  ``schema``
+    them with its own ``select``/``aggregate``, the live engine through its
+    read path's snapshots (see :meth:`FlexSession.query`).  ``schema``
     and ``repository`` are the engine's offers as a star schema.  Engines
     that cannot ingest events raise :class:`~repro.errors.SessionError` from
     :meth:`ingest`.
@@ -156,7 +142,7 @@ class LiveEngine:
         #: event-log offset checkpoints record (see :mod:`repro.store`).
         self._events_ingested = 0
         #: Cumulative chunk-granularity counters over every commit this
-        #: backend observed (the async backend feeds them from its worker).
+        #: backend observed.
         self._chunks_reaggregated = 0
         self._chunks_skipped = 0
         #: (snapshot, batch engine over its offers): the derived star schema,
@@ -174,8 +160,8 @@ class LiveEngine:
             )
             self.commit()
 
-    def _build_engine(self):
-        """The inner incremental engine; subclasses swap the implementation."""
+    def _build_engine(self) -> LiveAggregationEngine:
+        """A fresh, empty inner incremental engine publishing to :attr:`hub`."""
         return LiveAggregationEngine(
             self.parameters, micro_batch_size=self.micro_batch_size, hub=self.hub
         )
@@ -223,11 +209,6 @@ class LiveEngine:
         self._events_ingested += count
 
     @property
-    def dirty_chunk_count(self) -> int:
-        """Chunks the next commit would re-aggregate (0 when clean)."""
-        return getattr(self.engine, "dirty_chunk_count", 0)
-
-    @property
     def chunk_stats(self) -> dict[str, int]:
         """Cumulative ``chunks_reaggregated`` / ``chunks_skipped`` totals."""
         return {
@@ -236,50 +217,29 @@ class LiveEngine:
         }
 
     def depth_stats(self) -> dict[str, int]:
-        """Backlog figures of this backend (pending events, dirty cells/chunks).
-
-        The async backend adds its queue depth and refreshes the matching
-        :mod:`repro.obs` gauge on the way out, so ``session.summary()`` and a
-        metrics scrape agree.
-        """
+        """Backlog figures of this backend (pending events, dirty cells/chunks)."""
         return {
             "pending_events": self.engine.pending_events,
             "dirty_cells": self.engine.dirty_cell_count,
             "dirty_chunks": self.engine.dirty_chunk_count,
         }
 
-    @property
-    def _state_engine(self):
-        """The engine holding grouped state (the async wrapper's inner)."""
-        return getattr(self.engine, "inner", self.engine)
-
-    def _quiescent(self):
-        """A context in which the state engine cannot commit underneath.
-
-        The async wrapper commits on its worker thread under its own lock;
-        the synchronous engine only commits on the caller's thread.
-        """
-        return getattr(self.engine, "_lock", None) or nullcontext()
-
     def reseed_readpath(self) -> None:
         """(Re)build the versioned read path from the engine's current state.
 
-        Attaches the commit listener on the *state* engine — the one whose
-        ``commit()`` every path (session writes, replay-driven commits, the
-        async worker) ultimately reaches — then publishes a baseline snapshot
-        at the engine's current commit sequence.  Called at construction,
-        after :meth:`reset`, and by the recovery manager once a checkpoint's
-        state has been restored.
+        Attaches the commit listener on the inner engine — the one whose
+        ``commit()`` every path (session writes, replay-driven commits)
+        reaches — then publishes a baseline snapshot at the engine's current
+        commit sequence.  Called at construction, after :meth:`reset`, and by
+        the recovery manager once a checkpoint's state has been restored.
         """
         # Imported here: repro.readpath reads specs through the session layer,
         # so a module-level import would be circular.
         from repro.readpath import ReadPath
 
-        engine = self._state_engine
         self.readpath = ReadPath(self.grid, self.name, self.parameters)
-        engine.commit_listener = self._on_engine_commit
-        with self._quiescent():
-            self.readpath.seed(engine)
+        self.engine.commit_listener = self._on_engine_commit
+        self.readpath.seed(self.engine)
 
     def capture_snapshot(self) -> "AggregateSnapshot":
         """A snapshot of the committed state, captured fresh outside the read path.
@@ -292,20 +252,17 @@ class LiveEngine:
         from repro.readpath.snapshot import AggregateSnapshot
 
         self.refresh()
-        with self._quiescent():
-            return AggregateSnapshot.capture(self._state_engine, self.grid, self.name)
+        return AggregateSnapshot.capture(self.engine, self.grid, self.name)
 
     def _on_engine_commit(self, result: CommitResult) -> None:
         """Commit listener: cumulative chunk totals + snapshot publication.
 
-        Runs on whichever thread committed (the caller for the synchronous
-        engines, the worker for the async engine — under the async lock, so
-        the delta capture reads a quiescent engine).
+        Runs on the thread that committed, the session's one writing thread.
         """
         self._chunks_reaggregated += result.chunks_reaggregated
         self._chunks_skipped += result.chunks_skipped
         if self.readpath is not None:
-            self.readpath.on_commit(self._state_engine, result)
+            self.readpath.on_commit(self.engine, result)
 
     def ingest(self, event: OfferEvent) -> CommitResult | None:
         """Apply one event to the engine."""
@@ -323,7 +280,7 @@ class LiveEngine:
         return results
 
     def commit(self) -> CommitResult:
-        """Commit pending events (on the async engine: the barrier commit)."""
+        """Commit pending events."""
         return self.engine.commit()
 
     def refresh(self) -> None:
@@ -337,63 +294,11 @@ class LiveEngine:
         The hub — and with it every registered subscription — survives, so
         standing queries keep firing on the commits of the new stream.
         """
-        self.close()
         self.engine = self._build_engine()
         self._events_ingested = 0
         self._chunks_reaggregated = 0
         self._chunks_skipped = 0
         self.reseed_readpath()
-
-    def close(self) -> None:
-        """Release engine-owned resources (the async worker thread)."""
-        close_engine = getattr(self.engine, "close", None)
-        if close_engine is not None:
-            close_engine()
-
-
-class AsyncEngine(LiveEngine):
-    """The live backend with ingestion decoupled from commits.
-
-    ``ingest`` only enqueues onto the async worker's bounded queue; the worker
-    applies events to a plain live engine and commits in the background.
-    Every read path flushes first (the :meth:`refresh` barrier), so queries
-    observe exactly the synchronous engines' state — the interchangeability
-    contract is unchanged, only the thread that pays for commits moves.
-    """
-
-    name = "async"
-
-    def __init__(
-        self,
-        scenario: "Scenario",
-        parameters: AggregationParameters | None = None,
-        micro_batch_size: int = 0,
-        preload: bool = True,
-        queue_size: int = 1024,
-    ) -> None:
-        self.queue_size = queue_size
-        super().__init__(
-            scenario, parameters, micro_batch_size=micro_batch_size, preload=preload
-        )
-
-    def _build_engine(self):
-        return AsyncCommitEngine(
-            LiveAggregationEngine(self.parameters, hub=self.hub),
-            queue_size=self.queue_size,
-            # micro_batch_size maps onto the worker's drain batch: the latency
-            # bound between commits under sustained load.
-            drain_batch=self.micro_batch_size or 64,
-        )
-
-    def refresh(self) -> None:
-        """The flush barrier: reads wait for the worker to drain and commit."""
-        self.engine.flush()
-
-    def depth_stats(self) -> dict[str, int]:
-        stats = super().depth_stats()
-        stats["queue_depth"] = self.engine.queued_events
-        _ASYNC_QUEUE_DEPTH.set(stats["queue_depth"])
-        return stats
 
 
 def subscribe_spec(

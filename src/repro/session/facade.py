@@ -11,12 +11,16 @@ every workflow the scattered entry points used to cover:
 
 Engines are pluggable behind the
 :class:`~repro.session.engines.AggregationBackend` protocol: ``"batch"`` is a
-read-only snapshot of the scenario, ``"live"`` the event-driven incremental
-subsystem and ``"async"`` the same engine behind a bounded-queue
-background-commit worker (live-family engines are preloaded with the
-scenario's offers so all engines start interchangeable).  Engines
-are kept per session, so switching back and forth is free after first use;
-downstream backends register through the same :data:`ENGINE_FACTORIES`.
+read-only snapshot of the scenario and ``"live"`` the event-driven
+incremental subsystem (preloaded with the scenario's offers so both engines
+start interchangeable).  Engines are kept per session, so switching back and
+forth is free after first use; downstream backends register through the same
+:data:`ENGINE_FACTORIES`.
+
+The threading contract: one thread ingests and commits.  Any other thread
+may read with ``query(spec, consistency="latest")``, which never commits;
+``"snapshot"`` and ``"live"`` reads commit pending events first, so they
+belong to the writing thread.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from repro.live.events import EventLog, OfferEvent
 from repro.live.replay import ReplayReport, replay, scenario_event_stream
 from repro.session.engines import (
     AggregationBackend,
-    AsyncEngine,
     BatchEngine,
     LiveEngine,
     subscribe_spec,
@@ -54,7 +57,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 ENGINE_FACTORIES: dict[str, Callable[..., AggregationBackend]] = {
     "batch": BatchEngine,
     "live": LiveEngine,
-    "async": AsyncEngine,
 }
 
 
@@ -76,10 +78,6 @@ class FlexSession:
         self.live_preload = live_preload
         self._engines: dict[str, AggregationBackend] = {}
         self._active = ""
-        #: Standing state that must survive engine swaps: every subscription
-        #: handed out by :meth:`subscribe` and every materialized view, both
-        #: re-attached to the new backend's hub by :meth:`use_engine`.
-        self._subscriptions: list["Subscription"] = []
         self._materialized: dict[str, MaterializedView] = {}
         self.use_engine(engine)
 
@@ -132,46 +130,21 @@ class FlexSession:
     def use_engine(self, name: str) -> AggregationBackend:
         """Switch the active engine, creating it on first use.
 
-        Each live-family backend owns its own :class:`SubscriptionHub`, so a
-        swap re-attaches every standing subscription and materialized view to
-        the new backend's hub (and detaches them from the other cached
-        live-family hubs) — ``session.subscribe(...)`` callbacks and
-        ``session.materialize(...)`` views keep firing across
-        ``use_engine()`` / ``replay(engine=...)`` switches.
+        A session holds at most one live backend, and its hub keeps every
+        ``session.subscribe(...)`` callback and ``session.materialize(...)``
+        view across switches to the batch engine and back.
         """
         backend = self._create_backend(name)
         self._active = name
-        if isinstance(backend, LiveEngine):
-            self._attach_standing(backend)
         return backend
 
-    def _attach_standing(self, backend: LiveEngine) -> None:
-        """Move standing subscriptions and materialized views onto ``backend``."""
-        others = [
-            cached
-            for cached in self._engines.values()
-            if isinstance(cached, LiveEngine) and cached is not backend
-        ]
-        for subscription in self._subscriptions:
-            for other in others:
-                other.hub.unsubscribe(subscription)
-            backend.hub.adopt(subscription)
-        for view in self._materialized.values():
-            view.attach(backend)
-
     def close(self) -> None:
-        """Release every cached engine's resources (the async worker thread).
+        """End the session's life.
 
-        The async engine owns a worker thread; sessions that create it should
-        be closed (or used as a context manager) instead of relying on process
-        exit.  Closed engines stay cached — the live-family ones rebuild their
-        inner engine on :meth:`~repro.session.engines.LiveEngine.reset`, but
-        the usual pattern is one close at the end of the session's life.
+        A session owns no thread, file or other resource that outlives it, so
+        there is nothing to release; ``close()`` and the ``with`` form stay so
+        callers can scope a session without knowing that.
         """
-        for backend in self._engines.values():
-            close_backend = getattr(backend, "close", None)
-            if close_backend is not None:
-                close_backend()
 
     def __enter__(self) -> "FlexSession":
         return self
@@ -183,13 +156,13 @@ class FlexSession:
         """Rebuild the batch snapshot from the active live engine's *surviving* offers.
 
         The batch backend is otherwise frozen at the scenario the session was
-        opened over: events ingested through a live-family engine never reach
+        opened over: events ingested through the live engine never reach
         it.  ``snapshot()`` re-reads the live population (passthrough
         aggregates included), rebuilds the batch engine over it and replaces
         the cached backend, so the next ``use_engine("batch")`` — and every
         batch query after it — sees exactly the offers that survived the
-        stream.  Called with a batch-family engine active it simply rebuilds
-        from the original scenario.  The active engine is not switched.
+        stream.  Called with the batch engine active it simply rebuilds from
+        the original scenario.  The active engine is not switched.
         """
         backend = self.engine
         if isinstance(backend, LiveEngine):
@@ -203,12 +176,7 @@ class FlexSession:
 
     @property
     def live(self) -> LiveEngine:
-        """The live backend (created on demand), without switching to it.
-
-        Deliberately does *not* re-attach standing subscriptions or
-        materialized views — they follow the active engine, and this accessor
-        must not move them onto a backend that is not committing.
-        """
+        """The live backend (created on demand), without switching to it."""
         backend = self._create_backend("live")
         assert isinstance(backend, LiveEngine)
         return backend
@@ -229,19 +197,25 @@ class FlexSession:
     ) -> ResultSet:
         """Execute one explicit spec against the active engine.
 
-        Live-family engines answer through the versioned read path (see
+        The live engine answers through the versioned read path (see
         :mod:`repro.readpath`): an immutable snapshot of the committed state,
         fronted by a spec-keyed result cache.  ``consistency`` picks the
         snapshot discipline:
 
-        * ``"snapshot"`` (default) — flush pending writes, then read the
-          newest snapshot: read-your-writes, same answers as before.
+        * ``"snapshot"`` (default) — commit pending events, then read the
+          newest snapshot: read-your-writes.
         * ``"latest"`` — read the newest *published* snapshot without
-          flushing: lock-free, never blocks on the writer (concurrent
-          readers' bread and butter).
-        * ``"live"`` — flush, then read a snapshot captured fresh from the
-          committed engine state, bypassing the published snapshots and the
-          result cache: the reference the read path is checked against.
+          committing: lock-free, never blocks on the writer.  This is the
+          one mode for threads other than the writer.
+        * ``"live"`` — commit pending events, then read a snapshot captured
+          fresh from the committed engine state, bypassing the published
+          snapshots and the result cache: the reference the read path is
+          checked against.
+
+        Threading: one thread ingests and commits.  ``"snapshot"`` and
+        ``"live"`` reads commit, so they belong to that thread; any other
+        thread reads with ``"latest"`` (the race
+        ``tests/test_readpath_concurrency.py`` checks).
 
         ``at_version=`` pins the read to one retained historical snapshot
         (overrides ``consistency``); the batch engine is an unversioned
@@ -252,7 +226,7 @@ class FlexSession:
         if at_version is not None:
             if readpath is None:
                 raise SessionError(
-                    "at_version= needs a live-family engine; the batch engine "
+                    "at_version= needs the live engine; the batch engine "
                     "is an unversioned snapshot"
                 )
             return readpath.read(readpath.manager.get(at_version), spec)
@@ -299,7 +273,12 @@ class FlexSession:
     # Event ingestion and subscriptions (live engine)
     # ------------------------------------------------------------------
     def ingest(self, event: OfferEvent) -> "CommitResult | None":
-        """Feed one lifecycle event to the active engine."""
+        """Feed one lifecycle event to the active engine.
+
+        Ingest runs on the session's one writing thread, the same thread
+        that calls :meth:`commit`; other threads only read, with
+        ``query(..., consistency="latest")``.
+        """
         return self.engine.ingest(event)
 
     def ingest_many(self, events: Iterable[OfferEvent]) -> list["CommitResult"]:
@@ -333,26 +312,16 @@ class FlexSession:
             raise SessionError(
                 "subscriptions need the live engine; call use_engine('live') first"
             )
-        subscription = subscribe_spec(backend, spec, callback, name=name)
-        # Session-level registry: the swap logic in use_engine() re-attaches
-        # this handle to whichever live-family backend becomes active next.
-        self._subscriptions.append(subscription)
-        return subscription
+        return subscribe_spec(backend, spec, callback, name=name)
 
     def unsubscribe(self, subscription: "Subscription") -> bool:
-        """Retire a subscription from every cached live-family hub.
+        """Retire a subscription from the live backend's hub.
 
-        Returns whether any hub still held it.  Works regardless of which
-        engine is active — the handle may have been moved by a swap since it
-        was created.
+        Returns whether the hub still held it.  Works whichever engine is
+        active, and never creates the live backend.
         """
-        removed = False
-        for backend in self._engines.values():
-            if isinstance(backend, LiveEngine):
-                removed = backend.hub.unsubscribe(subscription) or removed
-        if subscription in self._subscriptions:
-            self._subscriptions.remove(subscription)
-        return removed
+        backend = self._engines.get("live")
+        return backend is not None and backend.hub.unsubscribe(subscription)
 
     # ------------------------------------------------------------------
     # Materialized views (see repro.session.materialize)
@@ -365,19 +334,17 @@ class FlexSession:
         The returned :class:`MaterializedView` holds a live
         :class:`~repro.session.spec.ResultSet` that the session keeps
         equivalent to ``session.query(spec)`` by applying each commit's
-        insert/update/withdraw deltas — not by re-running the query.  The
-        view follows the active engine across ``use_engine()`` /
-        ``replay(engine=...)`` swaps and its ``version`` tracks the read
-        path's snapshot versions.  Requires a live-family engine (the batch
-        snapshot never commits, so there would be no deltas to maintain from).
+        insert/update/withdraw deltas — not by re-running the query.  Its
+        ``version`` tracks the read path's snapshot versions.  Requires the
+        live engine (the batch snapshot never commits, so there would be no
+        deltas to maintain from).
         """
         if isinstance(spec, OfferQuery):
             spec = spec.spec
         backend = self.engine
         if not isinstance(backend, LiveEngine):
             raise SessionError(
-                "materialized views need a live-family engine; "
-                "call use_engine('live') first"
+                "materialized views need the live engine; call use_engine('live') first"
             )
         name = name or f"view-{len(self._materialized) + 1}"
         if name in self._materialized:
@@ -418,10 +385,9 @@ class FlexSession:
         withdraw_fraction: float = 0.0,
         seed: int = 0,
         reset: bool | None = None,
-        engine: str | None = None,
         resume_from: int = 0,
     ) -> ReplayReport:
-        """Replay an event stream through a live-family engine.
+        """Replay an event stream through the live engine.
 
         With ``events=None`` the session's scenario is reconstructed as a
         timestamped stream first (see
@@ -432,20 +398,13 @@ class FlexSession:
         replaying it over the preloaded state would collide.  An explicit
         ``events`` stream is treated as a *continuation* of the current live
         state; pass ``reset=True`` when it is a from-scratch log (e.g. the
-        full scenario stream against a preloaded engine).  ``engine`` picks
-        the replaying backend (``"live"``/``"async"``); the
-        default keeps the active engine when it is a live-family one and
-        falls back to ``"live"`` otherwise.  The chosen engine is created if
-        needed and becomes the active engine.  ``resume_from`` skips that many
-        events at the head of the ordered stream — the continuation entry
-        point for engines restored from a checkpoint (see
+        full scenario stream against a preloaded engine).  The live engine is
+        created if needed and becomes the active engine.  ``resume_from``
+        skips that many events at the head of the ordered stream — the
+        continuation entry point for engines restored from a checkpoint (see
         :meth:`FlexSession.restore`).
         """
-        if engine is None:
-            engine = self._active if isinstance(self.engine, LiveEngine) else "live"
-        backend = self.use_engine(engine)
-        if not isinstance(backend, LiveEngine):
-            raise SessionError(f"engine {engine!r} cannot replay events; it never commits")
+        backend = self.use_engine("live")
         should_reset = reset if reset is not None else events is None
         if should_reset and len(backend.engine.offers()):
             backend.reset()
@@ -472,7 +431,7 @@ class FlexSession:
     # Durability (the repro.store subsystem)
     # ------------------------------------------------------------------
     def checkpoint(self, path: str, offset: int | None = None):
-        """Write a checkpoint of the active live-family engine to ``path``.
+        """Write a checkpoint of the active live engine to ``path``.
 
         Serializes the committed engine state (surviving offers, aggregate
         outputs, aggregate-id allocator) and the event-log offset (``offset``
@@ -488,24 +447,19 @@ class FlexSession:
     def restore(
         cls,
         path: str,
-        engine: str | None = None,
         scenario: "Scenario | None" = None,
         **session_options: Any,
     ) -> "FlexSession":
-        """Rebuild a session from a checkpoint directory plus its log tail.
+        """Rebuild a live session from a checkpoint directory plus its log tail.
 
-        ``engine`` picks any live-family backend (default: the family that
-        wrote the checkpoint); events recorded past the checkpoint's offset
-        are replayed through it, so the restored session is observably
-        equivalent to one that consumed the whole stream (the recovery
-        contract, enforced by ``tests/test_store_recovery.py`` and
-        ``flexviz restore --smoke``).
+        Events recorded past the checkpoint's offset are replayed, so the
+        restored session is observably equivalent to one that consumed the
+        whole stream (the recovery contract, enforced by
+        ``tests/test_store_recovery.py`` and ``flexviz restore --smoke``).
         """
         from repro.store.recovery import RecoveryManager
 
-        return RecoveryManager(path).restore(
-            engine=engine, scenario=scenario, **session_options
-        )
+        return RecoveryManager(path).restore(scenario=scenario, **session_options)
 
     # ------------------------------------------------------------------
     # Shared read-side conveniences
@@ -514,7 +468,7 @@ class FlexSession:
     def schema(self):
         """The active engine's star schema.
 
-        On a live-family engine it is derived on demand — the batch loader
+        On the live engine it is derived on demand — the batch loader
         run over the latest snapshot's offers — and cached until the next
         commit publishes a new snapshot.
         """
@@ -536,44 +490,25 @@ class FlexSession:
     def summary(self) -> dict[str, Any]:
         """Warehouse row counts and state distribution, plus session facts.
 
-        The counts come from :attr:`repository`, so on a live-family engine
-        the first summary after a commit derives the star schema.
+        The counts come from :attr:`repository`, so on the live engine the
+        first summary after a commit derives the star schema.
 
-        Live-family backends also contribute their backlog depth — pending
-        events, dirty cells/chunks, and on the async engine the ingest queue
-        depth — read before :attr:`repository` commits the backlog.  The
-        figures are pushed through the :mod:`repro.obs` gauges on the way
-        out, so this summary and a metrics scrape can never disagree.
+        The live engine also contributes its backlog depth — pending events
+        and dirty cells/chunks, read before :attr:`repository` commits the
+        backlog — and its event and chunk totals: how much work the dirty
+        ledger did and skipped.
         """
-        depth_stats = getattr(self.engine, "depth_stats", None)
-        backlog = depth_stats() if depth_stats is not None else {}
+        backend = self.engine
+        live = isinstance(backend, LiveEngine)
+        backlog = backend.depth_stats() if live else {}
         summary = self.repository.summary()
         summary["engine"] = self.engine_name
         summary["views"] = list(self.view_names)
-        if isinstance(self.engine, LiveEngine):
-            # Chunk-granularity instrumentation of the live-family backends:
-            # how much work the dirty ledger actually did vs skipped.  Summed
-            # over *every* live-family backend this session created, so
-            # ``use_engine()``/``replay(engine=...)`` swaps never silently
-            # reset the session-level totals.
-            live_backends = [
-                backend
-                for backend in self._engines.values()
-                if isinstance(backend, LiveEngine)
-            ]
-            summary["events_ingested"] = sum(
-                backend.events_ingested for backend in live_backends
-            )
-            summary["chunks_reaggregated"] = sum(
-                backend.chunk_stats["chunks_reaggregated"] for backend in live_backends
-            )
-            summary["chunks_skipped"] = sum(
-                backend.chunk_stats["chunks_skipped"] for backend in live_backends
-            )
-        readpath = getattr(self.engine, "readpath", None)
-        if readpath is not None:
-            summary["snapshot_version"] = readpath.manager.latest_version
-            summary["result_cache"] = readpath.cache.stats()
+        if live:
+            summary["events_ingested"] = backend.events_ingested
+            summary.update(backend.chunk_stats)
+            summary["snapshot_version"] = backend.readpath.manager.latest_version
+            summary["result_cache"] = backend.readpath.cache.stats()
         if self._materialized:
             summary["materialized_views"] = [
                 view.stats() for view in self._materialized.values()

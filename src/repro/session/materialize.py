@@ -16,8 +16,8 @@ exactly that, chunk by chunk, so the view serves the engine's committed
 outputs, provenance and ids — aggregating them a second time would only
 repeat work the commit already did.  Which of the two kinds a view is
 follows from its spec alone, decided again whenever the view re-bases on an
-engine (attach, :meth:`MaterializedView.refresh`, engine swap, replay
-reset) — the same test :meth:`AggregateSnapshot.aggregate
+engine (attach, :meth:`MaterializedView.refresh`, replay reset) — the same
+test :meth:`AggregateSnapshot.aggregate
 <repro.readpath.snapshot.AggregateSnapshot.aggregate>` applies to queries.
 
 Every other spec is maintained from the one delta the read path trusts too
@@ -40,7 +40,7 @@ view and a ``session.query(spec)`` at the same version describe the same
 state.
 
 The differential contract (``tests/test_materialize.py``): at every commit
-point, on every live-family engine, a materialized view's result is
+point, a materialized view's result is
 equivalent to a from-scratch ``session.query(spec)`` — raw ids exactly,
 aggregate profiles bit-for-bit modulo
 :func:`~repro.live.engine.canonical_form`, provenance per aggregate.
@@ -79,7 +79,7 @@ _SKIPPED = _OBS.counter(
     "repro.session.materialize.skipped", "commits that touched no materialized row"
 )
 _REFRESHES = _OBS.counter(
-    "repro.session.materialize.refreshes", "full recomputes (refresh / re-attach)"
+    "repro.session.materialize.refreshes", "full recomputes (refresh, replay reset)"
 )
 _STALENESS = _OBS.gauge(
     "repro.session.materialize.staleness",
@@ -106,9 +106,9 @@ class MaterializedView:
     """One standing spec with a live, delta-maintained :class:`ResultSet`.
 
     Created through :meth:`~repro.session.facade.FlexSession.materialize`;
-    not useful free-standing (it needs a live-family backend's hub and
-    committed state to attach to).  Thread-safe: the async backend applies
-    deltas on its worker thread while readers take :attr:`result` on theirs.
+    not useful free-standing (it needs the live backend's hub and committed
+    state to attach to).  Thread-safe: the writing thread applies deltas
+    while readers take :attr:`result` on theirs.
 
     When the spec is the attached engine's own aggregation, :attr:`result`
     holds the engine's committed output objects and ids (an unchanged chunk
@@ -151,39 +151,16 @@ class MaterializedView:
         self.maintenance_seconds = 0.0
 
     # ------------------------------------------------------------------
-    # Attachment (the facade drives this on materialize / engine swap)
+    # Attachment (the facade drives this on materialize)
     # ------------------------------------------------------------------
     @property
     def attached(self) -> bool:
         return self._backend is not None
 
     def attach(self, backend: "LiveEngine") -> None:
-        """(Re)wire the view to ``backend``'s hub and rebuild from its state.
-
-        Re-attaching to the already-attached backend is a no-op when the
-        subscription is still registered there; anything else (an engine
-        swap, a reset that rebuilt the state) detaches from the old hub,
-        subscribes on the new one and reseeds the mirror — atomically with
-        respect to commits (the async backend's commit lock is taken).
-        """
-        if (
-            backend is self._backend
-            and self._subscription is not None
-            and backend.hub.unsubscribe(self._subscription)
-        ):
-            # Still attached; re-adopt the handle we just popped for the check.
-            backend.hub.adopt(self._subscription)
-            return
+        """Wire the view to ``backend``'s hub and build it from the committed state."""
         self.detach()
         backend.refresh()
-        lock = getattr(backend.engine, "_lock", None)
-        if lock is not None:
-            with lock:
-                self._wire(backend)
-        else:
-            self._wire(backend)
-
-    def _wire(self, backend: "LiveEngine") -> None:
         self._backend = backend
         # No predicate: the view reads the commit's touched offers, never the
         # hub's slice, and every commit must move its version.
@@ -221,7 +198,7 @@ class MaterializedView:
         """Commits the attached engine is ahead of this view (0 when fresh)."""
         if self._backend is None:
             return 0
-        return max(0, self._backend._state_engine.commit_count - self.version)
+        return max(0, self._backend.engine.commit_count - self.version)
 
     def stats(self) -> dict[str, Any]:
         """Maintenance counters (always maintained, like the result cache's)."""
@@ -257,15 +234,10 @@ class MaterializedView:
         if backend is None:
             raise SessionError(
                 f"materialized view {self.name!r} is detached; re-materialize it "
-                "on a live-family engine first"
+                "on the live engine first"
             )
         backend.refresh()
-        lock = getattr(backend.engine, "_lock", None)
-        if lock is not None:
-            with lock:
-                self._reseed()
-        else:
-            self._reseed()
+        self._reseed()
         self.refreshes += 1
         _REFRESHES.inc()
         return self.result
@@ -274,7 +246,7 @@ class MaterializedView:
         """Rebuild the mirror from the attached engine's committed state."""
         backend = self._backend
         assert backend is not None
-        state = backend._state_engine
+        state = backend.engine
         spec = self.spec
         grid = self.grid
         with self._lock:
@@ -297,7 +269,7 @@ class MaterializedView:
             self._finish(state, state.commit_count, engine_name=backend.name)
 
     # ------------------------------------------------------------------
-    # Delta maintenance (runs on whichever thread committed)
+    # Delta maintenance (runs on the committing thread)
     # ------------------------------------------------------------------
     def _on_commit(self, notification: "CommitNotification") -> None:
         started = time.perf_counter()
@@ -317,7 +289,7 @@ class MaterializedView:
         backend = self._backend
         if backend is None:  # a racing detach; nothing to maintain
             return False
-        state = backend._state_engine
+        state = backend.engine
         spec = self.spec
         grid = self.grid
         with self._lock:

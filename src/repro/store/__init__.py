@@ -1,11 +1,10 @@
-"""Durability for the live engines (the ``repro.store`` subsystem).
+"""Durability for the live engine (the ``repro.store`` subsystem).
 
 Layers, bottom up:
 
 * :mod:`repro.store.state` — :class:`EngineState`:
-  :func:`capture_engine_state` / :func:`restore_engine_state` turn any
-  committed live-family engine into plain data and back, across engine
-  families.
+  :func:`capture_engine_state` / :func:`restore_engine_state` turn a
+  committed live engine into plain data and back.
 * :mod:`repro.store.segments` — :class:`SegmentStore`: the on-disk,
   sequence-numbered event log split into JSONL segments, its only on-disk
   format (a tail read skips the checkpointed prefix by each line's trailing

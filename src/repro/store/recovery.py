@@ -10,9 +10,9 @@ and implements the recovery contract the subsystem is named for: *restoring
 from a checkpoint taken at any point of the stream and replaying the log tail
 must be observably equivalent to a full replay*.  :meth:`checkpoint` writes
 the snapshot consistent with the backend's event offset, :meth:`restore`
-rebuilds a fresh :class:`~repro.session.FlexSession` (any live-family engine —
-the backend's ``_build_engine`` hook constructs it, then the captured state is
-installed) and replays the tail, and :meth:`verify` proves the restored state
+rebuilds a fresh live :class:`~repro.session.FlexSession` (the backend is
+constructed empty, then the captured state is installed) and replays the
+tail, and :meth:`verify` proves the restored state
 equivalent to the batch pipeline over the surviving offers via
 :meth:`~repro.session.FlexSession.snapshot`.
 """
@@ -82,7 +82,7 @@ def _live_backend(session: FlexSession) -> LiveEngine:
     backend = session.engine
     if not isinstance(backend, LiveEngine):
         raise StoreError(
-            "durability needs a live-family engine; the batch snapshot has no "
+            "durability needs the live engine; the batch snapshot has no "
             "event stream to checkpoint (use_engine('live') first)"
         )
     return backend
@@ -105,7 +105,7 @@ class RecoveryManager:
         return self.log.extend(events)
 
     def checkpoint(self, session: FlexSession, offset: int | None = None) -> Checkpoint:
-        """Snapshot the session's active live-family engine.
+        """Snapshot the session's active live engine.
 
         ``offset`` is the event-log position the snapshot is consistent with;
         it defaults to the backend's own ingested-event counter, which is
@@ -148,24 +148,20 @@ class RecoveryManager:
     # ------------------------------------------------------------------
     def restore(
         self,
-        engine: str | None = None,
         scenario: "Scenario | None" = None,
         **session_options,
     ) -> FlexSession:
-        """Rebuild a session from the snapshot, then replay the log tail.
+        """Rebuild a live session from the snapshot, then replay the log tail.
 
-        ``engine`` picks the live-family backend to rebuild (default: the
-        family that wrote the snapshot); the session's ``_build_engine`` hook
-        constructs it empty, the captured state is installed, and every stored
-        event past the snapshot's offset is replayed through the normal
-        ingest path.
-        ``scenario`` defaults to regenerating the checkpoint's recorded
-        scenario configuration.
+        The engine the checkpoint names (``live``; retired names map to it)
+        is constructed empty, the captured state is installed, and every
+        stored event past the snapshot's offset is replayed through the
+        normal ingest path.  ``scenario`` defaults to regenerating the
+        checkpoint's recorded scenario configuration.
         """
         started = time.perf_counter()
         with _TRACER.span("store.restore"):
             checkpoint = self.snapshots.load()
-            engine = engine or checkpoint.engine
             if scenario is None:
                 config = checkpoint.scenario_config()
                 if config is None:
@@ -177,7 +173,7 @@ class RecoveryManager:
                 scenario = generate_scenario(config)
             session = FlexSession(
                 scenario,
-                engine=engine,
+                engine=checkpoint.engine,
                 parameters=checkpoint.state.parameters,
                 live_preload=False,
                 **session_options,
@@ -189,11 +185,6 @@ class RecoveryManager:
             # re-seed so the baseline snapshot is the checkpointed state (at
             # its restored commit sequence) and tail commits advance from it.
             backend.reseed_readpath()
-            # The restore rebuilt the committed state under the hub's feet;
-            # re-attach any standing subscriptions and materialized views so
-            # they are rebased on the checkpointed state *before* the tail
-            # replay delivers its commits through them.
-            session._attach_standing(backend)
             tail_events = 0
             if self.log.segments():
                 report = replay(self.log.tail(checkpoint.log_offset), backend)
@@ -202,7 +193,7 @@ class RecoveryManager:
         elapsed = time.perf_counter() - started
         _SEGMENTS_GAUGE.set(len(self.log.segments()))
         self.last_restore = RestoreReport(
-            engine=engine,
+            engine=checkpoint.engine,
             log_offset=checkpoint.log_offset,
             tail_events=tail_events,
             offers=len(backend.offers()),

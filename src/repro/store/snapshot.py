@@ -1,4 +1,4 @@
-"""Versioned on-disk checkpoints of a live-family engine.
+"""Versioned on-disk checkpoints of the live engine.
 
 A checkpoint directory is written by :class:`SnapshotStore` and contains:
 
@@ -79,7 +79,7 @@ _encode_row = json.JSONEncoder(separators=(",", ":")).encode
 #: Engine families older checkpoints may name that no longer exist, mapped to
 #: the family that restores them.  The captured state holds no engine
 #: topology, so the mapping only picks which backend a restore rebuilds.
-_RETIRED_ENGINES = {"sharded": "live"}
+_RETIRED_ENGINES = {"sharded": "live", "async": "live"}
 
 
 @dataclass

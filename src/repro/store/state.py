@@ -1,6 +1,6 @@
 """Engine state capture and restore — the snapshot side of durability.
 
-A committed live-family engine is fully determined by surprisingly little
+A committed live engine is fully determined by surprisingly little
 data: the aggregation parameters, the surviving offers, the committed
 aggregate outputs (with their grid cell, chunk index and stable id) and the
 aggregate-id allocator's high-water mark.  Everything else — the grouping
@@ -14,15 +14,13 @@ their private bookkeeping rather than adding persistence methods to them,
 which keeps the engines durability-agnostic and avoids a store↔live import
 cycle.  The coupling is guarded twice — restores re-derive and cross-check
 every structure (inconsistency raises), and ``tests/test_store_recovery.py``
-round-trips both engines, so an engine-internal refactor that breaks the
+round-trips the engine, so an engine-internal refactor that breaks the
 mapping fails loudly.
 
 :func:`capture_engine_state` extracts that data from a clean (committed)
-:class:`~repro.live.engine.LiveAggregationEngine` or
-:class:`~repro.live.asynccommit.AsyncCommitEngine`;
-:func:`restore_engine_state` rebuilds either from it — including across
-engine families (a checkpoint taken from the live engine restores into an
-async one and vice versa).  Restores *verify* as they rebuild: a recorded
+:class:`~repro.live.engine.LiveAggregationEngine`;
+:func:`restore_engine_state` rebuilds one from it.  Restores *verify* as
+they rebuild: a recorded
 aggregate whose constituents disagree with the offer population, or a
 multi-offer chunk with no recorded aggregate, raises
 :class:`~repro.errors.StoreError` instead of silently diverging.
@@ -38,7 +36,6 @@ from repro.aggregation.parameters import AggregationParameters
 from repro.errors import StoreError
 from repro.flexoffer.model import FlexOffer
 from repro.flexoffer.serialization import flex_offer_from_dict
-from repro.live.asynccommit import AsyncCommitEngine
 from repro.live.engine import LiveAggregationEngine
 
 
@@ -65,7 +62,8 @@ class AggregateRecord:
 class EngineState:
     """The minimal consistent description of a committed engine."""
 
-    #: Which engine family produced the state ("live" / "async").
+    #: Which engine family produced the state (``"live"``; checkpoints
+    #: written by a retired family name it, see ``repro.store.snapshot``).
     engine: str
     parameters: AggregationParameters
     id_offset: int
@@ -90,12 +88,6 @@ def _require_clean(engine) -> None:
 
 def capture_engine_state(engine) -> EngineState:
     """Extract the durable state of a clean (committed) incremental engine."""
-    if isinstance(engine, AsyncCommitEngine):
-        with engine._lock:
-            _require_clean(engine)
-            state = capture_engine_state(engine.inner)
-        state.engine = "async"
-        return state
     if not isinstance(engine, LiveAggregationEngine):
         raise StoreError(f"cannot capture state of {type(engine).__name__}")
     _require_clean(engine)
@@ -126,14 +118,9 @@ def capture_engine_state(engine) -> EngineState:
 def restore_engine_state(engine, state: EngineState) -> None:
     """Rebuild an incremental engine from a captured :class:`EngineState`.
 
-    Works across engine families; the only hard requirement is that the
-    target's aggregation parameters equal the snapshot's (they define the
-    grouping grid the state describes).
+    The one hard requirement is that the target's aggregation parameters
+    equal the snapshot's (they define the grouping grid the state describes).
     """
-    if isinstance(engine, AsyncCommitEngine):
-        with engine._lock:
-            restore_engine_state(engine.inner, state)
-        return
     if not isinstance(engine, LiveAggregationEngine):
         raise StoreError(f"cannot restore state into {type(engine).__name__}")
     if engine.parameters != state.parameters:

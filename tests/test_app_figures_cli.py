@@ -119,10 +119,9 @@ class TestCli:
         out = capsys.readouterr().out
         assert "commit latency" in out and "committed state" in out
 
-    @pytest.mark.parametrize("engine", ("live", "async"))
-    def test_views_materialized_command(self, capsys, engine):
+    def test_views_materialized_command(self, capsys):
         argv = ["--prosumers", "30", "--seed", "5", "views", "--materialized"]
-        assert main([*argv, "--engine", engine]) == 0
+        assert main(argv) == 0
         lines = capsys.readouterr().out.splitlines()
         population = next(line for line in lines if line.startswith("final live offers"))
         # The demo commits in micro-batches: views see carries and notifications.

@@ -43,7 +43,7 @@ from tests.conftest import make_offer
 MEMBERS, CHUNK, CHUNKS = 64, 4, 16
 
 #: Engines whose ``commit()`` drains exactly the events applied since the
-#: previous one (the async worker may split a burst across several commits).
+#: previous one.
 ENGINES = {"live": LiveAggregationEngine}
 
 

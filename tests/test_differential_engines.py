@@ -1,12 +1,12 @@
-"""Black-box differential stress harness over the incremental engines.
+"""Black-box differential stress harness over the incremental engine.
 
 In the spirit of black-box checkers that validate engine behaviour purely
 through observable results, this harness never reaches into an engine's
 private state: it keeps its own mirror of the live population, feeds
 randomized event interleavings — inserts, in-place mutations, state
-changes, cell migrations, withdrawals, mid-stream flush/commit points,
-varied ``max_group_size`` — to every incremental engine (live, async) side
-by side, and checks observables only:
+changes, cell migrations, withdrawals, mid-stream commit points, varied
+``max_group_size`` — to the incremental engine, and checks observables
+only:
 
 * **bit-identical aggregate profiles** — at every commit point each engine's
   population must equal the harness's mirror, and its output the *batch
@@ -16,8 +16,8 @@ by side, and checks observables only:
   exact float equality, no tolerance;
 * **stable ids** — an aggregate whose grid cell saw no event between two
   commit points must reappear *identically* (same id, same profile, same
-  constituents): neither the chunk-granular dirty ledger nor the async
-  worker's commit cadence may disturb untouched output;
+  constituents): the chunk-granular dirty ledger may not disturb untouched
+  output;
 * **cross-kernel bit-identity** — the engines run the production
   :mod:`repro.aggregation.kernel` while the batch oracle runs the seed loops
   (``profile_bounds_scalar``, patched in around the oracle call only), so
@@ -46,7 +46,6 @@ from repro.aggregation.aggregate import aggregate
 from repro.aggregation.grouping import group_key
 from repro.aggregation.parameters import AggregationParameters
 from repro.flexoffer.model import FlexOfferState, ProfileSlice, Schedule
-from repro.live.asynccommit import AsyncCommitEngine
 from repro.live.engine import LiveAggregationEngine, canonical_form
 from repro.live.events import (
     OfferAdded,
@@ -58,7 +57,7 @@ from repro.live.events import (
 from tests.conftest import make_offer, seed_loop_bounds
 
 #: Interleaved op codes the random scripts are built from.
-INSERT, MUTATE, MIGRATE, WITHDRAW, COMMIT, FLUSH, STATE = range(7)
+INSERT, MUTATE, MIGRATE, WITHDRAW, COMMIT, STATE = range(6)
 
 #: The lifecycle states a STATE op moves an offer to (by its magnitude).
 _STATES = (
@@ -83,7 +82,6 @@ _ops = st.lists(
                 WITHDRAW,
                 COMMIT,
                 COMMIT,
-                FLUSH,
                 STATE,
             )
         ),
@@ -97,10 +95,7 @@ _ops = st.lists(
 
 def _fresh_engines(parameters: AggregationParameters):
     """The incremental engines under test, keyed by name."""
-    return {
-        "live": LiveAggregationEngine(parameters),
-        "async": AsyncCommitEngine(LiveAggregationEngine(parameters), drain_batch=5),
-    }
+    return {"live": LiveAggregationEngine(parameters)}
 
 
 def _canonical(offers) -> Counter:
@@ -155,8 +150,7 @@ def run_differential(
         for engine in engines.values():
             engine.commit()
         surviving = [population[offer_id] for offer_id in sorted(population)]
-        # The oracle and the engines never share a kernel.  The engines are
-        # committed and idle, so moving the patch races no worker commit.
+        # The oracle and the engines never share a kernel.
         if engines_on_seed_loops:
             seed_loops.stop()
         try:
@@ -177,9 +171,6 @@ def run_differential(
         seed_loops.start()
     try:
         for op, selector, magnitude in ops:
-            if op == FLUSH:
-                engines["async"].flush()
-                continue
             if op == COMMIT:
                 commit_and_check()
                 for name, engine in engines.items():
@@ -261,10 +252,6 @@ def run_differential(
     finally:
         if engines_on_seed_loops:
             seed_loops.stop()
-        for engine in engines.values():
-            close = getattr(engine, "close", None)
-            if close is not None:
-                close()
 
 
 @pytest.mark.parametrize("max_group_size", (0, 1, 2, 3, 5))

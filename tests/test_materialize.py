@@ -2,8 +2,8 @@
 
 The contract under test: a registered :class:`MaterializedView` — maintained
 purely from commit deltas through the hub — is equivalent to a from-scratch
-``session.query(spec)`` at *every* commit point, on every live-family engine,
-with the batch pipeline as the final oracle (the four-engine pattern of
+``session.query(spec)`` at *every* commit point on the live engine, with the
+batch pipeline as the final oracle (the pattern of
 ``tests/test_differential_engines.py``).  Raw specs must agree on exact ids,
 aggregation specs bit-for-bit on profiles (ids modulo canonical form), and
 the view's ``version`` must track the read path's snapshot versions.  The
@@ -15,9 +15,8 @@ Also here: the commit order — the read path publishes a commit before any
 subscriber is notified of it, and a subscriber that raises desyncs neither
 the read path nor the views registered after it.
 
-Also here: the regression tests for standing state across ``use_engine()``
-swaps — before this fix every engine switch silently orphaned hub
-subscriptions (and ``unsubscribe`` on the stale handle returned False).
+Also here: standing state across ``use_engine()`` switches to the batch
+engine and back, and across a resetting replay.
 
 Registered in the weekly ``HYPOTHESIS_PROFILE=extended`` CI run.
 """
@@ -47,7 +46,7 @@ from repro.live.replay import scenario_event_stream
 from repro.session import FlexSession, QuerySpec
 from tests.conftest import make_offer
 
-LIVE_ENGINES = ("live", "async")
+LIVE_ENGINES = ("live",)
 
 
 @pytest.fixture(scope="module")
@@ -189,7 +188,7 @@ def _check_view(session: FlexSession, view) -> None:
 
 
 # ----------------------------------------------------------------------
-# The differential harness: every commit point, every live-family engine
+# The differential harness: every commit point
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("engine", LIVE_ENGINES)
 def test_views_match_queries_at_every_commit_point(small_scenario, engine):
@@ -206,7 +205,7 @@ def test_views_match_queries_at_every_commit_point(small_scenario, engine):
             for view in views:
                 _check_view(session, view)
         # Final barrier: the batch pipeline over the surviving offers is the
-        # fourth engine's verdict on the same standing specs.
+        # oracle's verdict on the same standing specs.
         batch = session.snapshot()
         session_grid = session.grid
         from repro.session.query import execute
@@ -244,10 +243,10 @@ def test_maintenance_is_delta_driven_not_recompute(small_scenario):
 # The engine-own spec: the view serves the engine's committed outputs
 # ----------------------------------------------------------------------
 def _assert_follows_engine(session: FlexSession, view) -> None:
-    """The view holds the state engine's own output objects and population."""
+    """The view holds the engine's own output objects and population."""
     backend = session.engine
     backend.refresh()
-    state = backend._state_engine
+    state = backend.engine
     outputs = state.aggregated_offers()
     held = view.result
     assert len(held.offers) == len(outputs)
@@ -268,7 +267,6 @@ def test_engine_own_view_does_no_aggregation_of_its_own(
         raise AssertionError("the engine-own view aggregated a group itself")
 
     monkeypatch.setattr("repro.session.materialize.aggregate_group", refuse)
-    other = next(name for name in LIVE_ENGINES if name != engine)
     with FlexSession(small_scenario, engine=engine, live_preload=False) as session:
         view = session.materialize(
             QuerySpec.build(parameters=session.parameters), name="agg"
@@ -283,14 +281,15 @@ def test_engine_own_view_does_no_aggregation_of_its_own(
         _assert_follows_engine(session, view)
         view.refresh()
         _assert_follows_engine(session, view)
-        for step, target in enumerate((other, engine)):
-            session.use_engine(target)
+        for step in range(2):
+            session.use_engine("batch")
+            session.use_engine(engine)
             _assert_follows_engine(session, view)
             fresh = make_offer(offer_id=990_001 + step, earliest_start=40)
             session.ingest(OfferAdded(fresh.creation_time, fresh))
             session.commit()
             _assert_follows_engine(session, view)
-        session.replay(update_fraction=0.2, withdraw_fraction=0.1, engine=other)
+        session.replay(update_fraction=0.2, withdraw_fraction=0.1)
         _assert_follows_engine(session, view)
         assert view.refreshes >= 2
 
@@ -455,11 +454,7 @@ def test_subscribers_read_the_commit_they_are_notified_of(small_scenario, engine
         def callback(notification):
             sequence = notification.commit.sequence
             seen.append((sequence, session.query(spec, consistency="latest").version))
-            # On async this runs on the worker thread: a flushing read there
-            # would join the worker's own queue, so only live reads through
-            # the default (read-your-writes) consistency too.
-            if engine == "live":
-                seen.append((sequence, session.query(spec).version))
+            seen.append((sequence, session.query(spec).version))
 
         session.subscribe(spec, callback)
         for index, event in enumerate(_mutated_events(small_scenario), start=1):
@@ -472,19 +467,9 @@ def test_subscribers_read_the_commit_they_are_notified_of(small_scenario, engine
 
 
 def _commit_on_caller(session: FlexSession, events) -> None:
-    """Apply ``events`` and commit them on this thread.
-
-    On ``async`` a subscriber's error raised on the worker poisons the
-    engine, and every later barrier re-raises it.  Applying to the inner
-    engine under the commit lock and committing through the barrier keeps
-    the commit, and the error, on the caller's thread, as on ``live``.
-    """
-    backend = session.engine
-    inner = backend._state_engine
-    with backend._quiescent():
-        for event in events:
-            inner.apply(event)
-    backend.engine.commit()
+    """Apply ``events`` and commit them; a subscriber's error raises here."""
+    session.ingest_many(events)
+    session.commit()
 
 
 @pytest.mark.parametrize("engine", LIVE_ENGINES)
@@ -526,16 +511,17 @@ def test_raising_subscriber_desyncs_neither_reads_nor_later_views(
 
 
 # ----------------------------------------------------------------------
-# Standing state across engine swaps (the subscription-orphaning bugfix)
+# Standing state across engine switches
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("target", LIVE_ENGINES)
 def test_subscriptions_survive_engine_swaps(small_scenario, target):
-    """A session.subscribe callback keeps firing after use_engine() swaps."""
+    """A session.subscribe callback keeps firing after use_engine() switches."""
     with FlexSession(small_scenario, engine="live") as session:
         notifications = []
         subscription = session.subscribe(
             QuerySpec(), notifications.append, name="standing"
         )
+        session.use_engine("batch")
         session.use_engine(target)
         before = len(notifications)
         fresh = make_offer(offer_id=990_001, earliest_start=40, time_flexibility=6)
@@ -544,8 +530,6 @@ def test_subscriptions_survive_engine_swaps(small_scenario, target):
         assert len(notifications) > before, (
             f"subscription went silent after swapping to {target!r}"
         )
-        # The un-registration bug: before the fix this returned False because
-        # the handle lived in the abandoned engine's hub.
         assert session.unsubscribe(subscription) is True
         mark = len(notifications)
         another = make_offer(offer_id=990_002, earliest_start=41, time_flexibility=6)
@@ -556,36 +540,25 @@ def test_subscriptions_survive_engine_swaps(small_scenario, target):
 
 
 def test_views_follow_engine_swaps_and_replay(small_scenario):
-    """Materialized views stay fresh across swaps and replay(engine=...)."""
+    """Materialized views stay fresh across switches to batch and a reset replay."""
     with FlexSession(small_scenario, engine="live") as session:
         spec = QuerySpec.build(parameters=session.parameters)
         view = session.materialize(spec, name="agg")
-        for target in ("async", "live"):
-            session.use_engine(target)
+        for _ in range(2):
+            session.use_engine("batch")
+            session.use_engine("live")
             session.engine.refresh()
             _check_view(session, view)
             victim = next(o for o in session.engine.offers() if not o.is_aggregate)
             session.ingest(OfferWithdrawn(victim.assignment_deadline, victim.id))
             session.commit()
             _check_view(session, view)
-        # replay(engine=...) resets the live state: the view must re-base on
+        # A scenario replay resets the live state: the view must re-base on
         # the emptied engine and then track the replayed stream.
-        session.replay(update_fraction=0.2, withdraw_fraction=0.1, engine="async")
+        session.replay(update_fraction=0.2, withdraw_fraction=0.1)
         session.engine.refresh()
         _check_view(session, view)
         assert view.refreshes >= 1, "a reset replay must re-base the view"
-
-
-def test_live_accessor_does_not_steal_views(small_scenario):
-    """session.live must not move standing views off the active engine."""
-    with FlexSession(small_scenario, engine="async") as session:
-        view = session.materialize(
-            QuerySpec.build(parameters=session.parameters), name="agg"
-        )
-        backend = session.engine
-        _ = session.live  # creates the live backend without switching
-        assert session.engine is backend
-        assert view._backend is backend
 
 
 def test_materialize_registry_api(small_scenario):
@@ -617,7 +590,7 @@ def test_materialize_requires_live_family(small_scenario):
 # ----------------------------------------------------------------------
 # Checkpoint / restore mid-stream
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("engine", ("live", "async"))
+@pytest.mark.parametrize("engine", LIVE_ENGINES)
 def test_restore_mid_stream_rebases_views(tmp_path, small_scenario, engine):
     """Views materialized on a restored session track the tail, versions intact."""
     from repro.store import RecoveryManager
@@ -630,7 +603,7 @@ def test_restore_mid_stream_rebases_views(tmp_path, small_scenario, engine):
         session.replay(events[:cut], reset=False)
         manager.checkpoint(session, offset=cut)
 
-    restored = FlexSession.restore(tmp_path / "ckpt", engine=engine)
+    restored = FlexSession.restore(tmp_path / "ckpt")
     try:
         spec = QuerySpec.build(parameters=restored.parameters)
         view = restored.materialize(spec, name="agg")

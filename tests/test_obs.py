@@ -22,7 +22,6 @@ import pytest
 
 from repro import obs
 from repro.errors import ObservabilityError
-from repro.live.asynccommit import AsyncCommitEngine
 from repro.live.engine import LiveAggregationEngine, canonical_form
 from repro.live.events import OfferAdded, OfferUpdated
 from repro.live.replay import replay, scenario_event_stream
@@ -298,17 +297,9 @@ def test_prometheus_text_grammar_and_histogram_series(registry):
 # ----------------------------------------------------------------------
 # The no-observable-effect contract
 # ----------------------------------------------------------------------
-def async_engine():
-    """A fresh async engine over a plain live one (worker-thread commits)."""
-    return AsyncCommitEngine(LiveAggregationEngine())
-
-
 @pytest.mark.parametrize(
     ("engine_factory", "commit_metric"),
-    (
-        (LiveAggregationEngine, "repro.live.commit.seconds"),
-        (async_engine, "repro.live.async.worker.commit.seconds"),
-    ),
+    ((LiveAggregationEngine, "repro.live.commit.seconds"),),
 )
 def test_instrumented_replay_is_bit_identical(
     global_obs, engine_factory, commit_metric, scenario
@@ -327,8 +318,6 @@ def test_instrumented_replay_is_bit_identical(
             replay(log, engine)
         finally:
             obs.disable()
-            if isinstance(engine, AsyncCommitEngine):
-                engine.close()
         return TallyCounter(canonical_form(offer) for offer in engine.aggregated_offers())
 
     baseline = run(instrumented=False)
@@ -355,11 +344,6 @@ def test_session_metrics_and_trace_surface(global_obs, scenario):
 
 
 def test_summary_reports_engine_depth_figures(scenario):
-    asynchronous = FlexSession(scenario, engine="async", live_preload=False)
-    summary = asynchronous.summary()
-    assert summary["queue_depth"] == 0 and summary["dirty_cells"] == 0
-    assert "dirty_shards" not in summary
-    asynchronous.close()
     # The backlog is reported as it stood when summary() was called, even
     # though the row counts read the star schema with the backlog committed.
     live = FlexSession(scenario, engine="live", live_preload=False)
@@ -370,7 +354,7 @@ def test_summary_reports_engine_depth_figures(scenario):
     assert summary["offer_count"] == 1
     live.close()
     batch = FlexSession(scenario, engine="batch")
-    assert "queue_depth" not in batch.summary()
+    assert "pending_events" not in batch.summary()
     batch.close()
 
 

@@ -1,17 +1,17 @@
-"""Production tracing: trace/span ids, explicit cross-thread handoff,
-head-based sampling, flip safety, and the flamegraph/trace exporters.
+"""Production tracing: trace/span ids, head-based sampling, flip safety, and
+the flamegraph/trace exporters.
 
 Unit tests build private :class:`MetricsRegistry`/:class:`Tracer` pairs; the
-engine-integration test (the async worker) goes through the
-``global_obs`` fixture because the engines bind the process-global tracer at
-import time.
+tests of the process-global tracer and of the CLI go through the
+``global_obs`` fixture.  The exporters also read dumps whose spans cross
+threads (a child whose parent ran on another thread); those tests build
+their span records by hand.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-import time
 
 import pytest
 
@@ -39,6 +39,21 @@ def tracer(registry) -> Tracer:
     return Tracer(registry)
 
 
+def _record(name, span_id, parent=None, thread="MainThread", started=0.0, duration=1.0):
+    """A finished span of trace 1; ``parent`` is the parent's record."""
+    return SpanRecord(
+        name=name,
+        started=started,
+        duration=duration,
+        depth=0 if parent is None else parent.depth + 1,
+        parent=None if parent is None else parent.name,
+        thread=thread,
+        span_id=span_id,
+        parent_id=None if parent is None else parent.span_id,
+        trace_id=1,
+    )
+
+
 # ----------------------------------------------------------------------
 # Ids
 # ----------------------------------------------------------------------
@@ -52,6 +67,7 @@ def test_ids_disambiguate_same_named_siblings(tracer):
     (root,) = tracer.finished(name="commit")
     assert root.parent_id is None and root.depth == 0
     assert root.trace_id and root.span_id
+    assert root.thread == threading.current_thread().name
     # Name linkage cannot tell the two drains apart; the ids can.
     assert drains[0].parent == drains[1].parent == "commit"
     assert drains[0].span_id != drains[1].span_id
@@ -96,47 +112,6 @@ def test_span_record_round_trip_and_pre_id_compat():
 
 
 # ----------------------------------------------------------------------
-# Explicit cross-thread handoff
-# ----------------------------------------------------------------------
-def test_attach_joins_worker_spans_to_the_trace(tracer):
-    handoff = {}
-
-    def worker():
-        with tracer.attach(handoff["context"]):
-            with tracer.span("worker.step"):
-                pass
-
-    with tracer.span("main.op") as root:
-        handoff["context"] = tracer.context()
-        thread = threading.Thread(target=worker, name="handoff-worker")
-        thread.start()
-        thread.join()
-        root_span_id, root_trace_id = root.span_id, root.trace_id
-    (worker_span,) = tracer.finished(name="worker.step")
-    assert worker_span.trace_id == root_trace_id
-    assert worker_span.parent_id == root_span_id
-    assert worker_span.depth == 1
-    assert worker_span.thread == "handoff-worker"
-    # ``parent`` (the name) still points at the remote parent for old readers.
-    assert worker_span.parent == "main.op"
-
-
-def test_attach_none_is_transparent(tracer):
-    with tracer.attach(None):
-        with tracer.span("solo"):
-            pass
-    (span,) = tracer.finished()
-    assert span.parent_id is None and span.depth == 0
-
-
-def test_context_is_none_without_an_open_span(tracer, registry):
-    assert tracer.context() is None
-    registry.disable()
-    with tracer.span("muted"):
-        assert tracer.context() is None
-
-
-# ----------------------------------------------------------------------
 # Head-based sampling
 # ----------------------------------------------------------------------
 def test_sampler_validates_rates():
@@ -177,24 +152,6 @@ def test_sampled_out_roots_mute_children_but_not_metrics(tracer, registry):
     assert len(tracer.finished(name="op.child")) == 2
     # Sampling thins traces only — every round still hit the histogram.
     assert histogram.count == 4
-
-
-def test_sampled_out_context_mutes_the_attached_thread(tracer):
-    tracer.set_sampler(Sampler(default_rate=0))
-    captured = {}
-
-    def worker():
-        with tracer.attach(captured["context"]):
-            with tracer.span("worker.step"):
-                pass
-
-    with tracer.span("op"):
-        captured["context"] = tracer.context()
-        assert captured["context"] is not None and not captured["context"].recording
-        thread = threading.Thread(target=worker)
-        thread.start()
-        thread.join()
-    assert tracer.finished() == []
 
 
 def test_clear_restarts_the_sampler_counters(tracer):
@@ -260,63 +217,12 @@ def test_disable_mid_operation_keeps_the_open_root(tracer, registry):
 
 
 # ----------------------------------------------------------------------
-# Engine integration: one trace across threads
-# ----------------------------------------------------------------------
-def test_async_worker_commit_joins_the_ingest_trace(global_obs):
-    from repro.live.asynccommit import AsyncCommitEngine
-    from repro.live.engine import LiveAggregationEngine
-    from repro.live.events import OfferAdded
-
-    from tests.conftest import make_offer
-
-    engine = AsyncCommitEngine(LiveAggregationEngine(), drain_batch=1024)
-    offers = [make_offer(offer_id=i, earliest_start=8 * i) for i in range(1, 6)]
-    obs.enable()
-    try:
-        tracer = obs.get_tracer()
-        with tracer.span("ingest.batch") as ingest:
-            ingest_ids = (ingest.trace_id, ingest.span_id)
-            for offer in offers:
-                engine.apply(OfferAdded(offer.creation_time, offer))
-            # The worker commits on its own once the queue runs empty; wait
-            # for that commit so it demonstrably ran on the worker thread.
-            deadline = time.time() + 10.0
-            while engine.commit_count < 1 and time.time() < deadline:
-                time.sleep(0.002)
-        assert engine.commit_count >= 1, "worker never committed"
-    finally:
-        obs.disable()
-        engine.close()
-    commits = [
-        span
-        for span in obs.get_tracer().finished(name="live.async.worker.commit")
-        if span.thread == "async-commit-worker"
-    ]
-    assert commits, "no worker-side live.async.worker.commit span recorded"
-    worker_commit = commits[0]
-    trace_id, span_id = ingest_ids
-    assert worker_commit.trace_id == trace_id
-    assert worker_commit.parent_id == span_id
-    # Id-verified single trace across both threads: the ingest root and the
-    # worker's commit (plus its drain children) share one trace id.
-    trace = obs.get_tracer().finished(trace_id=trace_id)
-    assert {span.thread for span in trace} >= {"async-commit-worker"}
-    assert any(span.name == "ingest.batch" for span in trace)
-
-
-# ----------------------------------------------------------------------
 # Chrome trace_event export
 # ----------------------------------------------------------------------
-def test_chrome_trace_has_required_fields_and_thread_lanes(tracer):
-    def worker():
-        with tracer.span("worker.op"):
-            pass
-
-    with tracer.span("main.op"):
-        thread = threading.Thread(target=worker, name="lane-two")
-        thread.start()
-        thread.join()
-    document = to_chrome_trace(tracer.finished(), pid=7)
+def test_chrome_trace_has_required_fields_and_thread_lanes():
+    main_op = _record("main.op", 1, started=10.0, duration=0.5)
+    worker_op = _record("worker.op", 2, main_op, thread="lane-two", started=10.1, duration=0.2)
+    document = to_chrome_trace([worker_op, main_op], pid=7)
     events = document["traceEvents"]
     slices = [event for event in events if event["ph"] == "X"]
     metas = [event for event in events if event["ph"] == "M"]
@@ -361,24 +267,15 @@ def test_folded_stacks_sum_to_root_durations(tracer):
     assert text.splitlines() == sorted(text.splitlines())
 
 
-def test_folded_cross_thread_children_root_their_own_stacks(tracer):
-    captured = {}
-
-    def worker():
-        with tracer.attach(captured["context"]):
-            with tracer.span("worker.op"):
-                pass
-
-    with tracer.span("root"):
-        captured["context"] = tracer.context()
-        thread = threading.Thread(target=worker, name="folded-worker")
-        thread.start()
-        thread.join()
-    folded = folded_stacks(tracer.finished())
+def test_folded_cross_thread_children_root_their_own_stacks():
+    root = _record("root", 1, duration=0.5)
+    worker = _record("worker.op", 2, root, thread="folded-worker", started=0.1, duration=0.6)
+    folded = folded_stacks([worker, root])
     # The worker span ran concurrently with its remote parent; folding it
     # under ``root`` would produce negative self-time, so it starts a stack.
     assert "worker.op" in folded
     assert "root;worker.op" not in folded
+    assert folded["root"] == pytest.approx(0.5e6)
 
 
 def test_write_folded_to_a_path(tmp_path, tracer):
@@ -406,23 +303,15 @@ def test_trace_summaries_one_row_per_trace(tracer):
     assert rows[0]["trace_id"] != rows[1]["trace_id"]
 
 
-def test_format_trace_draws_the_id_tree(tracer):
-    captured = {}
-
-    def worker():
-        with tracer.attach(captured["context"]):
-            with tracer.span("remote.child"):
-                pass
-
-    with tracer.span("op") as root:
-        trace_id = root.trace_id
-        with tracer.span("local.child"):
-            pass
-        captured["context"] = tracer.context()
-        thread = threading.Thread(target=worker, name="tree-worker")
-        thread.start()
-        thread.join()
-    rendered = format_trace(tracer.finished(), trace_id)
+def test_format_trace_draws_the_id_tree():
+    op = _record("op", 1, duration=0.5)
+    spans = [
+        _record("local.child", 2, op, started=0.1, duration=0.1),
+        _record("remote.child", 3, op, thread="tree-worker", started=0.2, duration=0.1),
+        op,
+    ]
+    trace_id = op.trace_id
+    rendered = format_trace(spans, trace_id)
     lines = rendered.splitlines()
     assert lines[0].startswith(f"trace {trace_id}")
     assert any(line.lstrip().startswith("op") for line in lines)
@@ -430,7 +319,7 @@ def test_format_trace_draws_the_id_tree(tracer):
     assert len(indented) == 2
     # The cross-thread child is flagged with its thread name.
     assert any("remote.child" in line and "[tree-worker]" in line for line in lines)
-    assert "no spans" in format_trace(tracer.finished(), 999_999_999)
+    assert "no spans" in format_trace(spans, 999_999_999)
 
 
 # ----------------------------------------------------------------------

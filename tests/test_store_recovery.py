@@ -1,9 +1,9 @@
 """Property tests for the recovery contract of :mod:`repro.store`.
 
 The contract: *restoring from a checkpoint taken at any point of the stream
-and replaying the log tail is observably equivalent to a full replay* — for
-every live-family engine, with the batch pipeline as the third reference
-(via :meth:`FlexSession.snapshot`, checked by ``RecoveryManager.verify``).
+and replaying the log tail is observably equivalent to a full replay* — on
+the live engine, with the batch pipeline as the second reference (via
+:meth:`FlexSession.snapshot`, checked by ``RecoveryManager.verify``).
 Equivalence is the same normal form ``tests/test_session_equivalence.py``
 uses: identical surviving offer ids, aggregate profiles bit-for-bit, ids
 modulo :func:`~repro.live.engine.canonical_form`.
@@ -43,7 +43,7 @@ from repro.store import (
 )
 from repro.warehouse.persistence import save_schema
 
-STREAM_ENGINES = ("live", "async")
+STREAM_ENGINES = ("live",)
 
 _SCENARIO = generate_scenario(ScenarioConfig(prosumer_count=30, seed=13))
 
@@ -119,47 +119,30 @@ def test_checkpoint_at_random_point_plus_tail_equals_full_replay(
         assert _canonical_state(restored) == ref_state
         # Bit-identical aggregate profiles, exactly like the session suite.
         assert _profiles(restored) == ref_profiles
-        # The batch pipeline is the fourth reference engine.
+        # The batch pipeline is the second reference.
         RecoveryManager(directory).verify(restored)
         restored.close()
     finally:
         shutil.rmtree(directory, ignore_errors=True)
 
 
-@pytest.mark.parametrize("target", STREAM_ENGINES)
-def test_cross_engine_restore(target, tmp_path):
-    """A checkpoint written by one engine family restores into the other."""
-    ordered = _STREAMS[(0.25, 0.15)]
-    cut = int(len(ordered) * 0.6)
-    (source,) = set(STREAM_ENGINES) - {target}
-    writer = FlexSession(_SCENARIO, engine=source, live_preload=False)
-    manager = RecoveryManager(tmp_path, segment_size=64)
-    manager.record(ordered)
-    writer.replay(ordered[:cut])
-    writer.checkpoint(str(tmp_path))
-    writer.close()
+@pytest.mark.parametrize(
+    "manifest_fields",
+    (
+        pytest.param({"engine": "sharded", "shard_count": 8}, id="sharded"),
+        pytest.param({"engine": "async"}, id="async"),
+    ),
+)
+def test_checkpoint_naming_a_retired_engine_restores_on_live(tmp_path, capsys, manifest_fields):
+    """Checkpoints written while the ``sharded`` or ``async`` engine existed
+    still restore, through the library and through ``flexviz restore``.
 
-    restored = FlexSession.restore(str(tmp_path), engine=target)
-    assert restored.engine_name == target
-    ref_state, ref_profiles, ref_ids = _REFERENCES[(target, (0.25, 0.15))]
-    assert sorted(o.id for o in restored.engine.offers()) == ref_ids
-    assert _canonical_state(restored) == ref_state
-    # Provenance stays reachable when ids came from another family's allocator.
-    aggregates = [o for o in restored.engine.engine.aggregated_offers() if o.is_aggregate]
-    inner = restored.engine.engine
-    owned = [a for a in aggregates if inner.constituents_of(a.id)]
-    assert owned == aggregates
-    RecoveryManager(tmp_path).verify(restored)
-    restored.close()
-
-
-def test_checkpoint_naming_the_retired_sharded_engine_restores_on_live(tmp_path):
-    """Checkpoints written while the ``sharded`` engine existed still restore.
-
-    The manifest is rewritten to that era's shape (engine name plus the
-    informational ``shard_count``); the captured state carries no engine
-    topology, so the restore rebuilds it on the ``live`` engine.
+    The manifest is rewritten to that era's shape (the engine name, plus the
+    informational ``shard_count`` for ``sharded``); the captured state carries
+    no engine topology, so the restore rebuilds it on the ``live`` engine.
     """
+    from repro.app.cli import main
+
     ordered = _STREAMS[(0.25, 0.15)]
     cut = int(len(ordered) * 0.6)
     RecoveryManager(tmp_path, segment_size=64).record(ordered[:cut])
@@ -172,7 +155,7 @@ def test_checkpoint_naming_the_retired_sharded_engine_restores_on_live(tmp_path)
     manifest_path = tmp_path / "manifest.json"
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     assert "shard_count" not in manifest
-    manifest.update(engine="sharded", shard_count=8)
+    manifest.update(manifest_fields)
     manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
 
     restored = FlexSession.restore(str(tmp_path))
@@ -181,6 +164,8 @@ def test_checkpoint_naming_the_retired_sharded_engine_restores_on_live(tmp_path)
     assert sorted(o.id for o in restored.engine.offers()) == population
     assert _canonical_state(restored) == state
     restored.close()
+    assert main(["restore", "--from", str(tmp_path), "--smoke"]) == 0
+    assert "restore smoke OK" in capsys.readouterr().out
 
 
 def test_restore_after_tombstone_compacted_warehouse(tmp_path):
@@ -523,7 +508,6 @@ def test_restore_rebuilds_chunk_ledger_clean(target_engine):
     from dataclasses import replace
 
     from repro.aggregation.parameters import AggregationParameters
-    from repro.live.asynccommit import AsyncCommitEngine
     from repro.live.engine import LiveAggregationEngine
     from repro.live.events import OfferAdded, OfferUpdated
     from tests.conftest import make_offer
@@ -537,8 +521,6 @@ def test_restore_rebuilds_chunk_ledger_clean(target_engine):
     state = capture_engine_state(source)
 
     restored = LiveAggregationEngine(parameters)
-    if target_engine == "async":
-        restored = AsyncCommitEngine(restored)
     restore_engine_state(restored, state)
     assert restored.dirty_chunk_count == 0
     clean = restored.commit()
@@ -556,5 +538,3 @@ def test_restore_rebuilds_chunk_ledger_clean(target_engine):
     state_live = Counter(canonical_form(o) for o in restored.aggregated_offers())
     state_batch = Counter(canonical_form(o) for o in restored.batch_equivalent().offers)
     assert state_live == state_batch
-    if target_engine == "async":
-        restored.close()
