@@ -168,8 +168,9 @@ class _MutedSpan:
 
     Handed out while the registry is disabled.  The depth counter is what
     keeps transitions safe: as long as any muted frame is open on a thread,
-    newly opened spans stay unrecorded — flipping ``obs.enable()`` mid-operation cannot graft
-    orphan children onto a parent that never recorded.
+    newly opened spans stay unrecorded — flipping ``obs.enable()``
+    mid-operation cannot graft orphan children onto a parent that never
+    recorded.
     """
 
     __slots__ = ("_state",)
