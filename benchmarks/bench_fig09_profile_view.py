@@ -9,7 +9,7 @@ verifies the synchronised-scale property.
 from __future__ import annotations
 
 from benchmarks.conftest import record
-from repro.render.scene import Rect
+from repro.render.scene import Bars
 from repro.views.profile_view import ProfileView
 
 
@@ -43,8 +43,10 @@ def test_fig09_synchronised_scales(benchmark, paper_scenario):
     def tallest_bar_energy():
         scene = view.scene()
         # The tallest min-energy bar must correspond to the largest per-slot minimum.
-        bars = [node for node in scene.walk() if isinstance(node, Rect) and node.css_class == "energy-min"]
-        return max(bar.height for bar in bars)
+        bars = [
+            node for node in scene.walk() if isinstance(node, Bars) and node.css_class == "energy-min"
+        ]
+        return max(height for bar in bars for _, _, _, height in bar.rects)
 
     tallest = benchmark.pedantic(tallest_bar_energy, rounds=3, iterations=1)
     largest_min = max(p.min_energy / p.duration_slots for o in offers for p in o.profile)

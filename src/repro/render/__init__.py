@@ -11,6 +11,7 @@ from repro.render.incremental import (
 )
 from repro.render.scales import LinearScale, SlotTimeScale, nice_step, pretty_ticks
 from repro.render.scene import (
+    Bars,
     Circle,
     Group,
     Line,
@@ -36,6 +37,7 @@ __all__ = [
     "Group",
     "Node",
     "Rect",
+    "Bars",
     "Line",
     "Polyline",
     "Polygon",

@@ -2,9 +2,11 @@
 
 Useful for terminal-only environments, doctest-style examples and quick test
 assertions about layout (e.g. "the flex-offer boxes occupy separate lanes")
-without parsing SVG.  The backend draws rectangle outlines/fills, straight
-lines (approximated with Bresenham), circle outlines and text labels; wedges
-and polygons are approximated by their outlines.
+without parsing SVG.  The backend draws rectangle outlines/fills (a
+:class:`~repro.render.scene.Bars` node rectangle by rectangle), straight lines
+(approximated with Bresenham), circle outlines and text labels; wedges and
+polygons are approximated by their outlines.  A node type it cannot draw
+raises ``TypeError``, as the SVG backend does.
 """
 
 from __future__ import annotations
@@ -12,7 +14,19 @@ from __future__ import annotations
 import math
 
 from repro.errors import RenderError
-from repro.render.scene import Circle, Group, Line, Node, Polygon, Polyline, Rect, Scene, Text, Wedge
+from repro.render.scene import (
+    Bars,
+    Circle,
+    Group,
+    Line,
+    Node,
+    Polygon,
+    Polyline,
+    Rect,
+    Scene,
+    Text,
+    Wedge,
+)
 
 
 class AsciiCanvas:
@@ -91,21 +105,28 @@ def render_ascii(scene: Scene, columns: int = 100) -> str:
     fx = factor
     fy = factor * 0.5
 
+    def draw_rect(x: float, y: float, width: float, height: float, filled: bool) -> None:
+        canvas.draw_rect(
+            _scale(x, fx),
+            _scale(y, fy),
+            max(_scale(width, fx), 1),
+            max(_scale(height, fy), 1),
+            fill="." if filled else None,
+            border="#",
+        )
+
     def draw(node: Node) -> None:
         if isinstance(node, Group):
             for child in node.children:
                 draw(child)
             return
         if isinstance(node, Rect):
-            fill = "." if node.style.fill is not None else None
-            canvas.draw_rect(
-                _scale(node.x, fx),
-                _scale(node.y, fy),
-                max(_scale(node.width, fx), 1),
-                max(_scale(node.height, fy), 1),
-                fill=fill,
-                border="#",
-            )
+            draw_rect(node.x, node.y, node.width, node.height, node.style.fill is not None)
+            return
+        if isinstance(node, Bars):
+            filled = node.style.fill is not None
+            for x, y, width, height in node.rects:
+                draw_rect(x, y, width, height, filled)
             return
         if isinstance(node, Line):
             char = ":" if node.style.dashed else "|" if abs(node.x2 - node.x1) < 1e-9 else "-"
@@ -142,6 +163,7 @@ def render_ascii(scene: Scene, columns: int = 100) -> str:
                 x -= len(node.text)
             canvas.draw_text(x, _scale(node.y, fy), node.text)
             return
+        raise TypeError(f"ASCII backend cannot render node type {type(node).__name__}")
 
     for child in scene.root.children:
         draw(child)

@@ -1,8 +1,9 @@
 """The scene graph: backend-independent drawing primitives.
 
 Views build a tree of primitives (rectangles, lines, text, circles, polygons,
-pie wedges) grouped into named :class:`Group` nodes; backends (SVG, ASCII)
-walk the tree and emit output.  Primitives carry their domain object's
+pie wedges, and :class:`Bars` — many rectangles drawn as one node) grouped
+into named :class:`Group` nodes; backends (SVG, ASCII) walk the tree and emit
+output.  Primitives carry their domain object's
 identifier in ``element_id`` so that hit-testing and selection can map a pixel
 back to a flex-offer — the headless equivalent of the tool's mouse
 interaction.
@@ -58,6 +59,24 @@ class Rect(Node):
     def contains(self, px: float, py: float) -> bool:
         """Whether the pixel (px, py) lies inside the rectangle."""
         return self.x <= px <= self.x + self.width and self.y <= py <= self.y + self.height
+
+
+@dataclass
+class Bars(Node):
+    """Axis-aligned rectangles sharing one style, element id, class and tooltip.
+
+    A view draws a run of like rectangles (the profile view's per-slot energy
+    bars) as one node, which the SVG backend writes as one ``<path>``.
+    """
+
+    #: One ``(x, y, width, height)`` per rectangle.
+    rects: tuple[tuple[float, float, float, float], ...] = ()
+    style: Style = field(default_factory=Style)
+    tooltip: str = ""
+
+    def contains(self, px: float, py: float) -> bool:
+        """Whether any rectangle contains the pixel (px, py), by :meth:`Rect.contains`' rule."""
+        return any(x <= px <= x + width and y <= py <= y + height for x, y, width, height in self.rects)
 
 
 @dataclass
@@ -189,7 +208,7 @@ class Scene:
         return [node for node in self.walk() if node.element_id == element_id]
 
     def hit_test(self, x: float, y: float) -> list[Node]:
-        """Nodes whose geometry contains the pixel (rectangles and circles only).
+        """Nodes whose geometry contains the pixel (rectangles, :class:`Bars` and circles only).
 
         This is the headless stand-in for the tool's mouse-pointer interaction:
         the returned nodes' ``element_id`` values identify the flex-offers under
@@ -197,7 +216,7 @@ class Scene:
         """
         hits: list[Node] = []
         for node in self.walk():
-            if isinstance(node, Rect) and node.contains(x, y):
+            if isinstance(node, (Rect, Bars)) and node.contains(x, y):
                 hits.append(node)
             elif isinstance(node, Circle):
                 if (x - node.cx) ** 2 + (y - node.cy) ** 2 <= node.radius**2:

@@ -10,7 +10,20 @@ from __future__ import annotations
 import math
 from xml.sax.saxutils import escape, quoteattr
 
-from repro.render.scene import Circle, Group, Line, Node, Polygon, Polyline, Rect, Scene, Style, Text, Wedge
+from repro.render.scene import (
+    Bars,
+    Circle,
+    Group,
+    Line,
+    Node,
+    Polygon,
+    Polyline,
+    Rect,
+    Scene,
+    Style,
+    Text,
+    Wedge,
+)
 
 
 def _style_attributes(style: Style, filled: bool) -> str:
@@ -69,6 +82,9 @@ class _DocumentWriter:
     keyed by the ``Style`` object's identity: the scene keeps every style
     alive while it is written, views share their styles, and two equal
     styles may still format differently (``stroke_width`` 0.0 and -0.0).
+    A :class:`Bars` node's x and width strings are memoised by value, since
+    bars in one slot column share them; zeros are formatted afresh, because
+    0.0 and -0.0 are one dictionary key with two texts.
     """
 
     def __init__(self, lines: list[str]) -> None:
@@ -76,6 +92,7 @@ class _DocumentWriter:
         self._filled_styles: dict[int, str] = {}
         self._unfilled_styles: dict[int, str] = {}
         self._commons: dict[tuple[str, str], str] = {}
+        self._numbers: dict[float, str] = {}
 
     def _style(self, style: Style, filled: bool = True) -> str:
         memo = self._filled_styles if filled else self._unfilled_styles
@@ -92,6 +109,23 @@ class _DocumentWriter:
             common = _common_attributes(node)
             text = self._commons[key] = f" {common}" if common else ""
         return text
+
+    def _bars_path(self, node: Bars) -> str:
+        """Path data with one closed ``M x y h w v h h -w Z`` subpath per rectangle."""
+        numbers = self._numbers
+        parts = []
+        for x, y, width, height in node.rects:
+            # Clamped at 0 as the <rect> branch clamps, but to +0.0, so "h-" never meets "-0.00".
+            width = width if width > 0.0 else 0.0
+            height = height if height > 0.0 else 0.0
+            x_text = numbers.get(x)
+            if x_text is None or not x:
+                x_text = numbers[x] = f"{x:.2f}"
+            width_text = numbers.get(width)
+            if width_text is None or not width:
+                width_text = numbers[width] = f"{width:.2f}"
+            parts.append(f"M{x_text} {y:.2f}h{width_text}v{height:.2f}h-{width_text}Z")
+        return "".join(parts)
 
     def write(self, node: Node, indent: str) -> None:
         lines = self.lines
@@ -110,6 +144,10 @@ class _DocumentWriter:
                 f'height="{max(node.height, 0):.2f}" {self._style(node.style)}{common}'
             )
             lines.append(_element(head, "rect", node.tooltip))
+            return
+        if isinstance(node, Bars):
+            head = f'{indent}<path d="{self._bars_path(node)}" {self._style(node.style)}{common}'
+            lines.append(_element(head, "path", node.tooltip))
             return
         if isinstance(node, Line):
             lines.append(
@@ -173,8 +211,9 @@ def _wedge_path(node: Wedge) -> str:
 def render_svg(scene: Scene) -> str:
     """Serialize ``scene`` to a standalone SVG document string.
 
-    Each distinct style's attribute string and each distinct
-    ``(element_id, css_class)`` attribute string is formatted once per call.
+    Each distinct style's attribute string, each distinct
+    ``(element_id, css_class)`` attribute string and each distinct :class:`Bars`
+    x or width string is formatted once per call.
     """
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',

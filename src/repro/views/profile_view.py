@@ -6,7 +6,9 @@ and energy) subspaces are stacked onto each other" — dimensional stacking of
 one small time-energy chart per flex-offer lane.  It shows, for every profile
 slice, the minimum and maximum energy bounds plus the scheduled amount (red
 line), and all ordinate axes share one synchronised scale so energy bars can
-be compared across flex-offers.
+be compared across flex-offers.  Each offer's per-slot bands are one
+:class:`~repro.render.scene.Bars` node, whose tooltip lists every slice, and
+its minimum bars another.
 
 The paper recommends it "for a smaller flex-offer set with less than few
 thousands of flex-offers"; the CLAIM-2 bench measures that boundary.
@@ -21,7 +23,7 @@ from repro.flexoffer.model import FlexOffer
 from repro.render.axes import PlotArea, legend, time_axis
 from repro.render.color import Palette
 from repro.render.scales import LinearScale, SlotTimeScale, pretty_ticks
-from repro.render.scene import Group, Line, Rect, Scene, Style, Text
+from repro.render.scene import Bars, Group, Line, Rect, Scene, Style, Text
 from repro.timeseries.grid import TimeGrid
 from repro.views.base import FlexOfferView, ViewOptions
 from repro.views.lanes import LaneStrategy, assign_lanes, lane_count
@@ -126,13 +128,17 @@ class ProfileView(FlexOfferView):
 
         marks = Group(name="marks")
         scene.add(marks)
+        # Slot -> (x, width) of its bar column, shared by every lane of the scene.
+        columns: dict[int, tuple[float, float]] = {}
         for offer in self.offers:
             lane = self._lanes[offer.id]
             lane_top = area.top + lane * lane_height
             energy_scale = LinearScale(
                 0.0, energy_top, lane_top + lane_height - padding, lane_top + padding
             )
-            marks.add(self._offer_group(offer, scale, energy_scale, lane_top, lane_height))
+            marks.add(
+                self._offer_group(offer, area, scale, columns, energy_scale, lane_top, lane_height)
+            )
 
         if options.show_legend:
             scene.add(
@@ -151,7 +157,9 @@ class ProfileView(FlexOfferView):
     def _offer_group(
         self,
         offer: FlexOffer,
+        area: PlotArea,
         scale: SlotTimeScale,
+        columns: dict[int, tuple[float, float]],
         energy_scale: LinearScale,
         lane_top: float,
         lane_height: float,
@@ -163,9 +171,9 @@ class ProfileView(FlexOfferView):
         # Lane separator and the grey time-flexibility band behind the bars.
         group.add(
             Line(
-                x1=self.options.plot_area.left,
+                x1=area.left,
                 y1=lane_top + lane_height,
-                x2=self.options.plot_area.right,
+                x2=area.right,
                 y2=lane_top + lane_height,
                 style=_LANE_SEPARATOR,
                 css_class="lane-separator",
@@ -185,6 +193,12 @@ class ProfileView(FlexOfferView):
             )
         )
 
+        # Per slot, a band between min and max energy and a solid bar up to the
+        # minimum; each offer draws all its bands as one node, its bars as another.
+        bands: list[tuple[float, float, float, float]] = []
+        minimums: list[tuple[float, float, float, float]] = []
+        tooltips: list[str] = []
+        schedule_lines: list[Line] = []
         start_slot = offer.schedule.start_slot if offer.schedule is not None else offer.earliest_start_slot
         position = start_slot
         for index, piece in enumerate(offer.profile):
@@ -192,45 +206,25 @@ class ProfileView(FlexOfferView):
             high = piece.max_energy / piece.duration_slots
             y_low = energy_scale.project(low)
             y_high = energy_scale.project(high)
-            tooltip = (
+            band_height = max(y_low - y_high, 0.5)
+            minimum_height = max(baseline - y_low, 0.5)
+            tooltips.append(
                 f"flex-offer {offer.id} slice {index}: "
                 f"{piece.min_energy:.2f}-{piece.max_energy:.2f} kWh"
             )
-            for extra in range(piece.duration_slots):
-                slot = position + extra
-                left = scale.project(slot)
-                right = scale.project(slot + 1)
-                width = max(right - left - 0.5, 0.8)
-                # Band between min and max energy.
-                group.add(
-                    Rect(
-                        x=left,
-                        y=y_high,
-                        width=width,
-                        height=max(y_low - y_high, 0.5),
-                        style=_ENERGY_BAND,
-                        element_id=element_id,
-                        css_class="energy-band",
-                        tooltip=tooltip,
-                    )
-                )
-                # Solid bar up to the minimum energy.
-                group.add(
-                    Rect(
-                        x=left,
-                        y=y_low,
-                        width=width,
-                        height=max(baseline - y_low, 0.5),
-                        style=_ENERGY_MIN,
-                        element_id=element_id,
-                        css_class="energy-min",
-                    )
-                )
+            for slot in range(position, position + piece.duration_slots):
+                column = columns.get(slot)
+                if column is None:
+                    left = scale.project(slot)
+                    column = columns[slot] = (left, max(scale.project(slot + 1) - left - 0.5, 0.8))
+                left, width = column
+                bands.append((left, y_high, width, band_height))
+                minimums.append((left, y_low, width, minimum_height))
             # Scheduled amount: a red horizontal line across the slice.
             if offer.schedule is not None:
                 amount = offer.schedule.energy_per_slice[index] / piece.duration_slots
                 y_sched = energy_scale.project(amount)
-                group.add(
+                schedule_lines.append(
                     Line(
                         x1=scale.project(position),
                         y1=y_sched,
@@ -242,11 +236,24 @@ class ProfileView(FlexOfferView):
                     )
                 )
             position += piece.duration_slots
+        group.add(
+            Bars(
+                rects=tuple(bands),
+                style=_ENERGY_BAND,
+                element_id=element_id,
+                css_class="energy-band",
+                tooltip="\n".join(tooltips),
+            )
+        )
+        group.add(
+            Bars(rects=tuple(minimums), style=_ENERGY_MIN, element_id=element_id, css_class="energy-min")
+        )
+        group.extend(schedule_lines)
 
         if self.options.show_lane_scale:
             group.add(
                 Text(
-                    x=self.options.plot_area.left - 6,
+                    x=area.left - 6,
                     y=lane_top + lane_height / 2 + 3,
                     text=f"#{offer.id}",
                     style=_LANE_LABEL,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from xml.etree import ElementTree
 
 import pytest
 
@@ -36,6 +37,8 @@ class TestFigures:
         assert len(artifacts) == 12
         assert len(list(tmp_path.glob("*.svg"))) == 12
         assert all(artifact.svg.startswith("<?xml") for artifact in artifacts)
+        for artifact in artifacts:
+            ElementTree.fromstring(artifact.svg)  # well-formed XML, or ParseError
 
     def test_figure_1_balancing_improves_overlap(self, figure_scenario):
         before, after = figure_1(figure_scenario)
@@ -92,8 +95,9 @@ class TestCli:
         assert "basic" in capsys.readouterr().out
 
     def test_render_ascii(self, capsys):
-        assert main(["--prosumers", "15", "render", "--view", "dashboard", "--ascii"]) == 0
-        assert capsys.readouterr().out.strip()
+        for view in ("dashboard", "profile"):
+            assert main(["--prosumers", "15", "render", "--view", view, "--ascii"]) == 0
+            assert capsys.readouterr().out.strip()
 
     def test_warehouse_export(self, tmp_path, capsys):
         assert main(["--prosumers", "15", "warehouse", "--out", str(tmp_path / "dw")]) == 0

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import hashlib
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import pytest
 
@@ -13,7 +13,20 @@ from repro.render.axes import PlotArea, legend, time_axis, value_axis
 from repro.render.color import Palette
 from repro.render.incremental import IncrementalRenderer, monolithic_render_time, time_to_first_chunk
 from repro.render.scales import LinearScale, SlotTimeScale
-from repro.render.scene import Circle, Group, Line, Polygon, Polyline, Rect, Scene, Style, Text, Wedge
+from repro.render.scene import (
+    Bars,
+    Circle,
+    Group,
+    Line,
+    Node,
+    Polygon,
+    Polyline,
+    Rect,
+    Scene,
+    Style,
+    Text,
+    Wedge,
+)
 from repro.render.svg import render_svg, save_svg
 from tests.conftest import make_offer
 
@@ -141,6 +154,14 @@ def _escape_scene() -> Scene:
     group.add(
         Line(x1=0, y1=9, x2=9, y2=9, style=outline, element_id=shared_id, css_class="energy-band")
     )
+    # Bars: negative sizes clamp to 0, and x = -0.0 and 0.0 keep their own text.
+    group.add(
+        Bars(
+            rects=((1, 2, 3, 4), (5, 2, -3, 4), (-0.0, 6, 3, -1), (0.0, 6, 3, 1)),
+            style=band, element_id=shared_id, css_class="energy-band",
+            tooltip="slice 0: 1 < 2\nslice 1: 3 > 2 & 4",
+        )
+    )
     # One style on a polyline (which drops its fill) and on a polygon (which keeps it).
     group.add(Polyline(points=((0, 1), (2, 3)), style=outline, css_class="it's"))
     group.add(Polygon(points=((0, 1), (2, 3), (4, 1)), style=outline, element_id="fo:8"))
@@ -174,6 +195,7 @@ ESCAPE_SCENE_SVG = "\n".join(
         '    <rect x="1.00" y="6.00" width="3.00" height="0.00" fill="#7fb2d9" fill-opacity="0.850" data-element=\'fo:"7"&#10;x\' class="energy-min"/>',
         '    <rect x="5.00" y="6.00" width="2.00" height="2.00" fill="#7fb2d9" fill-opacity="0.850" data-element=\'fo:"7"&#10;x\' class="energy-band"><title>plain</title></rect>',
         '    <line x1="0.00" y1="9.00" x2="9.00" y2="9.00" fill="none" stroke="#cc2222" stroke-width="1" stroke-opacity="0.400" opacity="0.500" data-element=\'fo:"7"&#10;x\' class="energy-band"/>',
+        '    <path d="M1.00 2.00h3.00v4.00h-3.00ZM5.00 2.00h0.00v4.00h-0.00ZM-0.00 6.00h3.00v0.00h-3.00ZM0.00 6.00h3.00v1.00h-3.00Z" fill="#7fb2d9" fill-opacity="0.850" data-element=\'fo:"7"&#10;x\' class="energy-band"><title>slice 0: 1 &lt; 2\nslice 1: 3 &gt; 2 &amp; 4</title></path>',
         '    <polyline points="0.00,1.00 2.00,3.00" fill="none" stroke="#cc2222" stroke-width="1" stroke-opacity="0.400" opacity="0.500" class="it\'s"/>',
         '    <polygon points="0.00,1.00 2.00,3.00 4.00,1.00" fill="#aecde8" stroke="#cc2222" stroke-width="1" stroke-opacity="0.400" opacity="0.500" data-element="fo:8"/>',
         '    <line x1="0.00" y1="0.00" x2="1.00" y2="1.00" fill="none" stroke="#444444" stroke-width="0" stroke-dasharray="4 3"/>',
@@ -274,6 +296,33 @@ class TestAsciiBackend:
     def test_width_respected(self, sample_scene):
         art = render_ascii(sample_scene, columns=60)
         assert all(len(line) <= 60 for line in art.splitlines())
+
+    def test_bars_draw_and_hit_test_as_their_rects(self):
+        rects = ((10, 10, 30, 20), (45, 5, 10, 40), (60, 30, -5, 10), (70, 20, 0.5, 0.5))
+        style = Style(fill=Palette.ENERGY_BAND)
+        as_bars, as_rects = Scene(width=100, height=60), Scene(width=100, height=60)
+        as_bars.add(Bars(rects=rects, style=style, element_id="fo:1"))
+        for x, y, width, height in rects:
+            as_rects.add(Rect(x=x, y=y, width=width, height=height, style=style, element_id="fo:1"))
+        assert render_ascii(as_bars, columns=50) == render_ascii(as_rects, columns=50)
+        for px in range(0, 101):
+            for py in range(0, 61):
+                hit = bool(as_bars.hit_test(px / 1.0, py / 1.0))
+                assert hit == bool(as_rects.hit_test(px / 1.0, py / 1.0))
+        assert as_bars.hit_test(70.5, 20.5) and not as_bars.hit_test(71, 21)
+
+
+@dataclass
+class _Unknown(Node):
+    """A node type neither backend draws."""
+
+
+@pytest.mark.parametrize("backend", [render_svg, render_ascii])
+def test_backends_refuse_a_node_they_cannot_draw(backend):
+    scene = Scene(width=20, height=20)
+    scene.add(Group(children=[_Unknown(element_id="fo:1")]))
+    with pytest.raises(TypeError, match="_Unknown"):
+        backend(scene)
 
 
 class TestAxes:

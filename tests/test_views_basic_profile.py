@@ -4,12 +4,20 @@ from __future__ import annotations
 
 import pytest
 
-from repro.render.scene import Line, Rect
+from repro.render.scene import Bars, Line, Rect
 from repro.views.basic import BasicView, BasicViewOptions
 from repro.views.lanes import LaneStrategy, lane_count, lanes_are_valid
 from repro.views.profile_view import ProfileView, ProfileViewOptions
 from repro.views.selection import SelectionRectangle
 from tests.conftest import make_offer
+
+
+def _bars_by_offer(scene, css_class: str) -> dict[str, Bars]:
+    """The scene's ``css_class`` bars by element id, checking there is one node per offer."""
+    nodes = [node for node in scene.walk() if isinstance(node, Bars) and node.css_class == css_class]
+    by_id = {node.element_id: node for node in nodes}
+    assert len(by_id) == len(nodes)
+    return by_id
 
 
 class TestBasicView:
@@ -126,18 +134,41 @@ class TestProfileView:
 
     def test_every_offer_has_energy_bars(self, view, offers):
         scene = view.scene()
-        band_ids = {
-            node.element_id
+        bands = _bars_by_offer(scene, "energy-band")
+        minimums = _bars_by_offer(scene, "energy-min")
+        assert set(bands) == set(minimums) == {f"fo:{offer.id}" for offer in offers}
+        for offer in offers:
+            slots = sum(piece.duration_slots for piece in offer.profile)
+            assert len(bands[f"fo:{offer.id}"].rects) == slots
+            assert len(minimums[f"fo:{offer.id}"].rects) == slots
+        # No per-slot rectangle is left beside the bars.
+        assert not any(
+            isinstance(node, Rect) and node.css_class in ("energy-band", "energy-min")
             for node in scene.walk()
-            if isinstance(node, Rect) and node.css_class == "energy-band"
-        }
-        assert band_ids == {f"fo:{offer.id}" for offer in offers}
+        )
 
     def test_min_bars_below_band_tops(self, view):
         scene = view.scene()
-        bands = [n for n in scene.walk() if isinstance(n, Rect) and n.css_class == "energy-band"]
-        minimums = [n for n in scene.walk() if isinstance(n, Rect) and n.css_class == "energy-min"]
-        assert len(bands) == len(minimums)
+        bands = _bars_by_offer(scene, "energy-band")
+        minimums = _bars_by_offer(scene, "energy-min")
+        assert set(bands) == set(minimums)
+        for element_id, band in bands.items():
+            assert len(band.rects) == len(minimums[element_id].rects)
+            for (x, y, width, height), minimum in zip(band.rects, minimums[element_id].rects):
+                # Same slot column; the minimum bar starts where its band ends,
+                # unless the band was clamped to its 0.5-px floor.
+                assert minimum[0] == x and minimum[2] == width
+                if height == 0.5:
+                    assert minimum[1] <= y + height
+                else:
+                    assert minimum[1] == pytest.approx(y + height)
+
+    def test_every_bar_hits_its_offer(self, view):
+        scene = view.scene()
+        for css_class in ("energy-band", "energy-min"):
+            for element_id, bars in _bars_by_offer(scene, css_class).items():
+                for x, y, width, height in bars.rects:
+                    assert element_id in view.elements_at(x + width / 2, y + height / 2)
 
     def test_scheduled_offers_show_red_energy_lines(self, view, offers):
         scene = view.scene()
@@ -167,10 +198,24 @@ class TestProfileView:
         assert "lane-label" not in view.to_svg()
 
     def test_single_offer_profile(self, grid):
+        from xml.etree import ElementTree
+
         offer = make_offer().with_default_schedule()
         view = ProfileView([offer], grid)
         svg = view.to_svg()
-        assert svg.count("energy-band") == len(offer.profile)
+        assert svg.count("energy-band") == 1
+        path = next(
+            node
+            for node in ElementTree.fromstring(svg).iter("{http://www.w3.org/2000/svg}path")
+            if node.get("class") == "energy-band"
+        )
+        assert path.get("data-element") == f"fo:{offer.id}"
+        assert path.get("d").count("M") == sum(piece.duration_slots for piece in offer.profile)
+        # One tooltip line per slice, as each slice's own <title> read before.
+        assert path.find("{http://www.w3.org/2000/svg}title").text.split("\n") == [
+            f"flex-offer {offer.id} slice {index}: {piece.min_energy:.2f}-{piece.max_energy:.2f} kWh"
+            for index, piece in enumerate(offer.profile)
+        ]
 
     def test_empty_view_renders(self, grid):
         assert "<svg" in ProfileView([], grid).to_svg()
