@@ -227,9 +227,10 @@ class TestSvgBytes:
     def test_profile_view(self, grid):
         from repro.views.profile_view import ProfileView
 
+        # One <path> of bands and one of minimum bars per offer (was a <rect> each per slot).
         assert self._digest(ProfileView(_golden_offers(), grid).to_svg()) == (
-            10180,
-            "fda404d0e2d5e052df014139bb066589b188a2468cfc02352a5244b5fe3e0417",
+            8192,
+            "6fadf6615d47c1359c2f178642bb53bac01ee2b2788d39603533373f4d194a74",
         )
 
     def test_basic_view(self, grid):
