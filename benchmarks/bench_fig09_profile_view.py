@@ -44,7 +44,9 @@ def test_fig09_synchronised_scales(benchmark, paper_scenario):
         scene = view.scene()
         # The tallest min-energy bar must correspond to the largest per-slot minimum.
         bars = [
-            node for node in scene.walk() if isinstance(node, Bars) and node.css_class == "energy-min"
+            node
+            for node in scene.walk()
+            if isinstance(node, Bars) and node.css_class == "energy-min"
         ]
         return max(height for bar in bars for _, _, _, height in bar.rects)
 

@@ -3,10 +3,9 @@
 Views build a tree of primitives (rectangles, lines, text, circles, polygons,
 pie wedges, and :class:`Bars` — many rectangles drawn as one node) grouped
 into named :class:`Group` nodes; backends (SVG, ASCII) walk the tree and emit
-output.  Primitives carry their domain object's
-identifier in ``element_id`` so that hit-testing and selection can map a pixel
-back to a flex-offer — the headless equivalent of the tool's mouse
-interaction.
+output.  Primitives carry their domain object's identifier in ``element_id``
+so that hit-testing and selection can map a pixel back to a flex-offer — the
+headless equivalent of the tool's mouse interaction.
 """
 
 from __future__ import annotations
@@ -76,7 +75,9 @@ class Bars(Node):
 
     def contains(self, px: float, py: float) -> bool:
         """Whether any rectangle contains the pixel (px, py), by :meth:`Rect.contains`' rule."""
-        return any(x <= px <= x + width and y <= py <= y + height for x, y, width, height in self.rects)
+        return any(
+            x <= px <= x + width and y <= py <= y + height for x, y, width, height in self.rects
+        )
 
 
 @dataclass

@@ -246,7 +246,12 @@ class ProfileView(FlexOfferView):
             )
         )
         group.add(
-            Bars(rects=tuple(minimums), style=_ENERGY_MIN, element_id=element_id, css_class="energy-min")
+            Bars(
+                rects=tuple(minimums),
+                style=_ENERGY_MIN,
+                element_id=element_id,
+                css_class="energy-min",
+            )
         )
         group.extend(schedule_lines)
 

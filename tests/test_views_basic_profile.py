@@ -14,7 +14,9 @@ from tests.conftest import make_offer
 
 def _bars_by_offer(scene, css_class: str) -> dict[str, Bars]:
     """The scene's ``css_class`` bars by element id, checking there is one node per offer."""
-    nodes = [node for node in scene.walk() if isinstance(node, Bars) and node.css_class == css_class]
+    nodes = [
+        node for node in scene.walk() if isinstance(node, Bars) and node.css_class == css_class
+    ]
     by_id = {node.element_id: node for node in nodes}
     assert len(by_id) == len(nodes)
     return by_id
@@ -213,7 +215,8 @@ class TestProfileView:
         assert path.get("d").count("M") == sum(piece.duration_slots for piece in offer.profile)
         # One tooltip line per slice, as each slice's own <title> read before.
         assert path.find("{http://www.w3.org/2000/svg}title").text.split("\n") == [
-            f"flex-offer {offer.id} slice {index}: {piece.min_energy:.2f}-{piece.max_energy:.2f} kWh"
+            f"flex-offer {offer.id} slice {index}: "
+            f"{piece.min_energy:.2f}-{piece.max_energy:.2f} kWh"
             for index, piece in enumerate(offer.profile)
         ]
 
