@@ -48,15 +48,6 @@ def _style_attributes(style: Style, filled: bool) -> str:
     return " ".join(parts)
 
 
-def _common_attributes(node: Node) -> str:
-    parts = []
-    if node.element_id:
-        parts.append(f"data-element={quoteattr(node.element_id)}")
-    if node.css_class:
-        parts.append(f"class={quoteattr(node.css_class)}")
-    return " ".join(parts)
-
-
 def _escape_text(text: str) -> str:
     """``escape(text)``, skipped for the common text that holds none of ``&<>``."""
     if "&" in text or "<" in text or ">" in text:
@@ -82,9 +73,11 @@ class _DocumentWriter:
     keyed by the ``Style`` object's identity: the scene keeps every style
     alive while it is written, views share their styles, and two equal
     styles may still format differently (``stroke_width`` 0.0 and -0.0).
-    A :class:`Bars` node's x and width strings are memoised by value, since
-    bars in one slot column share them; zeros are formatted afresh, because
-    0.0 and -0.0 are one dictionary key with two texts.
+    Each id and class value is quoted once, however many classes share an
+    id (a profile-view offer's ``fo:<id>`` has up to five).  A :class:`Bars`
+    node's x and width strings are memoised by value, since bars in one slot
+    column share them; zeros are formatted afresh, because 0.0 and -0.0 are
+    one dictionary key with two texts.
     """
 
     def __init__(self, lines: list[str]) -> None:
@@ -92,6 +85,7 @@ class _DocumentWriter:
         self._filled_styles: dict[int, str] = {}
         self._unfilled_styles: dict[int, str] = {}
         self._commons: dict[tuple[str, str], str] = {}
+        self._quoted: dict[str, str] = {}
         self._numbers: dict[float, str] = {}
 
     def _style(self, style: Style, filled: bool = True) -> str:
@@ -106,8 +100,14 @@ class _DocumentWriter:
         key = (node.element_id, node.css_class)
         text = self._commons.get(key)
         if text is None:
-            common = _common_attributes(node)
-            text = self._commons[key] = f" {common}" if common else ""
+            parts = []
+            for name, value in zip(("data-element", "class"), key):
+                if value:
+                    quoted = self._quoted.get(value)
+                    if quoted is None:
+                        quoted = self._quoted[value] = quoteattr(value)
+                    parts.append(f" {name}={quoted}")
+            text = self._commons[key] = "".join(parts)
         return text
 
     def _bars_path(self, node: Bars) -> str:
@@ -212,8 +212,9 @@ def render_svg(scene: Scene) -> str:
     """Serialize ``scene`` to a standalone SVG document string.
 
     Each distinct style's attribute string, each distinct
-    ``(element_id, css_class)`` attribute string and each distinct :class:`Bars`
-    x or width string is formatted once per call.
+    ``(element_id, css_class)`` attribute string, each id and class value's
+    quoting and each distinct :class:`Bars` x or width string is formatted
+    once per call.
     """
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
