@@ -19,10 +19,12 @@ as a cold replay of the full one.
 
 The JSONL lines are the log's only on-disk format, one file per segment.
 Records are written with sorted keys, so every line ends in its
-``"seq": N}``: :meth:`SegmentStore.tail` skips the already-checkpointed
-prefix of its first overlapping segment by reading that suffix, and decodes
-only the records it replays.  Every read goes through one decoder, which
-raises :class:`~repro.errors.StoreError` for any malformed line it decodes.
+``"seq": N}``: opening the store counts its active segment by that suffix,
+and :meth:`SegmentStore.tail` skips the already-checkpointed prefix of its
+first overlapping segment by reading it; each decodes only the lines it
+must.  A malformed line raises :class:`~repro.errors.StoreError` where it
+is decoded, so a corrupt body behind an intact suffix raises at its first
+read, not at open.
 """
 
 from __future__ import annotations
@@ -100,14 +102,11 @@ class SegmentStore:
         if segments:
             self._active = segments[-1]
             self._repair_torn_tail(self._active)
-            last_sequence = -1
-            for sequence, _ in self._records(self._active):
-                last_sequence = max(last_sequence, sequence)
-                self._active_count += 1
-            if last_sequence < 0:
-                # An empty active segment resumes at the sequence in its name.
-                last_sequence = self._first_sequence(self._active) - 1
-            self._next_sequence = last_sequence + 1
+            sequences = self._sequences(self._active)
+            self._active_count = len(sequences)
+            # An empty active segment resumes at the sequence in its name.
+            last = max(sequences, default=self._first_sequence(self._active) - 1)
+            self._next_sequence = last + 1
 
     def _repair_torn_tail(self, path: Path) -> None:
         """Drop the unterminated bytes a crash mid-append left at the end.
@@ -186,6 +185,28 @@ class SegmentStore:
         except (ValueError, KeyError, TypeError) as exc:
             # ValueError covers bytes that are not UTF-8 (records are ASCII).
             raise StoreError(f"malformed segment record in {path}: {exc}") from exc
+
+    @staticmethod
+    def _sequences(path: Path) -> list[int]:
+        """Each record's sequence in one segment, read from its trailing ``"seq": N}``.
+
+        Only a line without a valid suffix is decoded, so opening the store
+        decodes no intact record; a corrupt body behind an intact suffix
+        raises :class:`StoreError` at its first read instead.
+        """
+        sequences = []
+        try:
+            with open(path, encoding="utf-8") as handle:
+                for line in handle:
+                    line = line.strip()
+                    if line:
+                        sequence = _trailing_sequence(line)
+                        if sequence is None:
+                            sequence = int(json.loads(line)["seq"])
+                        sequences.append(sequence)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise StoreError(f"malformed segment record in {path}: {exc}") from exc
+        return sequences
 
     @property
     def next_sequence(self) -> int:

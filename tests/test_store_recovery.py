@@ -12,6 +12,7 @@ modulo :func:`~repro.live.engine.canonical_form`.
 from __future__ import annotations
 
 import json
+import re
 import shutil
 import tempfile
 from collections import Counter
@@ -322,6 +323,19 @@ class TestSegmentStore:
         active.write_text("\n".join(lines) + "\n")
         with pytest.raises(ReproError):
             SegmentStore(tmp_path, segment_size=100)
+
+    def test_corrupt_body_behind_intact_suffix_raises_at_first_read(self, tmp_path):
+        store = SegmentStore(tmp_path, segment_size=100)
+        store.extend(self._events(5))
+        active = store.segments()[-1]
+        lines = active.read_text().splitlines()
+        lines[1] = '{"event": {"kind": , "seq": 1}'  # the body is corrupt, the suffix intact
+        active.write_text("\n".join(lines) + "\n")
+        # Opening reads each line's suffix only, so it resumes after the last.
+        reopened = SegmentStore(tmp_path, segment_size=100)
+        assert reopened.next_sequence == 5
+        with pytest.raises(StoreError, match=re.escape(str(active))):
+            list(reopened.records())
 
     def test_segment_order_is_numeric_not_lexical(self, tmp_path):
         store = SegmentStore(tmp_path, segment_size=4)
