@@ -82,8 +82,9 @@ class BasicView(FlexOfferView):
     def _slot_bounds(self) -> tuple[int, int]:
         if not self.offers:
             return 0, 1
-        first = min(offer.earliest_start_slot for offer in self.offers)
-        last = max(offer.latest_end_slot for offer in self.offers)
+        intervals = self._lanes.intervals.values()
+        first = min(start for start, _ in intervals)
+        last = max(end for _, end in intervals)
         return first, max(last, first + 1)
 
     def _lane_height(self, area: PlotArea) -> float:
@@ -162,8 +163,9 @@ class BasicView(FlexOfferView):
         group = Group(name=f"offer-{offer.id}", element_id=element_id)
 
         # Grey rectangle: the whole feasible span (time flexibility + profile).
-        span_left = scale.project(offer.earliest_start_slot)
-        span_right = scale.project(offer.latest_end_slot)
+        earliest, latest_end = self._lanes.intervals[offer.id]
+        span_left = scale.project(earliest)
+        span_right = scale.project(latest_end)
         group.add(
             Rect(
                 x=span_left,
@@ -180,8 +182,9 @@ class BasicView(FlexOfferView):
         # Coloured rectangle: the profile duration, placed at the scheduled
         # start when known and at the earliest start otherwise.
         start_slot = offer.schedule.start_slot if offer.schedule is not None else offer.earliest_start_slot
+        duration = latest_end - offer.latest_start_slot  # the profile's, summed once
         profile_left = scale.project(start_slot)
-        profile_right = scale.project(start_slot + offer.profile_duration_slots)
+        profile_right = scale.project(start_slot + duration)
         group.add(
             Rect(
                 x=profile_left,
@@ -240,8 +243,9 @@ class BasicView(FlexOfferView):
             lane = self._lanes[offer.id]
             box_top = self._lane_top(lane, area) + (lane_height - box_height) / 2.0
             box_bottom = box_top + box_height
-            box_left = scale.project(offer.earliest_start_slot)
-            box_right = scale.project(offer.latest_end_slot)
+            start, end = self._lanes.intervals[offer.id]
+            box_left = scale.project(start)
+            box_right = scale.project(end)
             if box_left <= right and box_right >= left and box_top <= bottom and box_bottom >= top:
                 found.append(offer.id)
         return found

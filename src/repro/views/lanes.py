@@ -36,23 +36,37 @@ def offer_interval(offer: FlexOffer) -> tuple[int, int]:
     return offer.earliest_start_slot, offer.latest_end_slot
 
 
+class LaneAssignment(dict):
+    """``{offer id: lane index}``, with each offer's :func:`offer_interval`.
+
+    Packing computes every interval once, and the views draw from
+    :attr:`intervals` rather than re-summing each profile.
+    """
+
+    def __init__(self, intervals: dict[int, tuple[int, int]]) -> None:
+        super().__init__()
+        self.intervals = intervals
+
+
 def assign_lanes(
     offers: Sequence[FlexOffer], strategy: LaneStrategy = LaneStrategy.FIRST_FIT
-) -> dict[int, int]:
+) -> LaneAssignment:
     """Assign every offer to a lane; returns ``{offer id: lane index}``.
 
     Lane 0 is drawn at the top.  With :attr:`LaneStrategy.FIRST_FIT` two offers
     share a lane only when their feasible spans do not overlap.
     """
+    intervals = {offer.id: offer_interval(offer) for offer in offers}
+    assignment = LaneAssignment(intervals)
     if strategy is LaneStrategy.ONE_PER_LANE:
         ordered = sorted(offers, key=lambda offer: (offer.earliest_start_slot, offer.id))
-        return {offer.id: index for index, offer in enumerate(ordered)}
+        assignment.update((offer.id, index) for index, offer in enumerate(ordered))
+        return assignment
 
-    ordered = sorted(offers, key=lambda offer: (offer.earliest_start_slot, offer.latest_end_slot, offer.id))
+    ordered = sorted(offers, key=lambda offer: (*intervals[offer.id], offer.id))
     lane_ends: list[int] = []  # per lane: the end slot of its last occupant
-    assignment: dict[int, int] = {}
     for offer in ordered:
-        start, end = offer_interval(offer)
+        start, end = intervals[offer.id]
         placed = False
         for lane, lane_end in enumerate(lane_ends):
             if lane_end <= start:

@@ -75,8 +75,9 @@ class ProfileView(FlexOfferView):
     def _slot_bounds(self) -> tuple[int, int]:
         if not self.offers:
             return 0, 1
-        first = min(offer.earliest_start_slot for offer in self.offers)
-        last = max(offer.latest_end_slot for offer in self.offers)
+        intervals = self._lanes.intervals.values()
+        first = min(start for start, _ in intervals)
+        last = max(end for _, end in intervals)
         return first, max(last, first + 1)
 
     def max_slice_energy(self) -> float:
@@ -179,8 +180,9 @@ class ProfileView(FlexOfferView):
                 css_class="lane-separator",
             )
         )
-        span_left = scale.project(offer.earliest_start_slot)
-        span_right = scale.project(offer.latest_end_slot)
+        start, end = self._lanes.intervals[offer.id]
+        span_left = scale.project(start)
+        span_right = scale.project(end)
         group.add(
             Rect(
                 x=span_left,
@@ -281,8 +283,9 @@ class ProfileView(FlexOfferView):
             lane = self._lanes[offer.id]
             lane_top = area.top + lane * lane_height
             lane_bottom = lane_top + lane_height
-            box_left = scale.project(offer.earliest_start_slot)
-            box_right = scale.project(offer.latest_end_slot)
+            start, end = self._lanes.intervals[offer.id]
+            box_left = scale.project(start)
+            box_right = scale.project(end)
             if box_left <= right and box_right >= left and lane_top <= bottom and lane_bottom >= top:
                 found.append(offer.id)
         return found
