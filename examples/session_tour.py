@@ -55,11 +55,16 @@ def main() -> None:
     )
 
     # 5. Standing queries: subscribe the spec, then stream events through.
-    woken = []
-    session.offers().where(region="Capital").only_aggregates().subscribe(woken.append)
+    #    The subscription is a materialized view; each delta names the offers
+    #    a commit changed in its answer, which stays the query's answer.
+    deltas = []
+    capital = session.offers().where(region="Capital").aggregate().subscribe(deltas.append)
     report = session.replay(update_fraction=0.1, withdraw_fraction=0.05, seed=7)
     print(f"\nreplayed {report.events} events in {report.commit_count} commits")
-    print(f"Capital-aggregate subscription woken {len(woken)} times")
+    changed = sum(len(delta.changed_ids) for delta in deltas)
+    print(f"Capital aggregation subscription: {len(deltas)} deltas, {changed} changed offers")
+    assert capital.result.matches(session.query(capital.spec))
+    print(f"subscribed view == query: {len(capital.result)} offers at v{capital.version}")
 
 
 if __name__ == "__main__":

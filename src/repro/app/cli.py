@@ -708,12 +708,11 @@ def _command_views(args: argparse.Namespace) -> int:
         session.materialize(spec, name=name)
     unreadable: list[int] = []
 
-    def check_readable(notification) -> None:
+    def check_readable(delta) -> None:
         # Runs inside the commit: read the published snapshot without
         # committing, to check the notified commit is already readable.
-        sequence = notification.commit.sequence
-        if session.query(QuerySpec(), consistency="latest").version != sequence:
-            unreadable.append(sequence)
+        if session.query(QuerySpec(), consistency="latest").version != delta.version:
+            unreadable.append(delta.version)
 
     session.subscribe(QuerySpec(), check_readable, name="readable")
     log = scenario_event_stream(

@@ -34,13 +34,7 @@ from repro.live.events import (
     write_jsonl,
 )
 from repro.live.replay import ReplayReport, replay, scenario_event_stream
-from repro.live.subscriptions import (
-    ChangeCollector,
-    CommitNotification,
-    LiveAlertFeed,
-    Subscription,
-    SubscriptionHub,
-)
+from repro.live.subscriptions import LiveAlertFeed, Subscription, SubscriptionHub
 from repro.live.warehouse import LiveWarehouse
 
 __all__ = [
@@ -63,8 +57,6 @@ __all__ = [
     "ReplayReport",
     "replay",
     "scenario_event_stream",
-    "ChangeCollector",
-    "CommitNotification",
     "LiveAlertFeed",
     "Subscription",
     "SubscriptionHub",

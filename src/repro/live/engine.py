@@ -629,8 +629,9 @@ class LiveAggregationEngine:
                 changed.append(offer)
                 self._committed_passthrough[offer_id] = offer
         for offer_id in sorted(self._removed_passthrough):
-            removed.append(self._removed_passthrough[offer_id])
-            self._committed_passthrough.pop(offer_id, None)
+            # One added and withdrawn since the last commit was never an output.
+            if self._committed_passthrough.pop(offer_id, None) is not None:
+                removed.append(self._removed_passthrough[offer_id])
         self._dirty.clear()
         self._dirty_passthrough.clear()
         self._removed_passthrough.clear()

@@ -162,7 +162,7 @@ class LiveWarehouse:
             raise LiveEngineError(f"warehouse has no offer {offer_id}")
 
     # ------------------------------------------------------------------
-    # Aggregate mirror (subscribe this to the engine's hub)
+    # Aggregate mirror (``hub.subscribe(warehouse.apply_commit)``)
     # ------------------------------------------------------------------
     def _upsert_aggregate(self, offer: FlexOffer) -> None:
         self.schema.table("fact_flexoffer_aggregate").delete_where("offer_id", offer.id)
@@ -190,14 +190,6 @@ class LiveWarehouse:
                 touched += aggregates.delete_where("offer_id", offer.id)
                 slices.delete_where("offer_id", offer.id)
         return touched
-
-    def notification_listener(self):
-        """A hub listener mirroring aggregate changes (for ``hub.subscribe``)."""
-
-        def listener(notification) -> None:
-            self.apply_commit(notification.commit)
-
-        return listener
 
     # ------------------------------------------------------------------
     # Cell drill-down (index hit on group_cell)

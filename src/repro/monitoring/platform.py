@@ -122,9 +122,10 @@ class MonitoringPlatform:
 
         Returns the :class:`~repro.live.subscriptions.LiveAlertFeed` that
         re-evaluates the rules over the fresh aggregate state after every
-        commit that changed something (no-op commits skip the scan); the
-        operator reads ``feed.current_alerts`` instead of re-running
-        :meth:`scan` over a reloaded scenario.
+        commit that changed or removed an output (the hub hands the feed
+        every commit; it returns early on the others); the operator reads
+        ``feed.current_alerts`` instead of re-running :meth:`scan` over a
+        reloaded scenario.
 
         The hub must be the one the engine publishes to; an engine without a
         hub is adopted onto ``hub`` so the feed cannot be silently dead.

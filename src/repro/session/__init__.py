@@ -12,12 +12,7 @@
 * :mod:`repro.session.facade` — :class:`FlexSession`, tying it all together.
 """
 
-from repro.session.engines import (
-    AggregationBackend,
-    BatchEngine,
-    LiveEngine,
-    subscribe_spec,
-)
+from repro.session.engines import AggregationBackend, BatchEngine, LiveEngine
 from repro.session.facade import ENGINE_FACTORIES, FlexSession
 from repro.session.materialize import MaterializedDelta, MaterializedView
 from repro.session.query import OfferQuery, execute
@@ -33,7 +28,6 @@ __all__ = [
     "AggregationBackend",
     "BatchEngine",
     "LiveEngine",
-    "subscribe_spec",
     "ENGINE_FACTORIES",
     "FlexSession",
     "MaterializedDelta",

@@ -26,7 +26,7 @@ aggregate profiles, ids modulo :func:`~repro.live.engine.canonical_form`
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Iterable, Protocol, runtime_checkable
 
 from repro.aggregation.aggregate import AggregationResult, aggregate
 from repro.aggregation.parameters import AggregationParameters
@@ -34,7 +34,7 @@ from repro.errors import SessionError
 from repro.flexoffer.model import FlexOffer
 from repro.live.engine import CommitResult, LiveAggregationEngine
 from repro.live.events import OfferAdded, OfferEvent
-from repro.live.subscriptions import CommitNotification, Subscription, SubscriptionHub
+from repro.live.subscriptions import SubscriptionHub
 from repro.warehouse.loader import load_scenario
 from repro.warehouse.query import FlexOfferRepository
 from repro.warehouse.schema import StarSchema
@@ -300,28 +300,3 @@ class LiveEngine:
         self._chunks_skipped = 0
         self.reseed_readpath()
 
-
-def subscribe_spec(
-    backend: LiveEngine,
-    spec: "QuerySpec",
-    callback: Callable[[CommitNotification], None],
-    name: str = "",
-) -> Subscription:
-    """Register ``callback`` for commits matching ``spec`` on a live backend.
-
-    The spec's predicate becomes the subscription's interest filter, so the
-    hub's own slicing (changed/exited/removed mirror bookkeeping) applies —
-    an output that changes *out of* the spec, or is retired, is delivered as
-    a removal exactly when the callback was previously handed it.
-    """
-    if not isinstance(backend, LiveEngine):
-        raise SessionError(
-            "subscriptions need the live engine; the batch engine never commits"
-        )
-    grid = backend.grid
-    return backend.hub.subscribe(
-        callback,
-        name=name or f"spec:{spec.describe() or 'all'}",
-        predicate=lambda offer: spec.matches(offer, grid),
-        deliver_empty=False,
-    )

@@ -7,7 +7,10 @@ every workflow the scattered entry points used to cover:
 >>> frame = session.offers().where(state="assigned", region="Capital").to_frame()
 >>> view = session.offers().aggregate().to_view("pivot")
 >>> live = session.use_engine("live")          # same scenario, event-driven
->>> session.subscribe(session.offers().where(region="Capital").spec, callback)
+>>> capital = session.offers().where(region="Capital").aggregate().subscribe(callback)
+
+A subscription is a materialized view whose ``callback`` gets each delta of
+its answer (see :mod:`repro.session.materialize`).
 
 Engines are pluggable behind the
 :class:`~repro.session.engines.AggregationBackend` protocol: ``"batch"`` is a
@@ -32,13 +35,8 @@ from repro.errors import SessionError
 from repro.flexoffer.model import FlexOffer
 from repro.live.events import EventLog, OfferEvent
 from repro.live.replay import ReplayReport, replay, scenario_event_stream
-from repro.session.engines import (
-    AggregationBackend,
-    BatchEngine,
-    LiveEngine,
-    subscribe_spec,
-)
-from repro.session.materialize import MaterializedView, views_gauge
+from repro.session.engines import AggregationBackend, BatchEngine, LiveEngine
+from repro.session.materialize import MaterializedDelta, MaterializedView, views_gauge
 from repro.session.query import OfferQuery, execute
 from repro.session.spec import QuerySpec, ResultSet
 from repro.session.views import build_view, registered_views
@@ -46,7 +44,6 @@ from repro.session.views import build_view, registered_views
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.datagen.scenarios import Scenario
     from repro.live.engine import CommitResult
-    from repro.live.subscriptions import Subscription
     from repro.olap.cube import FlexOfferCube
     from repro.views.base import FlexOfferView
     from repro.views.framework import VisualAnalysisFramework
@@ -131,8 +128,8 @@ class FlexSession:
         """Switch the active engine, creating it on first use.
 
         A session holds at most one live backend, and its hub keeps every
-        ``session.subscribe(...)`` callback and ``session.materialize(...)``
-        view across switches to the batch engine and back.
+        ``session.materialize(...)`` view, subscriptions included, across
+        switches to the batch engine and back.
         """
         backend = self._create_backend(name)
         self._active = name
@@ -298,30 +295,34 @@ class FlexSession:
         return backend.commit()
 
     def subscribe(
-        self, spec: QuerySpec | OfferQuery, callback: Callable, name: str = ""
-    ) -> "Subscription":
-        """Route commits matching ``spec`` to ``callback`` via the hub.
+        self,
+        spec: QuerySpec | OfferQuery,
+        callback: Callable[[MaterializedDelta], None],
+        name: str = "",
+    ) -> MaterializedView:
+        """Materialize ``spec`` and hand ``callback`` each change to its answer.
 
-        Requires the live engine to be active — the batch snapshot never
-        commits, so a subscription against it could never fire.
+        Returns the registered view, whose ``listener`` is ``callback``: after
+        each commit that changed the offers ``query(spec)`` answers with, once
+        that commit is readable, it receives the view's ``MaterializedDelta``.
+        The view's ``result`` holds the answer the deltas start from and the
+        changed offers they name.
         """
-        if isinstance(spec, OfferQuery):
-            spec = spec.spec
-        backend = self.engine
-        if not isinstance(backend, LiveEngine):
-            raise SessionError(
-                "subscriptions need the live engine; call use_engine('live') first"
-            )
-        return subscribe_spec(backend, spec, callback, name=name)
+        if not callable(callback):
+            raise SessionError("subscription callback must be callable")
+        view = self.materialize(spec, name=name)
+        view.listener = callback
+        return view
 
-    def unsubscribe(self, subscription: "Subscription") -> bool:
-        """Retire a subscription from the live backend's hub.
+    def unsubscribe(self, view: MaterializedView) -> bool:
+        """Drop a subscription (or any materialized view); returns whether it was registered.
 
-        Returns whether the hub still held it.  Works whichever engine is
-        active, and never creates the live backend.
+        Works whichever engine is active, and never creates the live backend.
         """
-        backend = self._engines.get("live")
-        return backend is not None and backend.hub.unsubscribe(subscription)
+        if self._materialized.get(view.name) is not view:
+            return False
+        self.drop_materialized(view.name)
+        return True
 
     # ------------------------------------------------------------------
     # Materialized views (see repro.session.materialize)
@@ -346,7 +347,11 @@ class FlexSession:
             raise SessionError(
                 "materialized views need the live engine; call use_engine('live') first"
             )
-        name = name or f"view-{len(self._materialized) + 1}"
+        if not name:
+            number = len(self._materialized) + 1
+            while f"view-{number}" in self._materialized:  # a dropped view's gap
+                number += 1
+            name = f"view-{number}"
         if name in self._materialized:
             raise SessionError(f"materialized view {name!r} already registered")
         view = MaterializedView(spec, name=name, grid=self.grid)

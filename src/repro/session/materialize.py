@@ -1,13 +1,19 @@
 """Materialized views: standing ``QuerySpec``s maintained from commit deltas.
 
 ``session.materialize(spec, name=...)`` registers a spec whose result the
-session keeps *fresh* instead of re-running it: the view subscribes to the
-live backend's :class:`~repro.live.subscriptions.SubscriptionHub` (with
-``deliver_empty=True`` so no commit can slip past unnoticed) and applies each
-commit's insert/update/withdraw deltas to its held rows and aggregate
-profiles.  The cost of keeping a view current therefore tracks the offers
-the commit touched — the paper's incremental-visualization claim — not the
-population size.
+session keeps *fresh* instead of re-running it: the view listens on the
+live backend's :class:`~repro.live.subscriptions.SubscriptionHub`, which
+hands it every commit, and applies each commit's insert/update/withdraw
+deltas to its held rows and aggregate profiles.  The cost of keeping a view
+current therefore tracks the offers the commit touched — the paper's
+incremental-visualization claim — not the population size.
+
+``session.subscribe(spec, callback)`` registers the same view with a
+:attr:`~MaterializedView.listener`: after each commit that changed the
+view's offers, once that commit is readable, the listener receives the
+view's :class:`MaterializedDelta`, and reads the changed offers from
+:attr:`~MaterializedView.result`.  A standing query thus has one mechanism,
+and a subscriber sees exactly what ``session.query(spec)`` answers.
 
 A view whose spec *is* the engine's own aggregation (``QuerySpec(parameters=
 <the engine's parameters>)``: no filter, interval, ``only_aggregates`` or
@@ -30,7 +36,9 @@ rows and re-aggregates only the spec-level groups whose membership moved.
 Passthrough aggregates are rows like any other; they join no group and
 follow the group outputs in id order, the batch pipeline's layout.  Commits
 that touch none of the view's rows only advance its ``version`` — the
-analogue of a cache carry.
+analogue of a cache carry.  A ``limit`` spec caps the sorted selection as a
+whole, so a row can enter or leave its answer without being touched; its
+delta compares the previous and the new capped answer instead.
 
 Version stamping is consistent with the read path: an applied commit stamps
 the view (and its :class:`~repro.session.spec.ResultSet`) with the commit's
@@ -51,7 +59,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.aggregation.aggregate import aggregate_group
 from repro.aggregation.grouping import GroupKey, chunk_group, group_key
@@ -62,7 +70,7 @@ from repro.session.spec import QuerySpec, ResultSet
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.flexoffer.model import FlexOffer
     from repro.live.engine import CommitResult, LiveAggregationEngine
-    from repro.live.subscriptions import CommitNotification, Subscription
+    from repro.live.subscriptions import Subscription
     from repro.session.engines import LiveEngine
 
 # ----------------------------------------------------------------------
@@ -92,7 +100,13 @@ _VIEWS = _OBS.gauge(
 
 @dataclass(frozen=True)
 class MaterializedDelta:
-    """What one applied commit changed in a view's output offers."""
+    """What one applied commit changed in a view's output offers.
+
+    ``changed_ids`` names each output that is new or no longer equal to its
+    previous version, ``removed_ids`` each output the answer dropped; no id
+    is in both.  Applying them to the previous answer (changed offers read
+    from :attr:`MaterializedView.result`) gives the new one.
+    """
 
     version: int
     changed_ids: tuple[int, ...]
@@ -144,6 +158,9 @@ class MaterializedView:
         self._result: ResultSet | None = None
         self.version = 0
         self.last_delta: MaterializedDelta | None = None
+        #: Set by ``FlexSession.subscribe``: handed each delta that names an
+        #: offer, on the committing thread (see :meth:`_notify`).
+        self.listener: Callable[[MaterializedDelta], None] | None = None
         # Plain counters (always maintained, observability on or off).
         self.deltas_applied = 0
         self.commits_skipped = 0
@@ -162,10 +179,8 @@ class MaterializedView:
         self.detach()
         backend.refresh()
         self._backend = backend
-        # No predicate: the view reads the commit's touched offers, never the
-        # hub's slice, and every commit must move its version.
         self._subscription = backend.hub.subscribe(
-            self._on_commit, name=f"materialize:{self.name}", deliver_empty=True
+            self._on_commit, name=f"materialize:{self.name}"
         )
         self._reseed()
 
@@ -228,7 +243,9 @@ class MaterializedView:
         """Force a full recompute from the engine's committed state.
 
         The escape hatch the differential tests compare against — delta
-        maintenance must make this call unnecessary, never wrong.
+        maintenance must make this call unnecessary, never wrong.  What the
+        rebuild changed (everything, after a replay reset) is the
+        :attr:`last_delta` handed to the listener.
         """
         backend = self._backend
         if backend is None:
@@ -237,9 +254,13 @@ class MaterializedView:
                 "on the live engine first"
             )
         backend.refresh()
+        previous = self.result.offers
         self._reseed()
         self.refreshes += 1
         _REFRESHES.inc()
+        changed, removed = _answer_delta(previous, self.result.offers)
+        self.last_delta = MaterializedDelta(self.version, tuple(changed), tuple(removed))
+        self._notify()
         return self.result
 
     def _reseed(self) -> None:
@@ -271,10 +292,10 @@ class MaterializedView:
     # ------------------------------------------------------------------
     # Delta maintenance (runs on the committing thread)
     # ------------------------------------------------------------------
-    def _on_commit(self, notification: "CommitNotification") -> None:
+    def _on_commit(self, commit: "CommitResult") -> None:
         started = time.perf_counter()
         with _TRACER.span("session.materialize.apply"):
-            mutated = self._apply(notification.commit)
+            mutated = self._apply(commit)
         self.maintenance_seconds += time.perf_counter() - started
         if mutated:
             self.deltas_applied += 1
@@ -283,6 +304,18 @@ class MaterializedView:
         (_DELTAS if mutated else _SKIPPED).inc()
         if _OBS.enabled:
             _STALENESS.set(self.staleness)
+        if mutated:
+            self._notify()
+
+    def _notify(self) -> None:
+        """Hand :attr:`last_delta` to the listener when it names an offer.
+
+        A commit that moved no output — a provenance-only change, or a row
+        beyond a ``limit`` cap — wakes no one, nor does a carried commit.
+        """
+        delta = self.last_delta
+        if self.listener is not None and delta is not None and len(delta):
+            self.listener(delta)
 
     def _apply(self, commit: "CommitResult") -> bool:
         """Apply one commit's touched offers to the held rows; returns whether any moved."""
@@ -327,17 +360,23 @@ class MaterializedView:
                 # Provably untouched: only the version moves (a cache carry).
                 self._carry(commit.sequence)
                 return False
-            for key in changed_groups:
-                old_out, new_out = self._recompute_group(key)
-                new_by_id = {offer.id: offer for offer in new_out}
-                for offer in old_out:
-                    if offer.id not in new_by_id:
-                        removed.append(offer.id)
-                old_by_id = {offer.id: offer for offer in old_out}
-                for offer_id, offer in new_by_id.items():
-                    if old_by_id.get(offer_id) != offer:
-                        changed.append(offer_id)
-            self._finish(state, commit.sequence, engine_name=backend.name)
+            if spec.limit is not None:
+                # The cap is global over the sorted selection: a row can enter
+                # or leave the answer untouched, so compare the previous and the
+                # new capped answer, which _finish rebuilds in full anyway.
+                previous = self.result.offers
+                self._finish(state, commit.sequence, engine_name=backend.name)
+                changed, removed = _answer_delta(previous, self.result.offers)
+            else:
+                for key in changed_groups:
+                    group_changed, group_removed = _answer_delta(*self._recompute_group(key))
+                    changed += group_changed
+                    removed += group_removed
+                # A singleton output that moved to another group is still
+                # answered: changed wins, as in the engine's commit.
+                kept = set(changed)
+                removed = [offer_id for offer_id in removed if offer_id not in kept]
+                self._finish(state, commit.sequence, engine_name=backend.name)
             self.last_delta = MaterializedDelta(
                 version=commit.sequence,
                 changed_ids=tuple(changed),
@@ -479,6 +518,15 @@ class MaterializedView:
             version=version,
         )
         self.version = version
+
+
+def _answer_delta(
+    old: "list[FlexOffer]", new: "list[FlexOffer]"
+) -> tuple[list[int], list[int]]:
+    """The ids ``new`` adds or changes against ``old``, and the ids it drops."""
+    before = {offer.id: offer for offer in old}
+    changed = [offer.id for offer in new if before.pop(offer.id, None) != offer]
+    return changed, list(before)
 
 
 def views_gauge(count: int) -> None:

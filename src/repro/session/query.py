@@ -24,7 +24,7 @@ from repro.session.spec import QuerySpec, ResultSet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.session.facade import FlexSession
-    from repro.live.subscriptions import Subscription
+    from repro.session.materialize import MaterializedView
     from repro.views.base import FlexOfferView
 
 # ----------------------------------------------------------------------
@@ -155,8 +155,8 @@ class OfferQuery:
         """Execute and open the result in a registered view."""
         return self._session.view(name, self.fetch(), **options)
 
-    def subscribe(self, callback: Callable, name: str = "") -> "Subscription":
-        """Register ``callback`` for future commits matching this spec."""
+    def subscribe(self, callback: Callable, name: str = "") -> "MaterializedView":
+        """Materialize this spec with ``callback`` as its listener (``FlexSession.subscribe``)."""
         return self._session.subscribe(self._spec, callback, name=name)
 
     def describe(self) -> str:

@@ -11,7 +11,6 @@ from repro.datagen.scenarios import small_scenario
 from repro.errors import LiveEngineError
 from repro.flexoffer.model import FlexOfferState, Schedule
 from repro.live import (
-    ChangeCollector,
     EventLog,
     LiveAggregationEngine,
     LiveWarehouse,
@@ -241,17 +240,33 @@ class TestEngineCommit:
         result = engine.commit()
         assert result.changed == [moved] and result.removed == []
 
+    def test_passthrough_gone_before_its_first_commit_is_not_removed(self):
+        # Added and withdrawn between two commits, it was never an output, so
+        # no listener mirroring the outputs may be told to drop it.
+        from repro.aggregation.aggregate import aggregate_group
+
+        members = [make_offer(offer_id=1, earliest_start=40), make_offer(offer_id=2)]
+        passthrough = aggregate_group(members, 500_000)  # below the engine's id_offset
+        engine = LiveAggregationEngine()
+        engine.apply(_added(make_offer(offer_id=3)))
+        engine.apply(_added(passthrough))
+        engine.apply(OfferWithdrawn(_T0, passthrough.id))
+        result = engine.commit()
+        assert result.changed_ids == (3,) and result.removed == []
+
     def test_collector_keeps_migrating_offer(self):
+        # A listener mirroring outputs from the commits it is handed keeps an
+        # offer that moved cells: it arrives as changed, never as removed.
         hub = SubscriptionHub()
-        collector = ChangeCollector()
-        hub.subscribe(collector)
+        commits = []
+        hub.subscribe(commits.append)
         engine = LiveAggregationEngine(hub=hub)
         offer = make_offer(offer_id=1, earliest_start=40)
         engine.apply(_added(offer))
         engine.commit()
         engine.apply(OfferUpdated(_T0, replace(offer, earliest_start_slot=60, latest_start_slot=68)))
         engine.commit()
-        assert 1 in collector.offers
+        assert commits[-1].changed_ids == (1,) and commits[-1].removed_ids == ()
 
     def test_allocated_ids_never_collide_with_passthrough_inputs(self):
         # Feed a batch aggregate (id 1_000_000) back in as a passthrough, then
@@ -303,54 +318,13 @@ class TestEngineCommit:
 
 
 class TestSubscriptions:
+    """The hub hands every listener every commit result; it filters nothing."""
+
     def _commit_with_two_regions(self, hub):
         engine = LiveAggregationEngine(hub=hub)
         engine.apply(_added(make_offer(offer_id=1, earliest_start=40, region="Capital")))
         engine.apply(_added(make_offer(offer_id=2, earliest_start=80, region="Zealand")))
         return engine.commit()
-
-    @staticmethod
-    def _in_capital(offer) -> bool:
-        return offer.region == "Capital"
-
-    def test_region_filter(self):
-        hub = SubscriptionHub()
-        collector = ChangeCollector()
-        hub.subscribe(collector, predicate=self._in_capital)
-        self._commit_with_two_regions(hub)
-        assert {offer.region for offer in collector.offers.values()} == {"Capital"}
-
-    def test_only_aggregates_filter(self):
-        hub = SubscriptionHub()
-        collector = ChangeCollector()
-        hub.subscribe(collector, predicate=lambda offer: offer.is_aggregate)
-        self._commit_with_two_regions(hub)  # two singleton (raw) outputs only
-        assert collector.offers == {} and collector.notifications == []
-
-    def test_foreign_region_changes_do_not_wake_subscriber(self):
-        hub = SubscriptionHub()
-        collector = ChangeCollector()
-        subscription = hub.subscribe(collector, predicate=self._in_capital)
-        engine = LiveAggregationEngine(hub=hub)
-        engine.apply(_added(make_offer(offer_id=1, earliest_start=40, region="Zealand")))
-        engine.commit()
-        assert subscription.notified == 0 and collector.notifications == []
-
-    def test_region_exit_delivered_as_removal(self):
-        # Two Capital offers aggregate; a Zealand offer then joins the same
-        # grid cell, turning the aggregate's region "mixed" — the Capital
-        # subscriber must drop it, not keep mirroring the stale variant.
-        hub = SubscriptionHub()
-        collector = ChangeCollector()
-        hub.subscribe(collector, predicate=self._in_capital)
-        engine = LiveAggregationEngine(hub=hub)
-        engine.apply(_added(make_offer(offer_id=1, earliest_start=40, region="Capital")))
-        engine.apply(_added(make_offer(offer_id=2, earliest_start=41, region="Capital")))
-        engine.commit()
-        assert len(collector.offers) == 1  # the Capital aggregate is mirrored
-        engine.apply(_added(make_offer(offer_id=3, earliest_start=40, region="Zealand")))
-        engine.commit()
-        assert collector.offers == {}  # mixed-region aggregate was dropped
 
     def test_raising_listener_does_not_silence_later_ones(self):
         # The read path (the engine's commit listener) sees the commit before
@@ -358,12 +332,12 @@ class TestSubscriptions:
         # commit from it nor from the subscribers registered after it.
         hub = SubscriptionHub()
 
-        def explode(notification):
+        def explode(commit):
             raise RuntimeError("listener failed")
 
         hub.subscribe(explode)
-        collector = ChangeCollector()
-        hub.subscribe(collector)
+        commits = []
+        hub.subscribe(commits.append)
         engine = LiveAggregationEngine(hub=hub)
         published = []
         engine.commit_listener = published.append
@@ -371,40 +345,47 @@ class TestSubscriptions:
         with pytest.raises(RuntimeError, match="listener failed"):
             engine.commit()
         assert [result.sequence for result in published] == [1]
-        assert len(collector.notifications) == 1 and 1 in collector.offers
+        assert commits == published
         engine.apply(_added(make_offer(offer_id=2, earliest_start=80)))
         with pytest.raises(RuntimeError, match="listener failed"):
             engine.commit()
         assert [result.sequence for result in published] == [1, 2]
-        assert set(collector.offers) == {1, 2}
+        assert commits == published and commits[-1].changed_ids == (2,)
 
     def test_unsubscribe(self):
         hub = SubscriptionHub()
-        collector = ChangeCollector()
-        token = hub.subscribe(collector)
+        commits = []
+        token = hub.subscribe(commits.append)
         assert hub.unsubscribe(token) is True
         assert hub.unsubscribe(token) is False
         self._commit_with_two_regions(hub)
-        assert collector.notifications == []
+        assert commits == [] and hub.published_commits == 1
 
     def test_deliver_empty_heartbeat(self):
+        # Every listener sees every commit, empty ones included, whatever
+        # region its outputs lie in.
         hub = SubscriptionHub()
-        beats = []
-        hub.subscribe(lambda notification: beats.append(notification), deliver_empty=True)
+        first, second = [], []
+        hub.subscribe(first.append)
+        hub.subscribe(second.append)
         engine = LiveAggregationEngine(hub=hub)
-        engine.commit()  # nothing changed
-        assert len(beats) == 1 and len(beats[0]) == 0
+        empty = engine.commit()  # nothing changed
+        engine.apply(_added(make_offer(offer_id=1, earliest_start=40, region="Capital")))
+        engine.apply(_added(make_offer(offer_id=2, earliest_start=80, region="Zealand")))
+        both = engine.commit()
+        assert first == second == [empty, both]
+        assert len(empty) == 0 and both.changed_ids == (1, 2)
 
     def test_collector_tracks_removals(self):
         hub = SubscriptionHub()
-        collector = ChangeCollector()
-        hub.subscribe(collector)
+        commits = []
+        hub.subscribe(commits.append)
         engine = LiveAggregationEngine(hub=hub)
         engine.apply(_added(make_offer(offer_id=1)))
         engine.commit()
         engine.apply(OfferWithdrawn(_T0, 1))
         engine.commit()
-        assert collector.offers == {}
+        assert commits[-1].removed_ids == (1,) and commits[-1].changed == []
 
     def test_non_callable_listener_rejected(self):
         with pytest.raises(LiveEngineError):

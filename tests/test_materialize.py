@@ -11,6 +11,10 @@ result cache reads the same commit deltas, so every probe also holds a
 cached ``session.query(spec)`` to the uncached reference, and the streams
 carry passthrough aggregates through their whole lifecycle.
 
+Subscriptions are materialized views with a listener: beside every view
+stands a subscription to the same spec, and a mirror built from its deltas
+alone must equal the view's answer at every commit point.
+
 Also here: the commit order — the read path publishes a commit before any
 subscriber is notified of it, and a subscriber that raises desyncs neither
 the read path nor the views registered after it.
@@ -131,6 +135,7 @@ def _standing_specs(session: FlexSession) -> dict[str, QuerySpec]:
         "raw-region": QuerySpec.build(region="Capital"),
         "raw-prosumer": QuerySpec.build(prosumer_id=7),
         "raw-limited": QuerySpec.build(state="assigned", limit=5),
+        "passthroughs": QuerySpec.build(only_aggregates=True),
         "aggregated": QuerySpec.build(parameters=session.parameters),
         "agg-limited": QuerySpec.build(parameters=session.parameters, limit=8),
         **_group_specs(session),
@@ -151,6 +156,37 @@ def _assert_same_provenance(held, expect, name: str) -> None:
         assert _by_id(held.constituents_of(offer.id)) == _by_id(
             expected[canonical_form(offer)]
         ), f"view {name!r}: constituents of aggregate {offer.id} diverged"
+
+
+class _DeltaMirror:
+    """A subscriber's copy of its answer, built from the deltas it receives alone.
+
+    Each delta's changed ids are read from the subscribed view's result at
+    notification time, and its removed ids dropped; a delta that names
+    nothing, names an id twice or removes an id the mirror lacks fails.
+    """
+
+    def __init__(self, session: FlexSession, spec: QuerySpec, name: str) -> None:
+        self.deltas: list = []
+        self.view = session.subscribe(spec, self, name=name)
+        self.offers = {offer.id: offer for offer in self.view.result.offers}
+
+    def __call__(self, delta) -> None:
+        assert len(delta) and delta.version == self.view.version
+        assert not set(delta.changed_ids) & set(delta.removed_ids)
+        for offer_id in delta.removed_ids:
+            del self.offers[offer_id]
+        current = {offer.id: offer for offer in self.view.result.offers}
+        for offer_id in delta.changed_ids:
+            self.offers[offer_id] = current[offer_id]
+        self.deltas.append(delta)
+
+    def check(self, view) -> None:
+        """The mirror ≡ ``view``'s answer (which :func:`_check_view` holds ≡ a query)."""
+        assert self.offers == {offer.id: offer for offer in view.result.offers}, (
+            f"subscription {self.view.name!r} diverged from its view's answer at "
+            f"v{view.version}"
+        )
 
 
 def _check_view(session: FlexSession, view) -> None:
@@ -195,15 +231,22 @@ def test_views_match_queries_at_every_commit_point(small_scenario, engine):
     """Mutated/withdrawn stream with passthroughs: maintained ≡ from-scratch
     after each event."""
     with FlexSession(small_scenario, engine=engine, live_preload=False) as session:
-        views = [
-            session.materialize(spec, name=name)
-            for name, spec in _standing_specs(session).items()
-        ]
+        specs = _standing_specs(session)
+        views = [session.materialize(spec, name=name) for name, spec in specs.items()]
+        mirrors = [_DeltaMirror(session, spec, f"{name}-sub") for name, spec in specs.items()]
         for event in _with_passthroughs(small_scenario):
             session.ingest(event)
+            before = [(m.view.commits_skipped, len(m.deltas)) for m in mirrors]
             session.engine.refresh()
             for view in views:
                 _check_view(session, view)
+            for mirror, view, (skipped, received) in zip(mirrors, views, before):
+                mirror.check(view)
+                if mirror.view.commits_skipped > skipped:
+                    assert len(mirror.deltas) == received, (
+                        f"{mirror.view.name!r} was notified of a commit its view carried"
+                    )
+        assert all(mirror.deltas for mirror in mirrors)
         # Final barrier: the batch pipeline over the surviving offers is the
         # oracle's verdict on the same standing specs.
         batch = session.snapshot()
@@ -237,6 +280,76 @@ def test_maintenance_is_delta_driven_not_recompute(small_scenario):
         stats = view.stats()
         assert stats["staleness"] == 0
         assert view.result.scanned_rows == 0, "a maintained view never scans"
+
+
+# ----------------------------------------------------------------------
+# Subscriptions answer what the query answers
+# ----------------------------------------------------------------------
+def _geography_of(offer) -> dict:
+    return {
+        "region": offer.region,
+        "city": offer.city,
+        "district": offer.district,
+        "grid_node": offer.grid_node,
+    }
+
+
+def test_limited_subscriptions_deliver_their_capped_answer():
+    """A ``limit`` spec's deltas name its capped answer, and drop what the cap
+    pushes out.  Filtering the engine's outputs instead handed the capped
+    aggregation's subscriber engine aggregate 1000008 here, while the query
+    answered 1000000 and 1000001."""
+    scenario = generate_scenario(ScenarioConfig(prosumer_count=40, seed=3))
+    with FlexSession(scenario, engine="live") as session:
+        wide = replace(
+            session.parameters, est_tolerance_slots=48, time_flexibility_tolerance_slots=48
+        )
+        capped = _DeltaMirror(session, QuerySpec.build(parameters=wide, limit=5), "capped")
+        jutland = _DeltaMirror(
+            session, QuerySpec.build(region="Central Jutland", limit=3), "jutland"
+        )
+        first = min(session.engine.offers(), key=lambda offer: offer.id)
+        revised = replace(first, price_per_kwh=first.price_per_kwh + 1.0)
+        session.ingest(OfferUpdated(first.creation_time, revised))
+        session.commit()
+        assert capped.deltas and jutland.deltas == []
+        # The first offer moves into Central Jutland below its third row:
+        # it enters the capped answer and pushes that row out.
+        third = jutland.view.result.offers[-1]
+        assert revised.region != "Central Jutland" and revised.id < third.id
+        home = jutland.view.result.offers[0]
+        session.ingest(
+            OfferUpdated(first.creation_time, replace(revised, **_geography_of(home)))
+        )
+        session.commit()
+        assert jutland.deltas[-1].changed_ids == (first.id,)
+        assert jutland.deltas[-1].removed_ids == (third.id,)
+        for mirror in (capped, jutland):
+            expect = session.query(mirror.view.spec, consistency="live")
+            held = sorted(map(canonical_form, mirror.offers.values()), key=repr)
+            assert held == sorted(map(canonical_form, expect.offers), key=repr)
+
+
+def test_capital_subscriber_keeps_its_aggregate_when_zealand_joins_the_cell():
+    """An engine cell turning mixed-region leaves a Capital aggregation's
+    answer alone.  Slicing the engine's outputs by region told its
+    subscriber to drop the Capital aggregate here."""
+    scenario = generate_scenario(ScenarioConfig(prosumer_count=5, seed=3))
+    with FlexSession(scenario.replace_offers([]), engine="live") as session:
+        spec = session.offers().where(region="Capital").aggregate().spec
+        mirror = _DeltaMirror(session, spec, "capital")
+        for offer in (make_offer(offer_id=1), make_offer(offer_id=2, earliest_start=41)):
+            session.ingest(OfferAdded(offer.creation_time, offer))
+        session.commit()
+        (aggregate,) = mirror.offers.values()  # handed by the commit's delta
+        zealand = make_offer(offer_id=3, earliest_start=40, region="Zealand")
+        session.ingest(OfferAdded(zealand.creation_time, zealand))
+        session.commit()
+        assert [offer.region for offer in session.engine.engine.aggregated_offers()] == [
+            "mixed"
+        ]
+        assert len(mirror.deltas) == 1
+        assert list(mirror.offers.values()) == [aggregate] == session.query(spec).offers
 
 
 # ----------------------------------------------------------------------
@@ -361,14 +474,13 @@ def test_random_interleavings_keep_views_fresh(small_scenario, engine, ops):
     """Scripted insert/mutate/withdraw/state interleavings, passthrough
     aggregates included: checked at every commit."""
     with FlexSession(small_scenario, engine=engine, live_preload=False) as session:
-        views = [
-            session.materialize(QuerySpec.build(parameters=session.parameters), name="agg"),
-            session.materialize(QuerySpec.build(prosumer_id=2), name="p2"),
-            *(
-                session.materialize(spec, name=name)
-                for name, spec in _group_specs(session).items()
-            ),
-        ]
+        specs = {
+            "agg": QuerySpec.build(parameters=session.parameters),
+            "p2": QuerySpec.build(prosumer_id=2),
+            **_group_specs(session),
+        }
+        views = [session.materialize(spec, name=name) for name, spec in specs.items()]
+        mirrors = [_DeltaMirror(session, spec, f"{name}-sub") for name, spec in specs.items()]
         population: dict[int, object] = {}
         order: list[int] = []
         next_id = 1
@@ -376,8 +488,9 @@ def test_random_interleavings_keep_views_fresh(small_scenario, engine, ops):
         for op, selector, magnitude in ops:
             if op == COMMIT:
                 session.engine.refresh()
-                for view in views:
+                for view, mirror in zip(views, mirrors):
                     _check_view(session, view)
+                    mirror.check(view)
                 continue
             if op == PASSTHROUGH:
                 members = [
@@ -437,8 +550,9 @@ def test_random_interleavings_keep_views_fresh(small_scenario, engine, ops):
                 )
             session.ingest(event)
         session.engine.refresh()
-        for view in views:
+        for view, mirror in zip(views, mirrors):
             _check_view(session, view)
+            mirror.check(view)
 
 
 # ----------------------------------------------------------------------
@@ -451,10 +565,9 @@ def test_subscribers_read_the_commit_they_are_notified_of(small_scenario, engine
         spec = QuerySpec()
         seen: list[tuple[int, int]] = []
 
-        def callback(notification):
-            sequence = notification.commit.sequence
-            seen.append((sequence, session.query(spec, consistency="latest").version))
-            seen.append((sequence, session.query(spec).version))
+        def callback(delta):
+            seen.append((delta.version, session.query(spec, consistency="latest").version))
+            seen.append((delta.version, session.query(spec).version))
 
         session.subscribe(spec, callback)
         for index, event in enumerate(_mutated_events(small_scenario), start=1):
@@ -482,7 +595,7 @@ def test_raising_subscriber_desyncs_neither_reads_nor_later_views(
         spec = QuerySpec.build(region="Capital")
         session.query(spec)  # a cached entry the failing commit must drop
 
-        def explode(notification):
+        def explode(delta):
             raise RuntimeError("subscriber failed")
 
         failing = session.subscribe(QuerySpec(), explode, name="explode")
@@ -561,6 +674,22 @@ def test_views_follow_engine_swaps_and_replay(small_scenario):
         assert view.refreshes >= 1, "a reset replay must re-base the view"
 
 
+def test_subscriber_follows_a_resetting_replay(small_scenario):
+    """A replay reset re-bases a subscription; its listener gets the re-base as
+    a delta, so an offer the reset dropped leaves the subscriber's mirror."""
+    with FlexSession(small_scenario, engine="live") as session:
+        mirror = _DeltaMirror(session, QuerySpec.build(region="Capital"), "capital")
+        extra = make_offer(offer_id=990_001, earliest_start=40)
+        session.ingest(OfferAdded(extra.creation_time, extra))
+        session.commit()
+        assert extra.id in mirror.offers
+        session.replay(update_fraction=0.2, withdraw_fraction=0.1)
+        session.engine.refresh()
+        _check_view(session, mirror.view)
+        mirror.check(mirror.view)
+        assert extra.id not in mirror.offers
+
+
 def test_materialize_registry_api(small_scenario):
     with FlexSession(small_scenario, engine="live") as session:
         spec = QuerySpec.build(region="Capital")
@@ -579,6 +708,16 @@ def test_materialize_registry_api(small_scenario):
         assert dropped.result is not None
         with pytest.raises(SessionError):
             dropped.refresh()
+        # An unnamed view or subscription never takes a registered name,
+        # whichever one was dropped before it.
+        first, second = session.materialize(spec), session.materialize(spec)
+        assert session.unsubscribe(first) is True
+        third = session.subscribe(spec, lambda delta: None)
+        assert session.materialized_views == (second, third)
+        assert second.name != third.name
+        with pytest.raises(SessionError):
+            session.subscribe(spec, "not-a-callback")
+        assert session.materialized_views == (second, third)
 
 
 def test_materialize_requires_live_family(small_scenario):

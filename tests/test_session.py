@@ -12,7 +12,6 @@ from repro.datagen.scenarios import ScenarioConfig, generate_scenario
 from repro.errors import SessionError
 from repro.flexoffer.model import FlexOfferState
 from repro.live.events import OfferAdded, OfferUpdated, OfferWithdrawn
-from repro.live.subscriptions import ChangeCollector
 from repro.session import VIEW_REGISTRY, OfferQuery, ResultSet
 from repro.session.spec import FRAME_COLUMNS
 from repro.views.framework import ViewKind, VisualAnalysisFramework
@@ -148,7 +147,7 @@ class TestEngines:
 
     def test_subscribe_requires_live_engine(self, session):
         with pytest.raises(SessionError):
-            session.subscribe(QuerySpec(), lambda notification: None)
+            session.subscribe(QuerySpec(), lambda delta: None)
 
     def test_unknown_engine_rejected(self, session):
         with pytest.raises(SessionError):
@@ -217,10 +216,6 @@ class TestEngines:
         session.close()
 
     def test_spec_subscription_sees_matching_changes_only(self):
-        from dataclasses import replace
-
-        from tests.conftest import make_offer
-
         # Two Capital offers share a grid cell (their aggregate stays pure
         # Capital); the Zealand offer sits in a far-away cell of its own.
         capital_a = make_offer(offer_id=101, earliest_start=40)
@@ -230,35 +225,31 @@ class TestEngines:
         session = FlexSession(
             scenario.replace_offers([capital_a, capital_b, zealand]), engine="live"
         )
-        notifications = []
-        session.subscribe(
-            session.offers().where(region="Capital").only_aggregates(),
-            notifications.append,
-        )
-        from repro.live.events import OfferUpdated
-
+        query = session.offers().where(region="Capital").aggregate()
+        deltas = []
+        view = session.subscribe(query, deltas.append)
+        (aggregate,) = view.result.offers
         # A Zealand revision commits but must not wake the Capital listener.
         session.ingest(
             OfferUpdated(zealand.creation_time, replace(zealand, price_per_kwh=9.0))
         )
         session.commit()
-        assert notifications == []
+        assert deltas == []
         # A Capital revision changes the Capital aggregate: one delivery.
         session.ingest(
             OfferUpdated(capital_a.creation_time, replace(capital_a, price_per_kwh=9.0))
         )
         session.commit()
-        assert len(notifications) == 1
-        assert [o.is_aggregate for o in notifications[0].changed] == [True]
-        assert notifications[0].changed[0].region == "Capital"
-        # Withdrawing one constituent retires the aggregate; the listener is
-        # told to drop exactly the output it was handed before.
-        mirrored_id = notifications[0].changed[0].id
+        assert [(d.changed_ids, d.removed_ids) for d in deltas] == [((aggregate.id,), ())]
+        (revised,) = view.result.offers
+        assert revised.is_aggregate and revised.region == "Capital"
+        assert view.result.matches(session.query(query.spec))
+        # Withdrawing one constituent dissolves the aggregate: the listener
+        # drops it and gets the survivor, now an output of its own.
         session.ingest(OfferWithdrawn(capital_a.creation_time, capital_a.id))
         session.commit()
-        assert len(notifications) == 2
-        assert [o.id for o in notifications[1].removed] == [mirrored_id]
-        assert notifications[1].changed == ()
+        assert (deltas[1].changed_ids, deltas[1].removed_ids) == ((102,), (aggregate.id,))
+        assert view.result.offers == [capital_b] == session.query(query.spec).offers
 
     @pytest.mark.parametrize("engine", ("live",))
     def test_snapshot_rebuilds_batch_from_surviving_offers(self, engine):
@@ -425,21 +416,18 @@ class TestSessionDelivery:
         offers = _capital_pairs(AggregationParameters())
         session = FlexSession(scenario.replace_offers(offers), engine="live")
         backend = session.engine
-        collector = ChangeCollector()
-        session.subscribe(session.offers().where(region="Capital").spec, collector)
-        # Prime the mirror: a price revision hands the subscriber every aggregate.
-        for offer in offers[::2]:
-            session.ingest(OfferUpdated(offer.creation_time, replace(offer, price_per_kwh=9.0)))
-        session.commit()
-        assert len(collector.offers) == 3
+        query = session.offers().where(region="Capital").aggregate()
+        deltas = []
+        view = session.subscribe(query, deltas.append)
+        held = sorted(offer.id for offer in view.result.offers)
+        assert len(held) == 3 and all(offer.is_aggregate for offer in view.result.offers)
         published_before = backend.hub.published_commits
         # Withdraw everything: every cell empties, in one commit.
         for offer in offers:
             session.ingest(OfferWithdrawn(offer.creation_time, offer.id))
         session.commit()
         assert backend.hub.published_commits - published_before == 1
-        assert len(collector.notifications) == 2
-        # Every mirrored aggregate was delivered back as a removal.
-        assert collector.offers == {}
+        # One delta hands back every aggregate the listener holds as removed.
+        assert [(d.changed_ids, sorted(d.removed_ids)) for d in deltas] == [((), held)]
+        assert view.result.offers == [] == session.query(query.spec).offers
         assert backend.engine.aggregated_offers() == []
-        assert session.query(QuerySpec.build(region="Capital")).offers == []
